@@ -42,6 +42,7 @@ from .linalg import (
     DimensionMismatch,
     FullRankProjector,
     MalformedMatrixFile,
+    NonFiniteEntry,
     NotHermitian,
     NotIdempotent,
     NotSquare,
@@ -72,18 +73,7 @@ from .membership import (
     range_membership,
     residual_oracle,
 )
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    CountedComplex,
-    OpCounter,
-    PropvalError,
-    TolerancePolicy,
-    counted_add,
-    counted_div,
-    counted_eq,
-    counted_mul,
-    counted_sub,
-)
+from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 from .valuation import (
     CommutingOperators,
     NondistributivityReport,

@@ -59,6 +59,10 @@ class MalformedMatrixFile(PropvalError):
     pass
 
 
+class NonFiniteEntry(PropvalError):
+    pass
+
+
 class BasisKind(Enum):
     RANGE = "range"
     KERNEL = "kernel"
@@ -141,12 +145,14 @@ class SubspaceBasis:
     def count(self) -> int:
         return self.array.shape[1]
 
-    def vectors(self) -> list[np.ndarray]:
-        return [self.array[:, j] for j in range(self.count)]
-
 
 def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteEntry("matrix has a NaN or infinite entry")
 
 
 def independent_columns(
@@ -213,8 +219,9 @@ def projector_from_state(
 def validate_projector(
     m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Projector:
-    """Check Hermiticity and idempotency, compute the rank."""
+    """Check finiteness, Hermiticity and idempotency, compute the rank."""
     m = np.asarray(m, dtype=complex)
+    _require_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
     bound = tol.abs_eps + tol.rel_eps * max_abs(m)
@@ -281,7 +288,9 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         flat = [complex(re, im) for re, im in entries]
     except (TypeError, ValueError) as exc:
         raise MalformedMatrixFile("entries must be [re, im] pairs") from exc
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    a = np.array(flat, dtype=complex).reshape(rows, cols)
+    _require_finite(a)
+    return a
 
 
 def save_matrix(path, a: np.ndarray) -> None:

@@ -6,16 +6,18 @@ Three instrumented deciders plus one independent oracle:
   the single-column system.  A membership verdict costs exactly
   ``2(n-1)`` multiplications and ``n-1`` comparisons; a rejection exits
   at the first failed comparison.
-* :func:`kernel_membership_iterative` -- Gaussian elimination with the
-  row-update formula ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]`` and
-  partial pivoting.  On a nondegenerate system with ``n-1`` unknowns
-  the elimination performs exactly ``n(n-1)/2 - 1`` divisions and
-  ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.
-* :func:`kernel_membership_matrix` -- the same elimination organised as
-  per-step column division, outer product, and block subtraction
-  (O(n) divisions and O(n^2) multiplications/subtractions per step).
-  Verdict and witness are identical to the iterative form on every
-  input; only the tallies differ.
+* :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
+  -- Gaussian elimination with partial pivoting, both calls into one
+  core that differ only in how much of the matrix each step updates.
+  The iterative form updates the rows below the pivot and the columns
+  right of it with ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a
+  nondegenerate system with ``n-1`` unknowns that is exactly
+  ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
+  and as many subtractions.  The matrix form (column division, outer
+  product, block subtraction) also updates the pivot row and column,
+  O(n) divisions and O(n^2) multiplications/subtractions per step.
+  Verdict and witness are identical in both forms on every input; only
+  the tallies differ.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
@@ -26,8 +28,11 @@ multiplications).  Those final-check operations are tallied in a
 separate counter on the result, not in the elimination counter, because
 the closed-form totals above cover the elimination loop only.
 
-Witness extraction (back-substitution, or the single anchor division of
-the range check) is a convenience output and is not counted.
+Every decider charges its :class:`OpCounter` directly: elimination one
+closed-form amount per step, the cross-product checks two
+multiplications and one comparison per comparison made.  Witness
+extraction (back-substitution, or the single anchor division of the
+range check) is a convenience output and is not counted.
 """
 
 from __future__ import annotations
@@ -37,14 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DimensionMismatch, StateVector, SubspaceBasis, max_abs
-from .numerics import (
-    DEFAULT_TOLERANCE,
-    OpCounter,
-    PropvalError,
-    TolerancePolicy,
-    counted_eq,
-    counted_mul,
-)
+from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
     "AugmentedMatrix",
@@ -143,35 +141,13 @@ def range_membership(
     for j in range(n):
         if j == anchor:
             continue
-        lhs = counted_mul(b[anchor], column[j], ctx)
-        rhs = counted_mul(b[j], column[anchor], ctx)
-        if not counted_eq(lhs, rhs, tol, ctx):
+        ctx.mul += 2
+        ctx.cmp += 1
+        if not tol.equal(b[anchor] * column[j], b[j] * column[anchor]):
             member = False
             break
     witness = [b[anchor] / column[anchor]] if member else None
     return MembershipResult(member, witness, ctx.snapshot())
-
-
-def _select_pivot(
-    rows: list[list[complex]],
-    c: int,
-    r: int,
-    n: int,
-    threshold: float,
-    pivoting: bool,
-    search_ctx: OpCounter | None,
-) -> int | None:
-    """Row of the pivot for column c, or None if the column is degenerate."""
-    if not pivoting:
-        return r if abs(rows[r][c]) > threshold else None
-    best, best_mag = r, abs(rows[r][c])
-    for j in range(r + 1, n):
-        mag = abs(rows[j][c])
-        if search_ctx is not None:
-            search_ctx.cmp += 1
-        if mag > best_mag:
-            best, best_mag = j, mag
-    return best if best_mag > threshold else None
 
 
 def _cross_consistency(
@@ -196,16 +172,17 @@ def _cross_consistency(
     anchor = next((j for j in live if abs(rows[j][k - 1]) > threshold), None)
     if anchor is None:
         for j in live:
-            if not counted_eq(rows[j][k], 0.0, tol, fctx):
+            fctx.cmp += 1
+            if not tol.equal(rows[j][k], 0.0):
                 return False, None
         return True, None
     a_col, a_rhs = rows[anchor][k - 1], rows[anchor][k]
     for j in live:
         if j == anchor:
             continue
-        lhs = counted_mul(a_col, rows[j][k], fctx)
-        rhs = counted_mul(rows[j][k - 1], a_rhs, fctx)
-        if not counted_eq(lhs, rhs, tol, fctx):
+        fctx.mul += 2
+        fctx.cmp += 1
+        if not tol.equal(a_col * rows[j][k], rows[j][k - 1] * a_rhs):
             return False, None
     return True, list(rows[anchor])
 
@@ -228,112 +205,64 @@ def _solution_from_echelon(
     return x
 
 
-def kernel_membership_iterative(
+def _eliminate(
     aug: AugmentedMatrix,
-    ctx: OpCounter | None = None,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    pivoting: bool = True,
-    count_pivot_search: bool = False,
+    ctx: OpCounter | None,
+    tol: TolerancePolicy,
+    full_block: bool,
 ) -> MembershipResult:
-    """Row-echelon elimination with the per-entry update formula.
+    """Row-echelon elimination shared by both kernel formulations.
 
-    Eliminates below the diagonal for every unknown column except the
-    last, then applies the cross-product consistency condition to the
-    remaining rows.  Pivot rows are chosen by largest magnitude when
-    ``pivoting`` is on (row interchanges are free); a column whose
-    candidate pivots all sit below tolerance is skipped and contributes
-    a free unknown.  Pivot-search comparisons are uncounted unless
-    ``count_pivot_search`` is set.
+    Eliminates every unknown column except the last, then applies the
+    cross-product consistency condition to the remaining rows.  The
+    pivot row is the first of largest magnitude (row interchanges and
+    the search are free); a column whose candidate pivots all sit below
+    tolerance is skipped and contributes a free unknown.  Elimination
+    stops early only once every row holds a pivot.
+
+    Each step computes ``m = a[j][c] / a[r][c]`` and updates
+    ``a[j][l] -= m * a[r][l]`` over rows ``top..n-1`` and columns
+    ``left..k``: the rows below the pivot and the columns right of it,
+    or with ``full_block`` the whole live block including the pivot row
+    and column.  The rows both extents share go through the same scalar
+    operations, so verdict and witness do not depend on the extent.  A
+    step is charged ``n - top`` divisions and ``(n - top)(k + 1 - left)``
+    multiplications and as many subtractions.
     """
     ctx = ctx if ctx is not None else OpCounter()
     start = ctx.snapshot()
     rows = [[complex(z) for z in row] for row in aug.body]
     n, k = aug.rows, aug.unknowns
     threshold = tol.abs_eps * max_abs(aug.body[:, :k])
-    search_ctx = ctx if count_pivot_search else None
 
     pivots: list[tuple[int, list[complex]]] = []
     swaps = 0
     r = 0
     for c in range(k - 1):
-        if r >= n - 1:
+        if r == n:
             break
-        p = _select_pivot(rows, c, r, n, threshold, pivoting, search_ctx)
-        if p is None:
+        p, best = r, abs(rows[r][c])
+        for j in range(r + 1, n):
+            mag = abs(rows[j][c])
+            if mag > best:
+                p, best = j, mag
+        if not best > threshold:  # a NaN pivot is never accepted
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             swaps += 1
-        prow = rows[r]
+        prow = list(rows[r])  # copied: the full block update zeroes the pivot row
         piv = prow[c]
-        width = k - c  # updated columns c+1 .. k (incl. the rhs)
-        for j in range(r + 1, n):
+        top, left = (r, c) if full_block else (r + 1, c + 1)
+        for j in range(top, n):
             rowj = rows[j]
             m = rowj[c] / piv
-            for l in range(c + 1, k + 1):
+            for l in range(left, k + 1):
                 rowj[l] = rowj[l] - m * prow[l]
-            ctx.div += 1
-            ctx.mul += width
-            ctx.add_sub += width
-        pivots.append((c, list(prow)))
-        r += 1
-
-    elimination = ctx.snapshot() - start
-    fctx = OpCounter()
-    member, anchor_row = _cross_consistency(rows, r, n, k, threshold, tol, fctx)
-    witness = _solution_from_echelon(pivots, anchor_row, k) if member else None
-    return MembershipResult(member, witness, elimination, fctx, swaps)
-
-
-def kernel_membership_matrix(
-    aug: AugmentedMatrix,
-    ctx: OpCounter | None = None,
-    tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    pivoting: bool = True,
-    count_pivot_search: bool = False,
-) -> MembershipResult:
-    """Elimination organised as column division, outer product, subtraction.
-
-    Each step divides the live part of the pivot column by the pivot,
-    forms the outer product of the result with the live part of the
-    pivot row, and subtracts it from the live block, zeroing the pivot
-    row and column.  The surviving block evolves through exactly the
-    same scalar operations as in :func:`kernel_membership_iterative`,
-    so verdict and witness agree bit-for-bit; the tallies additionally
-    include the pivot row/column work (O(n) divisions and O(n^2)
-    multiplications and subtractions per step).
-    """
-    ctx = ctx if ctx is not None else OpCounter()
-    start = ctx.snapshot()
-    rows = [[complex(z) for z in row] for row in aug.body]
-    n, k = aug.rows, aug.unknowns
-    threshold = tol.abs_eps * max_abs(aug.body[:, :k])
-    search_ctx = ctx if count_pivot_search else None
-
-    pivots: list[tuple[int, list[complex]]] = []
-    swaps = 0
-    r = 0
-    for c in range(k - 1):
-        if r >= n - 1:
-            break
-        p = _select_pivot(rows, c, r, n, threshold, pivoting, search_ctx)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            swaps += 1
-        prow = list(rows[r])  # pivot row before it is zeroed by the subtraction
-        piv = prow[c]
-        coeffs = [rows[j][c] / piv for j in range(r, n)]
-        ctx.div += n - r
-        width = k + 1 - c  # live columns c .. k
-        for idx, j in enumerate(range(r, n)):
-            cj = coeffs[idx]
-            rowj = rows[j]
-            for l in range(c, k + 1):
-                rowj[l] = rowj[l] - cj * prow[l]
-            ctx.mul += width
-            ctx.add_sub += width
+        updated = (n - top) * (k + 1 - left)
+        ctx.div += n - top
+        ctx.mul += updated
+        ctx.add_sub += updated
         pivots.append((c, prow))
         r += 1
 
@@ -342,6 +271,36 @@ def kernel_membership_matrix(
     member, anchor_row = _cross_consistency(rows, r, n, k, threshold, tol, fctx)
     witness = _solution_from_echelon(pivots, anchor_row, k) if member else None
     return MembershipResult(member, witness, elimination, fctx, swaps)
+
+
+def kernel_membership_iterative(
+    aug: AugmentedMatrix,
+    ctx: OpCounter | None = None,
+    tol: TolerancePolicy = DEFAULT_TOLERANCE,
+) -> MembershipResult:
+    """Elimination with the per-entry row update below and right of the pivot.
+
+    On a nondegenerate system with ``n-1`` unknowns this charges exactly
+    ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
+    and as many subtractions.
+    """
+    return _eliminate(aug, ctx, tol, full_block=False)
+
+
+def kernel_membership_matrix(
+    aug: AugmentedMatrix,
+    ctx: OpCounter | None = None,
+    tol: TolerancePolicy = DEFAULT_TOLERANCE,
+) -> MembershipResult:
+    """Elimination as column division, outer product and block subtraction.
+
+    Each step also zeroes the pivot row and column, so it is charged
+    O(n) divisions and O(n^2) multiplications and subtractions on the
+    whole live block.  Verdict and witness equal those of
+    :func:`kernel_membership_iterative` bit for bit; only the tallies
+    differ.
+    """
+    return _eliminate(aug, ctx, tol, full_block=True)
 
 
 def residual_oracle(

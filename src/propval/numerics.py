@@ -1,11 +1,14 @@
-"""Complex scalar arithmetic with explicit primitive-operation counting.
+"""Primitive-operation counting and the shared tolerance policy.
 
 Every algorithm in this package charges one unit per complex
 multiplication, division, addition/subtraction, or comparison.  Counts
 accumulate in an :class:`OpCounter` passed around as an explicit
 argument; there is no process-global counting state, so concurrent runs
-with independent counters never interfere.  Passing ``None`` as the
-counter disables counting without changing any numeric result.
+with independent counters never interfere.  The deciders do their
+arithmetic on plain ``complex`` values and increment the counter
+fields directly, by a closed-form amount per elimination step or per
+comparison.  Passing ``None`` as the counter disables counting without
+changing any numeric result.
 
 Equality of scalars is decided by a single :class:`TolerancePolicy`
 shared across the package, since the values flowing through the
@@ -15,10 +18,6 @@ pipelines involve irrational entries evaluated in double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Scalar type flowing through the counted pipelines.  Plain ``complex``
-#: is used directly; counting lives in the ``counted_*`` helpers below.
-CountedComplex = complex
 
 
 class PropvalError(Exception):
@@ -86,38 +85,3 @@ class TolerancePolicy:
 
 
 DEFAULT_TOLERANCE = TolerancePolicy()
-
-
-def counted_mul(a: complex, b: complex, ctx: OpCounter | None) -> complex:
-    """Product a*b; charges one multiplication to ctx."""
-    if ctx is not None:
-        ctx.mul += 1
-    return a * b
-
-
-def counted_div(a: complex, b: complex, ctx: OpCounter | None) -> complex:
-    """Quotient a/b; charges one division to ctx."""
-    if ctx is not None:
-        ctx.div += 1
-    return a / b
-
-
-def counted_add(a: complex, b: complex, ctx: OpCounter | None) -> complex:
-    if ctx is not None:
-        ctx.add_sub += 1
-    return a + b
-
-
-def counted_sub(a: complex, b: complex, ctx: OpCounter | None) -> complex:
-    if ctx is not None:
-        ctx.add_sub += 1
-    return a - b
-
-
-def counted_eq(
-    a: complex, b: complex, tol: TolerancePolicy, ctx: OpCounter | None
-) -> bool:
-    """Tolerance equality of two scalars; charges one comparison to ctx."""
-    if ctx is not None:
-        ctx.cmp += 1
-    return tol.equal(a, b)

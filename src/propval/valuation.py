@@ -120,29 +120,16 @@ def valuate(
     """Three-valued verdict: range member, else kernel member, else gap."""
     _check_state(p, psi, tol)
     range_result = membership_of(_range_columns(p, tol), psi, OpCounter(), tol)
+    decisive, kernel_counts = range_result, OpCounter()
     if range_result.member:
-        return TruthVerdict(
-            TruthValue.TRUE,
-            range_result.counts,
-            OpCounter(),
-            None,
-            range_result.witness,
-        )
-    kernel_result = membership_of(_kernel_columns(p, tol), psi, OpCounter(), tol)
-    if kernel_result.member:
-        return TruthVerdict(
-            TruthValue.FALSE,
-            range_result.counts,
-            kernel_result.counts,
-            None,
-            kernel_result.witness,
-        )
+        value = TruthValue.TRUE
+    else:
+        decisive = membership_of(_kernel_columns(p, tol), psi, OpCounter(), tol)
+        value = TruthValue.FALSE if decisive.member else TruthValue.GAP
+        kernel_counts = decisive.counts
+    gap = range_result.counts + kernel_counts if value is TruthValue.GAP else None
     return TruthVerdict(
-        TruthValue.GAP,
-        range_result.counts,
-        kernel_result.counts,
-        range_result.counts + kernel_result.counts,
-        None,
+        value, range_result.counts, kernel_counts, gap, decisive.witness
     )
 
 

@@ -81,6 +81,25 @@ def test_valuate_rejects_invalid_projector(capsys, tmp_path):
     assert "NotIdempotent" in err
 
 
+@pytest.mark.parametrize(
+    "projector, state",
+    [
+        ([[np.nan, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
+        ([[np.inf, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
+        ([[1.0, 0.0], [0.0, 0.0]], [[np.nan], [0.0]]),
+    ],
+    ids=["nan-projector", "infinity-projector", "nan-state"],
+)
+def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
+    proj = tmp_path / "proj.json"
+    vec = tmp_path / "state.json"
+    save_matrix(proj, np.array(projector))  # json writes NaN / Infinity literals
+    save_matrix(vec, np.array(state))
+    code, out, err = run(capsys, "valuate", str(proj), str(vec))
+    assert code == 2 and out == ""
+    assert "NonFiniteEntry" in err
+
+
 def test_valuate_missing_file(capsys, tmp_path):
     code, _, err = run(
         capsys, "valuate", str(tmp_path / "none.json"), str(tmp_path / "none.json")

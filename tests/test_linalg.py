@@ -11,6 +11,7 @@ from propval.linalg import (
     DimensionMismatch,
     FullRankProjector,
     MalformedMatrixFile,
+    NonFiniteEntry,
     NotHermitian,
     NotIdempotent,
     NotSquare,
@@ -86,6 +87,8 @@ def test_validate_projector_errors():
         validate_projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotIdempotent):
         validate_projector(np.array([[2.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(NonFiniteEntry):
+        validate_projector(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_range_basis_spin52_is_proportional_to_direction():
@@ -159,9 +162,9 @@ def test_basis_vectors_are_fixed_or_annihilated():
     rng = np.random.default_rng(6)
     v = random_unit(rng, 7)
     p = projector_from_state(StateVector(v))
-    for col in range_basis(p).vectors():
+    for col in range_basis(p).array.T:
         assert np.linalg.norm(p.array @ col - col) < 1e-12
-    for col in kernel_basis(p).vectors():
+    for col in kernel_basis(p).array.T:
         assert np.linalg.norm(p.array @ col) < 1e-12
 
 

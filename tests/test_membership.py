@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
@@ -179,44 +180,28 @@ def test_kernel_homogeneous_system_is_consistent():
     assert np.allclose(res.witness, 0)
 
 
-@pytest.mark.parametrize("pivoting", [True, False])
-def test_kernel_iterative_counts_match_closed_forms(pivoting):
+def test_kernel_iterative_counts_match_closed_forms():
     for n in range(3, 65):
         for target in (TargetKind.IN_KERNEL, TargetKind.GENERIC):
             proj, psi = random_instance(n, seed=9, target=target)
             ctx = OpCounter()
-            kernel_membership_iterative(
-                kernel_system(proj, psi), ctx, pivoting=pivoting
-            )
+            kernel_membership_iterative(kernel_system(proj, psi), ctx)
             assert ctx.div == divisions_closed_form(n), (n, target)
             assert ctx.mul == multiplications_closed_form(n), (n, target)
             assert ctx.add_sub == ctx.mul
 
 
-def test_pivot_search_counting_is_optional():
-    proj, psi = random_instance(12, seed=5, target=TargetKind.IN_KERNEL)
-    aug = kernel_system(proj, psi)
-    silent = OpCounter()
-    kernel_membership_iterative(aug, silent)
-    counted = OpCounter()
-    kernel_membership_iterative(aug, counted, count_pivot_search=True)
-    assert silent.cmp == 0
-    # one pass over the rows below the pivot per elimination column
-    assert counted.cmp == sum(12 - 1 - r for r in range(11 - 1))
-    assert (counted.mul, counted.div) == (silent.mul, silent.div)
-
-
 def test_matrix_version_counts_per_step_block_sizes():
-    n = 6
-    proj, psi = random_instance(n, seed=1, target=TargetKind.IN_KERNEL)
-    ctx = OpCounter()
-    res = kernel_membership_matrix(kernel_system(proj, psi), ctx)
-    assert res.member
-    # oracle: live block at step i spans s = n-i+1 rows and columns
-    sizes = [n - i + 1 for i in range(1, n - 1)]
-    assert ctx.div == sum(sizes)
-    assert ctx.mul == sum(s * s for s in sizes)
-    assert ctx.add_sub == ctx.mul
+    for n in range(3, 41):
+        proj, psi = random_instance(n, seed=1, target=TargetKind.IN_KERNEL)
+        ctx = OpCounter()
+        res = kernel_membership_matrix(kernel_system(proj, psi), ctx)
+        assert res.member, n
+        # oracle: live block at step i spans s = n-i+1 rows and columns
+        sizes = [n - i + 1 for i in range(1, n - 1)]
+        assert ctx.div == sum(sizes), n
+        assert ctx.mul == sum(s * s for s in sizes), n
+        assert ctx.add_sub == ctx.mul
 
 
 @pytest.mark.parametrize("n", [3, 4, 9, 24])
@@ -233,13 +218,48 @@ def test_matrix_and_iterative_agree_bitwise(n):
                 assert a.witness == b.witness  # identical scalar operations
 
 
-def test_pivoting_equivalence_on_well_conditioned_systems():
-    for seed in range(8):
-        proj, psi = random_instance(10, seed, TargetKind.GENERIC)
-        aug = kernel_system(proj, psi)
-        with_pivot = kernel_membership_iterative(aug, pivoting=True)
-        without = kernel_membership_iterative(aug, pivoting=False)
-        assert with_pivot.member == without.member
+@st.composite
+def degenerate_systems(draw):
+    """n x k systems, k up to n+3, with zero and scaled-duplicate columns."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(2, n + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    for j in range(k):
+        kind = draw(st.sampled_from(["generic", "zero", "duplicate"]))
+        if kind == "zero":
+            cols[:, j] = 0
+        elif kind == "duplicate" and j > 0:
+            scale = draw(st.sampled_from([2.0, -0.5j, 3 + 1j]))
+            cols[:, j] = scale * cols[:, draw(st.integers(0, j - 1))]
+    if draw(st.booleans()):
+        rhs = cols @ (rng.normal(size=k) + 1j * rng.normal(size=k))
+    else:
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return cols, StateVector(rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=degenerate_systems())
+def test_both_formulations_match_the_oracle_on_any_shape(system):
+    cols, psi = system
+    aug = AugmentedMatrix.from_system(cols, psi)
+    it = kernel_membership_iterative(aug)
+    mx = kernel_membership_matrix(aug)
+    assert it.member == mx.member
+    assert it.witness == mx.witness  # identical scalar operations
+    assert it.row_swaps == mx.row_swaps
+    assert it.member == residual_oracle(cols, psi).member
+    if it.member:
+        residual = np.linalg.norm(cols @ np.array(it.witness) - psi.components)
+        assert residual < 1e-7
+
+
+def test_wide_system_uses_every_unknown_column():
+    cols = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    psi = StateVector([0.0, 1.0])
+    assert membership_of(cols, psi).member
+    assert residual_oracle(cols, psi).member
 
 
 # ---------------------------------------------------------------- oracle

@@ -1,97 +1,19 @@
-"""Counted scalar arithmetic and the tolerance policy."""
-
-import math
+"""Operation counter and the tolerance policy."""
 
 from hypothesis import given, strategies as st
 
-from propval.numerics import (
-    DEFAULT_TOLERANCE,
-    OpCounter,
-    TolerancePolicy,
-    counted_add,
-    counted_div,
-    counted_eq,
-    counted_mul,
-    counted_sub,
-)
+from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
 )
 
 
-def test_counted_mul_identity():
-    ctx = OpCounter()
-    x = 3.5 - 2.25j
-    assert counted_mul(1 + 0j, x, ctx) == x
-    assert ctx.mul == 1 and ctx.total == 1
-
-
-def test_counted_mul_imaginary_unit_squares_to_minus_one():
-    ctx = OpCounter()
-    assert counted_mul(1j, 1j, ctx) == -1 + 0j
-    assert ctx.mul == 1
-
-
-def test_counted_mul_radical_product():
-    # direct arithmetic: sqrt(5) * (1/32) == sqrt(5)/32
-    ctx = OpCounter()
-    assert counted_mul(math.sqrt(5), 1 / 32, ctx) == math.sqrt(5) / 32
-    assert ctx.mul == 1
-
-
-def test_counted_div_add_sub_increment_their_tallies():
-    ctx = OpCounter()
-    assert counted_div(1 + 1j, 2, ctx) == 0.5 + 0.5j
-    assert counted_add(1, 2j, ctx) == 1 + 2j
-    assert counted_sub(1, 2j, ctx) == 1 - 2j
-    assert (ctx.mul, ctx.div, ctx.add_sub, ctx.cmp) == (0, 1, 2, 0)
-
-
-def test_counted_eq_examples():
+def test_tolerance_equal_examples():
     tol = TolerancePolicy(abs_eps=1e-9, rel_eps=0.0)
-    ctx = OpCounter()
-    assert counted_eq(1.0, 1.0, tol, ctx)
-    assert counted_eq(1.0, 1.0 + 1e-15, tol, ctx)
-    assert not counted_eq(1.0, 1.0 + 1e-6, tol, ctx)
-    assert ctx.cmp == 3
-
-
-def test_null_context_gives_identical_results():
-    vals = [(1.25 - 3j, 0.5j), (math.sqrt(2), math.sqrt(3)), (-1e-8, 7.0)]
-    for a, b in vals:
-        ctx = OpCounter()
-        assert counted_mul(a, b, ctx) == counted_mul(a, b, None)
-        assert counted_div(a, b, ctx) == counted_div(a, b, None)
-        assert counted_sub(a, b, ctx) == counted_sub(a, b, None)
-
-
-def test_expression_tree_counts_every_application():
-    # (a*b + c/d) - e: one op per node
-    ctx = OpCounter()
-    a, b, c, d, e = 2.0, 3.0 + 1j, 4.0, 2j, 1.0
-    counted_sub(
-        counted_add(counted_mul(a, b, ctx), counted_div(c, d, ctx), ctx), e, ctx
-    )
-    assert ctx.as_dict() == {"mul": 1, "div": 1, "add_sub": 2, "cmp": 0, "total": 4}
-
-
-@given(ops=st.lists(st.sampled_from("mdas"), min_size=0, max_size=40))
-def test_counting_is_deterministic_per_application(ops):
-    ctx = OpCounter()
-    acc = 1 + 1j
-    table = {
-        "m": counted_mul,
-        "d": counted_div,
-        "a": counted_add,
-        "s": counted_sub,
-    }
-    for op in ops:
-        acc = table[op](acc, 1 + 0.5j, ctx)
-    assert ctx.total == len(ops)
-    assert ctx.mul == ops.count("m")
-    assert ctx.div == ops.count("d")
-    assert ctx.add_sub == ops.count("a") + ops.count("s")
+    assert tol.equal(1.0, 1.0)
+    assert tol.equal(1.0, 1.0 + 1e-15)
+    assert not tol.equal(1.0, 1.0 + 1e-6)
 
 
 @given(a=finite, b=finite)
