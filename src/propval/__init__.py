@@ -73,7 +73,13 @@ from .membership import (
     range_membership,
     residual_oracle,
 )
-from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
+from .numerics import (
+    DEFAULT_TOLERANCE,
+    InvalidTolerance,
+    OpCounter,
+    PropvalError,
+    TolerancePolicy,
+)
 from .valuation import (
     CommutingOperators,
     NondistributivityReport,

@@ -146,17 +146,22 @@ def benchmark_paths(
 
     Each dimension draws one random rank-1 projector and three states
     (in range, in kernel, generic); the recorded counts are the
-    contracted tallies of the corresponding verdict path.  Deterministic
-    given the seed; ``wall_time`` stays None unless requested so that
-    equal seeds give equal sample lists.
+    contracted tallies of the corresponding verdict path.  The first
+    draw's projector serves all three paths, so its bases are computed
+    once per dimension.  Deterministic given the seed; ``wall_time``
+    stays None unless requested so that equal seeds give equal sample
+    lists.
     """
     samples = []
     for n in n_values:
         if n < 3:
             raise InvalidBounds(f"benchmark dimensions start at 3, got {n}")
+        projector = None
         for path in PathKind:
             target, expected = _PATH_TARGET[path]
-            projector, state = random_instance(n, seed, target)
+            drawn, state = random_instance(n, seed, target)
+            if projector is None:
+                projector = drawn
             started = time.perf_counter()
             verdict = valuate(projector, state, tol)
             elapsed = time.perf_counter() - started

@@ -4,7 +4,10 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 value types below (:class:`StateVector`, :class:`Projector`,
 :class:`SubspaceBasis`) are immutable wrappers: their backing arrays
 are marked read-only on construction so instances can be shared freely
-between threads.
+between threads.  A :class:`Projector` also memoises its range and
+kernel bases, once per (basis kind, tolerance policy); a memoised basis
+is a read-only :class:`SubspaceBasis` written at most once, so sharing
+stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot below ``abs_eps * max|entry|`` as zero.  Basis columns are
@@ -19,7 +22,7 @@ File format for matrices and vectors (vectors are n x 1)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -106,11 +109,15 @@ class Projector:
 
     Construct through :func:`validate_projector` or
     :func:`projector_from_state`; the constructor itself performs no
-    checks.
+    checks.  :func:`range_basis` and :func:`kernel_basis` compute each
+    basis once per tolerance policy and keep it on the instance; the
+    memo is write-once, holds read-only bases, and takes no part in
+    equality.
     """
 
     array: np.ndarray
     rank: int
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self, "array", np.array(self.array, dtype=complex))
@@ -219,7 +226,11 @@ def projector_from_state(
 def validate_projector(
     m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Projector:
-    """Check finiteness, Hermiticity and idempotency, compute the rank."""
+    """Check finiteness, Hermiticity and idempotency, compute the rank.
+
+    The independent columns that give the rank also seed the projector's
+    range basis for ``tol``.
+    """
     m = np.asarray(m, dtype=complex)
     _require_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -229,7 +240,22 @@ def validate_projector(
         raise NotHermitian("matrix is not Hermitian within tolerance")
     if max_abs(m @ m - m) > bound:
         raise NotIdempotent("matrix is not idempotent within tolerance")
-    return Projector(m, rank=matrix_rank(m, tol))
+    cols = independent_columns(m, tol)
+    p = Projector(m, rank=len(cols))
+    p._bases[BasisKind.RANGE, tol] = SubspaceBasis(p.array[:, cols], BasisKind.RANGE)
+    return p
+
+
+def _basis(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> SubspaceBasis:
+    """The memoised basis of ``kind``, computed on the first request."""
+    basis = p._bases.get((kind, tol))
+    if basis is None:
+        a = p.array
+        if kind is BasisKind.KERNEL:
+            a = np.eye(p.dim, dtype=complex) - a
+        basis = SubspaceBasis(a[:, independent_columns(a, tol)], kind)
+        basis = p._bases.setdefault((kind, tol), basis)
+    return basis
 
 
 def range_basis(
@@ -238,8 +264,7 @@ def range_basis(
     """Independent columns of the projector matrix, lowest index first."""
     if p.rank == 0:
         raise ZeroProjector("range of the zero projector is {0}")
-    cols = independent_columns(p.array, tol)
-    return SubspaceBasis(p.array[:, cols], BasisKind.RANGE)
+    return _basis(p, BasisKind.RANGE, tol)
 
 
 def kernel_basis(
@@ -248,9 +273,7 @@ def kernel_basis(
     """Independent columns of (I - M), lowest index first."""
     if p.rank == p.dim:
         raise FullRankProjector("kernel of a full-rank projector is {0}")
-    complement = np.eye(p.dim, dtype=complex) - p.array
-    cols = independent_columns(complement, tol)
-    return SubspaceBasis(complement[:, cols], BasisKind.KERNEL)
+    return _basis(p, BasisKind.KERNEL, tol)
 
 
 def decompose(

@@ -17,11 +17,16 @@ pipelines involve irrational entries evaluated in double precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
 class PropvalError(Exception):
     """Base class for every validation error raised by this package."""
+
+
+class InvalidTolerance(PropvalError):
+    pass
 
 
 @dataclass
@@ -72,10 +77,21 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Symmetric approximate equality: |a-b| <= abs_eps + rel_eps*max(|a|,|b|)."""
+    """Symmetric approximate equality: |a-b| <= abs_eps + rel_eps*max(|a|,|b|).
+
+    Both fields must be finite and non-negative, else
+    :class:`InvalidTolerance`: an infinite bound accepts every
+    comparison, and a NaN field would not equal itself as a memo key.
+    """
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("abs_eps", "rel_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidTolerance(f"{name} must be finite and >= 0, got {value}")
 
     def equal(self, a: complex, b: complex) -> bool:
         return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))

@@ -236,3 +236,17 @@ def test_tolerance_env_override(capsys, qubit_files, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "true"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_invalid_tolerance_is_rejected(capsys, qubit_files, monkeypatch, value, source):
+    argv = ["valuate", qubit_files["projector"], qubit_files["state_z_up"]]
+    if source == "flag":
+        argv.append(f"--tolerance={value}")
+    else:
+        monkeypatch.setenv("PROPVAL_TOLERANCE", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "InvalidTolerance" in err

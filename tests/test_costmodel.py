@@ -20,6 +20,7 @@ from propval.costmodel import (
     quantum_cost,
     samples_to_csv,
 )
+from propval import linalg
 from propval.numerics import OpCounter
 
 
@@ -66,6 +67,19 @@ def test_benchmark_is_deterministic_and_ordered():
     assert a == b
     assert [s.n for s in a] == [3, 3, 3, 5, 5, 5, 8, 8, 8]
     assert all(s.wall_time is None for s in a)
+
+
+def test_benchmark_extracts_each_basis_once_per_dimension(monkeypatch):
+    calls = []
+    original = linalg.independent_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "independent_columns", counted)
+    benchmark_paths([3, 4, 5], seed=11)
+    assert calls == [3, 3, 4, 4, 5, 5]
 
 
 def test_benchmark_optional_timing():

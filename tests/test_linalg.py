@@ -1,11 +1,15 @@
 """Projector validation, subspace bases, decomposition, and file IO."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from propval.fixtures import spin52_fixture
+from propval import linalg
+from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
     BasisKind,
     DimensionMismatch,
@@ -31,6 +35,8 @@ from propval.linalg import (
     save_matrix,
     validate_projector,
 )
+from propval.numerics import TolerancePolicy
+from propval.valuation import TruthValue, valuate
 
 S2 = 1 / math.sqrt(2)
 
@@ -258,6 +264,84 @@ def test_value_types_are_immutable():
     p = Projector(np.eye(2), rank=2)
     with pytest.raises(ValueError):
         p.array[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        range_basis(p).array[0, 0] = 5.0
     s = StateVector([1.0, 0.0])
     with pytest.raises(ValueError):
         s.components[0] = 2.0
+
+
+def test_bases_are_computed_once_per_policy(monkeypatch):
+    calls = []
+    original = linalg.independent_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "independent_columns", counted)
+    drawn, _ = random_instance(8, 3, TargetKind.IN_RANGE)
+    p = validate_projector(drawn.array)
+    for target, expected in (
+        (TargetKind.IN_RANGE, TruthValue.TRUE),
+        (TargetKind.IN_KERNEL, TruthValue.FALSE),
+        (TargetKind.GENERIC, TruthValue.GAP),
+    ):
+        assert valuate(p, random_instance(8, 3, target)[1]).value is expected
+    # validation seeds the range basis; the FALSE verdict adds the kernel's
+    assert len(calls) == 2
+    assert range_basis(p, TolerancePolicy()) is range_basis(p)
+    assert kernel_basis(p, TolerancePolicy()) is kernel_basis(p)
+    assert len(calls) == 2
+    wider = TolerancePolicy(abs_eps=1e-6)
+    assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
+    assert len(calls) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    rank=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_memoised_bases_match_a_fresh_projector(n, rank, seed):
+    rank = min(rank, n - 1)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+    m = q @ q.conj().T
+    p = validate_projector(m)
+    assert p.rank == rank
+    first = range_basis(p), kernel_basis(p)
+    assert range_basis(p) is first[0] and kernel_basis(p) is first[1]
+    fresh = validate_projector(m.copy())
+    complement = np.eye(n, dtype=complex) - p.array
+    for memo, again, a in (
+        (first[0], range_basis(fresh), p.array),
+        (first[1], kernel_basis(fresh), complement),
+    ):
+        assert np.array_equal(memo.array, again.array)
+        assert np.array_equal(memo.array, a[:, independent_columns(a)])
+
+
+def test_threads_sharing_a_projector_get_one_basis_per_policy():
+    projectors = [random_instance(16, s, TargetKind.IN_RANGE)[0] for s in range(20)]
+    seen = [[] for _ in projectors]
+
+    def worker():
+        for p, got in zip(projectors, seen):
+            got.append(kernel_basis(p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in seen:
+        assert len(got) == len(threads)
+        assert all(basis is got[0] for basis in got)

@@ -1,8 +1,16 @@
 """Operation counter and the tolerance policy."""
 
+import math
+
+import pytest
 from hypothesis import given, strategies as st
 
-from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
+from propval.numerics import (
+    DEFAULT_TOLERANCE,
+    InvalidTolerance,
+    OpCounter,
+    TolerancePolicy,
+)
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12
@@ -14,6 +22,18 @@ def test_tolerance_equal_examples():
     assert tol.equal(1.0, 1.0)
     assert tol.equal(1.0, 1.0 + 1e-15)
     assert not tol.equal(1.0, 1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+@pytest.mark.parametrize("field", ["abs_eps", "rel_eps"])
+def test_tolerance_rejects_non_finite_or_negative(field, bad):
+    with pytest.raises(InvalidTolerance, match=field):
+        TolerancePolicy(**{field: bad})
+
+
+def test_tolerance_accepts_zero_and_wide_finite_values():
+    assert TolerancePolicy(abs_eps=0.0, rel_eps=0.0).abs_eps == 0.0
+    assert TolerancePolicy(abs_eps=0.8).equal(0.0, 0.5)
 
 
 @given(a=finite, b=finite)
