@@ -12,7 +12,8 @@ stays safe.
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot below ``abs_eps * max|entry|`` as zero.  Basis columns are
 selected deterministically, lowest index first, so repeated runs pick
-the same vectors.
+the same vectors.  That loop, :func:`_row_echelon`, is the package's
+one elimination core; both kernel deciders in ``membership`` run it.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -154,7 +155,7 @@ class SubspaceBasis:
 
 
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -162,37 +163,61 @@ def _require_finite(a: np.ndarray) -> None:
         raise NonFiniteEntry("matrix has a NaN or infinite entry")
 
 
+def _row_echelon(
+    w: np.ndarray, ncols: int, threshold: float, full_block: bool = False
+) -> tuple[list[int], int, np.ndarray]:
+    """Outer-product Gaussian elimination of the first ``ncols`` columns.
+
+    Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
+    3.4).  Pivot ``r`` is the first entry of largest magnitude in column
+    ``c`` at or below row ``r``; a column whose candidates all sit at or
+    below ``threshold`` is skipped.  Each step subtracts
+    ``outer(w[r+1:, c] / w[r, c], w[r, c+1:])`` below and right of the
+    pivot; ``full_block`` then also eliminates the pivot column and row,
+    so both forms compute the shared block with one expression.  Returns
+    the pivot columns (pivot ``r`` in row ``r``), the number of row
+    interchanges, and an array whose first rows are the pivot rows used.
+    """
+    upper = np.empty_like(w) if full_block else w
+    cols: list[int] = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(cols)
+        if r == w.shape[0]:
+            break
+        col = w[r:, c]
+        mags = np.abs(col)
+        p = int(mags.argmax())
+        if not mags[p] > threshold:
+            continue
+        if p:
+            w[r], w[r + p] = w[r + p].copy(), w[r].copy()
+            swaps += 1
+        piv = complex(col[0])  # divide in Python: numpy's division rounds differently
+        m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
+        block = w[r + 1 :, c + 1 :]  # a view: no copy back into w
+        block -= np.multiply.outer(m, w[r, c + 1 :])
+        if full_block:
+            upper[r] = w[r]
+            w[r + 1 :, c] -= m * w[r, c]
+            w[r, c:] -= (w[r, c] / w[r, c]) * w[r, c:]
+        cols.append(c)
+    return cols, swaps, upper
+
+
 def independent_columns(
     a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> list[int]:
     """Indices of a maximal independent column set, lowest index first.
 
-    Column elimination with partial pivoting; a pivot at or below
-    ``abs_eps * max|entry|`` is treated as zero and the column skipped.
+    Row echelon form of ``a`` (:func:`_row_echelon`); a pivot at or
+    below ``abs_eps * max|entry|`` is treated as zero and the column
+    skipped.
     """
     work = np.array(a, dtype=complex)
     if work.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
-    scale = max_abs(work)
-    if scale == 0.0:
-        return []
-    threshold = tol.abs_eps * scale
-    n_rows, n_cols = work.shape
-    picked: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        p = r + int(np.argmax(np.abs(work[r:, c])))
-        if abs(work[p, c]) <= threshold:
-            continue
-        if p != r:
-            work[[r, p], :] = work[[p, r], :]
-        below = work[r + 1 :, c] / work[r, c]
-        work[r + 1 :, c + 1 :] -= np.outer(below, work[r, c + 1 :])
-        picked.append(c)
-        r += 1
-    return picked
+    return _row_echelon(work, work.shape[1], tol.abs_eps * max_abs(work))[0]
 
 
 def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:

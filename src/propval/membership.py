@@ -7,17 +7,18 @@ Three instrumented deciders plus one independent oracle:
   ``2(n-1)`` multiplications and ``n-1`` comparisons; a rejection exits
   at the first failed comparison.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
-  -- Gaussian elimination with partial pivoting, both calls into one
-  core that differ only in how much of the matrix each step updates.
-  The iterative form updates the rows below the pivot and the columns
-  right of it with ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a
-  nondegenerate system with ``n-1`` unknowns that is exactly
-  ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
-  and as many subtractions.  The matrix form (column division, outer
-  product, block subtraction) also updates the pivot row and column,
-  O(n) divisions and O(n^2) multiplications/subtractions per step.
-  Verdict and witness are identical in both forms on every input; only
-  the tallies differ.
+  -- Gaussian elimination with partial pivoting on the package's one
+  elimination core (``linalg._row_echelon``, numpy rank-1 updates, also
+  behind :func:`~propval.linalg.independent_columns`); the two differ
+  only in how much of the matrix each step updates.  The iterative form
+  updates the rows below the pivot and the columns right of it with
+  ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a nondegenerate system
+  with ``n-1`` unknowns that is exactly ``n(n-1)/2 - 1`` divisions and
+  ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.  The
+  matrix form (column division, outer product, block subtraction) also
+  updates the pivot row and column, O(n) divisions and O(n^2)
+  multiplications/subtractions per step.  Verdict and witness are
+  identical in both forms on every input; only the tallies differ.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DimensionMismatch, StateVector, SubspaceBasis, max_abs
+from .linalg import _require_finite, _row_echelon
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -73,6 +75,7 @@ class AugmentedMatrix:
                 "augmented matrix needs at least one unknown column and a "
                 "right-hand side"
             )
+        _require_finite(arr)
         object.__setattr__(self, "body", arr)
         arr.setflags(write=False)
 
@@ -151,15 +154,13 @@ def range_membership(
 
 
 def _cross_consistency(
-    rows: list[list[complex]],
-    r: int,
-    n: int,
+    live: list[list[complex]],
     k: int,
     threshold: float,
     tol: TolerancePolicy,
     fctx: OpCounter,
 ) -> tuple[bool, list[complex] | None]:
-    """Consistency of the one-unknown system left in rows r..n-1.
+    """Consistency of the one-unknown system left in the live rows.
 
     After elimination the live rows carry a single unknown column (the
     last one) plus the right-hand side.  With an anchor row ``a`` the
@@ -168,23 +169,22 @@ def _cross_consistency(
     side is zero.  For the nondegenerate case of two live rows this is
     the trailing 2x2 cross condition: 2 multiplications, 1 comparison.
     """
-    live = range(r, n)
-    anchor = next((j for j in live if abs(rows[j][k - 1]) > threshold), None)
+    anchor = next((row for row in live if abs(row[k - 1]) > threshold), None)
     if anchor is None:
-        for j in live:
+        for row in live:
             fctx.cmp += 1
-            if not tol.equal(rows[j][k], 0.0):
+            if not tol.equal(row[k], 0.0):
                 return False, None
         return True, None
-    a_col, a_rhs = rows[anchor][k - 1], rows[anchor][k]
-    for j in live:
-        if j == anchor:
+    a_col, a_rhs = anchor[k - 1], anchor[k]
+    for row in live:
+        if row is anchor:
             continue
         fctx.mul += 2
         fctx.cmp += 1
-        if not tol.equal(a_col * rows[j][k], rows[j][k - 1] * a_rhs):
+        if not tol.equal(a_col * row[k], row[k - 1] * a_rhs):
             return False, None
-    return True, list(rows[anchor])
+    return True, anchor
 
 
 def _solution_from_echelon(
@@ -213,62 +213,34 @@ def _eliminate(
 ) -> MembershipResult:
     """Row-echelon elimination shared by both kernel formulations.
 
-    Eliminates every unknown column except the last, then applies the
-    cross-product consistency condition to the remaining rows.  The
-    pivot row is the first of largest magnitude (row interchanges and
-    the search are free); a column whose candidate pivots all sit below
-    tolerance is skipped and contributes a free unknown.  Elimination
-    stops early only once every row holds a pivot.
-
-    Each step computes ``m = a[j][c] / a[r][c]`` and updates
-    ``a[j][l] -= m * a[r][l]`` over rows ``top..n-1`` and columns
-    ``left..k``: the rows below the pivot and the columns right of it,
-    or with ``full_block`` the whole live block including the pivot row
-    and column.  The rows both extents share go through the same scalar
-    operations, so verdict and witness do not depend on the extent.  A
-    step is charged ``n - top`` divisions and ``(n - top)(k + 1 - left)``
-    multiplications and as many subtractions.
+    Eliminates every unknown column except the last with
+    ``linalg._row_echelon``, then applies the cross-product consistency
+    condition to the remaining rows; a skipped column is a free unknown.
+    Step ``(r, c)`` updates ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
+    over rows ``top..n-1`` and columns ``left..k``: below and right of
+    the pivot, or with ``full_block`` the whole live block including the
+    pivot row and column.  It is charged ``n - top`` divisions and
+    ``(n - top)(k + 1 - left)`` multiplications and as many subtractions.
     """
     ctx = ctx if ctx is not None else OpCounter()
     start = ctx.snapshot()
-    rows = [[complex(z) for z in row] for row in aug.body]
     n, k = aug.rows, aug.unknowns
+    work = aug.body.copy()
     threshold = tol.abs_eps * max_abs(aug.body[:, :k])
-
-    pivots: list[tuple[int, list[complex]]] = []
-    swaps = 0
-    r = 0
-    for c in range(k - 1):
-        if r == n:
-            break
-        p, best = r, abs(rows[r][c])
-        for j in range(r + 1, n):
-            mag = abs(rows[j][c])
-            if mag > best:
-                p, best = j, mag
-        if not best > threshold:  # a NaN pivot is never accepted
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            swaps += 1
-        prow = list(rows[r])  # copied: the full block update zeroes the pivot row
-        piv = prow[c]
-        top, left = (r, c) if full_block else (r + 1, c + 1)
-        for j in range(top, n):
-            rowj = rows[j]
-            m = rowj[c] / piv
-            for l in range(left, k + 1):
-                rowj[l] = rowj[l] - m * prow[l]
-        updated = (n - top) * (k + 1 - left)
-        ctx.div += n - top
+    cols, swaps, upper = _row_echelon(work, k - 1, threshold, full_block)
+    shift = 0 if full_block else 1  # (top, left) = (r, c) + shift
+    for r, c in enumerate(cols):
+        height = n - r - shift
+        updated = height * (k + 1 - c - shift)
+        ctx.div += height
         ctx.mul += updated
         ctx.add_sub += updated
-        pivots.append((c, prow))
-        r += 1
-
     elimination = ctx.snapshot() - start
     fctx = OpCounter()
-    member, anchor_row = _cross_consistency(rows, r, n, k, threshold, tol, fctx)
+    member, anchor_row = _cross_consistency(
+        work[len(cols) :].tolist(), k, threshold, tol, fctx
+    )
+    pivots = list(zip(cols, upper[: len(cols)].tolist())) if member else []
     witness = _solution_from_echelon(pivots, anchor_row, k) if member else None
     return MembershipResult(member, witness, elimination, fctx, swaps)
 
@@ -278,7 +250,7 @@ def kernel_membership_iterative(
     ctx: OpCounter | None = None,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> MembershipResult:
-    """Elimination with the per-entry row update below and right of the pivot.
+    """Elimination updating the rows below and the columns right of the pivot.
 
     On a nondegenerate system with ``n-1`` unknowns this charges exactly
     ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications

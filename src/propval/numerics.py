@@ -4,11 +4,11 @@ Every algorithm in this package charges one unit per complex
 multiplication, division, addition/subtraction, or comparison.  Counts
 accumulate in an :class:`OpCounter` passed around as an explicit
 argument; there is no process-global counting state, so concurrent runs
-with independent counters never interfere.  The deciders do their
-arithmetic on plain ``complex`` values and increment the counter
-fields directly, by a closed-form amount per elimination step or per
-comparison.  Passing ``None`` as the counter disables counting without
-changing any numeric result.
+with independent counters never interfere.  The deciders increment
+the counter fields directly, by a closed-form amount per elimination
+step (run as numpy block updates) or per comparison (on plain
+``complex`` values).  Passing ``None`` as the counter disables counting
+without changing any numeric result.
 
 Equality of scalars is decided by a single :class:`TolerancePolicy`
 shared across the package, since the values flowing through the

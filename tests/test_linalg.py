@@ -223,6 +223,52 @@ def test_independent_columns_prefers_lowest_index():
     assert matrix_rank(np.zeros((3, 3))) == 0
 
 
+@st.composite
+def planted_columns(draw):
+    """n x k matrices with zero and scaled-duplicate columns planted.
+
+    Returns the matrix and its lowest-index independent column set: every
+    generic column while fewer than n are picked (random columns are
+    independent with probability 1), never a zero or duplicate column.
+    """
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    expected = []
+    for j in range(k):
+        kind = draw(st.sampled_from(["generic", "zero", "duplicate"]))
+        if kind == "zero":
+            a[:, j] = 0
+        elif kind == "duplicate" and j > 0:
+            scale = draw(st.sampled_from([2.0, -0.5j, 3 + 1j, 1e-3]))
+            a[:, j] = scale * a[:, draw(st.integers(0, j - 1))]
+        elif len(expected) < n:
+            expected.append(j)
+    return a, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted=planted_columns())
+def test_independent_columns_finds_the_planted_set(planted):
+    a, expected = planted
+    assert independent_columns(a) == expected
+    assert matrix_rank(a) == len(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=32),
+    rank=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_validate_projector_rank_is_the_drawn_rank(n, rank, seed):
+    rank = min(rank, n)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+    assert validate_projector(q @ q.conj().T).rank == rank
+
+
 def test_null_space_basis_annihilates():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))

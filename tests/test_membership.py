@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
     DimensionMismatch,
+    NonFiniteEntry,
     StateVector,
     kernel_basis,
     range_basis,
@@ -215,7 +216,7 @@ def test_matrix_and_iterative_agree_bitwise(n):
             assert a.member == b.member
             assert a.row_swaps == b.row_swaps
             if a.member:
-                assert a.witness == b.witness  # identical scalar operations
+                assert a.witness == b.witness  # same expression on the shared block
 
 
 @st.composite
@@ -247,12 +248,51 @@ def test_both_formulations_match_the_oracle_on_any_shape(system):
     it = kernel_membership_iterative(aug)
     mx = kernel_membership_matrix(aug)
     assert it.member == mx.member
-    assert it.witness == mx.witness  # identical scalar operations
+    assert it.witness == mx.witness  # same expression on the shared block
     assert it.row_swaps == mx.row_swaps
     assert it.member == residual_oracle(cols, psi).member
     if it.member:
         residual = np.linalg.norm(cols @ np.array(it.witness) - psi.components)
         assert residual < 1e-7
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_large_kernel_systems_keep_counts_and_witnesses(n):
+    sizes = [n - i + 1 for i in range(1, n - 1)]  # matrix-form live blocks
+    for target in (TargetKind.IN_KERNEL, TargetKind.GENERIC):
+        proj, psi = random_instance(n, seed=5, target=target)
+        aug = kernel_system(proj, psi)
+        it_ctx, mx_ctx = OpCounter(), OpCounter()
+        it = kernel_membership_iterative(aug, it_ctx)
+        mx = kernel_membership_matrix(aug, mx_ctx)
+        assert it_ctx.div == divisions_closed_form(n)
+        assert it_ctx.mul == it_ctx.add_sub == multiplications_closed_form(n)
+        assert mx_ctx.div == sum(sizes)
+        assert mx_ctx.mul == mx_ctx.add_sub == sum(s * s for s in sizes)
+        cols = aug.body[:, :-1]
+        assert it.member == mx.member == residual_oracle(cols, psi).member
+        assert it.member == (target is TargetKind.IN_KERNEL)
+        assert it.witness == mx.witness
+        if it.member:
+            residual = np.linalg.norm(cols @ np.array(it.witness) - psi.components)
+            assert residual < 1e-7
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["column", "rhs"])
+def test_non_finite_systems_are_rejected(bad, where):
+    cols = np.eye(3, 2, dtype=complex)
+    rhs = np.array([1.0, 0.0, 0.0], dtype=complex)
+    if where == "column":
+        cols[1, 0] = bad
+    else:
+        rhs[2] = bad
+    psi = StateVector(rhs)
+    with pytest.raises(NonFiniteEntry):
+        membership_of(cols, psi)
+    for decide in (kernel_membership_iterative, kernel_membership_matrix):
+        with pytest.raises(NonFiniteEntry):
+            decide(AugmentedMatrix.from_system(cols, psi))
 
 
 def test_wide_system_uses_every_unknown_column():
