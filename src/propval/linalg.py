@@ -159,13 +159,13 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def _require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteEntry("matrix has a NaN or infinite entry")
 
 
 def _row_echelon(
-    w: np.ndarray, ncols: int, threshold: float, full_block: bool = False
-) -> tuple[list[int], int, np.ndarray]:
+    w: np.ndarray, ncols: int, threshold: float
+) -> tuple[list[int], int]:
     """Outer-product Gaussian elimination of the first ``ncols`` columns.
 
     Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
@@ -173,12 +173,9 @@ def _row_echelon(
     ``c`` at or below row ``r``; a column whose candidates all sit at or
     below ``threshold`` is skipped.  Each step subtracts
     ``outer(w[r+1:, c] / w[r, c], w[r, c+1:])`` below and right of the
-    pivot; ``full_block`` then also eliminates the pivot column and row,
-    so both forms compute the shared block with one expression.  Returns
-    the pivot columns (pivot ``r`` in row ``r``), the number of row
-    interchanges, and an array whose first rows are the pivot rows used.
+    pivot.  Returns the pivot columns (pivot ``r`` in row ``r`` of
+    ``w``) and the number of row interchanges.
     """
-    upper = np.empty_like(w) if full_block else w
     cols: list[int] = []
     swaps = 0
     for c in range(ncols):
@@ -197,12 +194,8 @@ def _row_echelon(
         m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
         block = w[r + 1 :, c + 1 :]  # a view: no copy back into w
         block -= np.multiply.outer(m, w[r, c + 1 :])
-        if full_block:
-            upper[r] = w[r]
-            w[r + 1 :, c] -= m * w[r, c]
-            w[r, c:] -= (w[r, c] / w[r, c]) * w[r, c:]
         cols.append(c)
-    return cols, swaps, upper
+    return cols, swaps
 
 
 def independent_columns(

@@ -9,16 +9,17 @@ Three instrumented deciders plus one independent oracle:
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
   -- Gaussian elimination with partial pivoting on the package's one
   elimination core (``linalg._row_echelon``, numpy rank-1 updates, also
-  behind :func:`~propval.linalg.independent_columns`); the two differ
-  only in how much of the matrix each step updates.  The iterative form
-  updates the rows below the pivot and the columns right of it with
-  ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a nondegenerate system
-  with ``n-1`` unknowns that is exactly ``n(n-1)/2 - 1`` divisions and
-  ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.  The
-  matrix form (column division, outer product, block subtraction) also
-  updates the pivot row and column, O(n) divisions and O(n^2)
-  multiplications/subtractions per step.  Verdict and witness are
-  identical in both forms on every input; only the tallies differ.
+  behind :func:`~propval.linalg.independent_columns`); the two run the
+  same loop and differ only in what each step is charged.  The
+  iterative form is charged for the rows below the pivot and the
+  columns right of it, ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a
+  nondegenerate system with ``n-1`` unknowns that is exactly
+  ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
+  and as many subtractions.  The matrix form (column division, outer
+  product, block subtraction) is also charged for the pivot row and
+  column, O(n) divisions and O(n^2) multiplications/subtractions per
+  step.  Verdict and witness are identical in both forms on every
+  input; only the tallies differ.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
@@ -132,6 +133,8 @@ def range_membership(
         raise DimensionMismatch(
             f"column has {arr.shape[0]} rows, state has {psi.dim}"
         )
+    _require_finite(arr)
+    _require_finite(psi.components)
     column = [complex(z) for z in arr[:, 0]]
     b = [complex(z) for z in psi.components]
     n = len(column)
@@ -216,18 +219,19 @@ def _eliminate(
     Eliminates every unknown column except the last with
     ``linalg._row_echelon``, then applies the cross-product consistency
     condition to the remaining rows; a skipped column is a free unknown.
-    Step ``(r, c)`` updates ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
+    Step ``(r, c)`` is charged for ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
     over rows ``top..n-1`` and columns ``left..k``: below and right of
     the pivot, or with ``full_block`` the whole live block including the
-    pivot row and column.  It is charged ``n - top`` divisions and
-    ``(n - top)(k + 1 - left)`` multiplications and as many subtractions.
+    pivot row and column.  That is ``n - top`` divisions and
+    ``(n - top)(k + 1 - left)`` multiplications and as many subtractions;
+    ``full_block`` changes the charge only, not the arithmetic.
     """
     ctx = ctx if ctx is not None else OpCounter()
     start = ctx.snapshot()
     n, k = aug.rows, aug.unknowns
     work = aug.body.copy()
     threshold = tol.abs_eps * max_abs(aug.body[:, :k])
-    cols, swaps, upper = _row_echelon(work, k - 1, threshold, full_block)
+    cols, swaps = _row_echelon(work, k - 1, threshold)
     shift = 0 if full_block else 1  # (top, left) = (r, c) + shift
     for r, c in enumerate(cols):
         height = n - r - shift
@@ -240,7 +244,7 @@ def _eliminate(
     member, anchor_row = _cross_consistency(
         work[len(cols) :].tolist(), k, threshold, tol, fctx
     )
-    pivots = list(zip(cols, upper[: len(cols)].tolist())) if member else []
+    pivots = list(zip(cols, work[: len(cols)].tolist())) if member else []
     witness = _solution_from_echelon(pivots, anchor_row, k) if member else None
     return MembershipResult(member, witness, elimination, fctx, swaps)
 
@@ -266,11 +270,11 @@ def kernel_membership_matrix(
 ) -> MembershipResult:
     """Elimination as column division, outer product and block subtraction.
 
-    Each step also zeroes the pivot row and column, so it is charged
-    O(n) divisions and O(n^2) multiplications and subtractions on the
-    whole live block.  Verdict and witness equal those of
-    :func:`kernel_membership_iterative` bit for bit; only the tallies
-    differ.
+    Each step is charged for the whole live block, pivot row and column
+    included: O(n) divisions and O(n^2) multiplications and
+    subtractions.  The arithmetic is that of
+    :func:`kernel_membership_iterative`, so verdict and witness are
+    equal bit for bit; only the tallies differ.
     """
     return _eliminate(aug, ctx, tol, full_block=True)
 
@@ -310,6 +314,7 @@ def membership_of(
         raise DimensionMismatch("expected a 2-d column stack")
     k = columns.shape[1]
     if k == 0:
+        _require_finite(psi.components)
         member = bool(np.all(np.abs(psi.components) <= tol.abs_eps))
         return MembershipResult(member, [] if member else None, OpCounter())
     if k == 1:
