@@ -33,7 +33,13 @@ from .linalg import (
     range_basis,
     validate_projector,
 )
-from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
+from .numerics import (
+    DEFAULT_TOLERANCE,
+    InvalidTolerance,
+    OpCounter,
+    PropvalError,
+    TolerancePolicy,
+)
 from .valuation import demo_nondistributivity, valuate, valuate_ql
 
 DEFAULT_SEED = 20240901
@@ -43,11 +49,17 @@ ENV_TOLERANCE = "PROPVAL_TOLERANCE"
 
 def _tolerance(args) -> TolerancePolicy:
     abs_eps = DEFAULT_TOLERANCE.abs_eps
-    env = os.environ.get(ENV_TOLERANCE)
-    if env is not None:
-        abs_eps = float(env)
-    if getattr(args, "tolerance", None) is not None:
-        abs_eps = args.tolerance
+    for source, text in (
+        (ENV_TOLERANCE, os.environ.get(ENV_TOLERANCE)),
+        ("--tolerance", getattr(args, "tolerance", None)),
+    ):
+        if text is not None:
+            try:
+                abs_eps = float(text)
+            except ValueError:
+                raise InvalidTolerance(
+                    f"{source} must be a number, got {text!r}"
+                ) from None
     return TolerancePolicy(abs_eps=abs_eps, rel_eps=DEFAULT_TOLERANCE.rel_eps)
 
 
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --ql, collapse the gap into TRUE instead of FALSE",
     )
-    p_val.add_argument("--tolerance", type=float, help="absolute tolerance")
+    p_val.add_argument("--tolerance", help="absolute tolerance")
     p_val.set_defaults(func=cmd_valuate)
 
     p_bench = sub.add_parser("bench", help="operation-count benchmark")
@@ -231,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--out", help="write the CSV here instead of stdout")
-    p_bench.add_argument("--tolerance", type=float)
+    p_bench.add_argument("--tolerance")
     p_bench.set_defaults(func=cmd_bench)
 
     p_cost = sub.add_parser("cost", help="work/span cost profile")
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the fixture projector for both operands (error path)",
     )
-    p_nd.add_argument("--tolerance", type=float)
+    p_nd.add_argument("--tolerance")
     p_nd.set_defaults(func=cmd_demo_nondistributivity)
 
     p_fix = sub.add_parser("fixtures", help="fixture utilities")
@@ -271,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "cost" and (args.p is None) == (args.q is None):
         parser.error("provide exactly one of --p or --q")
+    if args.command == "cost" and args.eq is not None and args.q is None:
+        parser.error("--eq requires --q")
     try:
         return args.func(args)
     except (PropvalError, OSError, ValueError) as exc:

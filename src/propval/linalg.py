@@ -14,6 +14,8 @@ a pivot below ``abs_eps * max|entry|`` as zero.  Basis columns are
 selected deterministically, lowest index first, so repeated runs pick
 the same vectors.  That loop, :func:`_row_echelon`, is the package's
 one elimination core; both kernel deciders in ``membership`` run it.
+It works in panels of columns: one rank-1 update per pivot inside a
+panel, then one matrix product for the block right of and below it.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -163,38 +165,60 @@ def _require_finite(a: np.ndarray) -> None:
         raise NonFiniteEntry("matrix has a NaN or infinite entry")
 
 
+_PANEL = 32  # columns eliminated per panel before the trailing block is updated
+
+
 def _row_echelon(
     w: np.ndarray, ncols: int, threshold: float
 ) -> tuple[list[int], int]:
-    """Outer-product Gaussian elimination of the first ``ncols`` columns.
+    """Right-looking blocked Gaussian elimination of the first ``ncols`` columns.
 
     Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
-    3.4).  Pivot ``r`` is the first entry of largest magnitude in column
-    ``c`` at or below row ``r``; a column whose candidates all sit at or
-    below ``threshold`` is skipped.  Each step subtracts
-    ``outer(w[r+1:, c] / w[r, c], w[r, c+1:])`` below and right of the
-    pivot.  Returns the pivot columns (pivot ``r`` in row ``r`` of
-    ``w``) and the number of row interchanges.
+    3.4), ``_PANEL`` columns at a time.  Pivot ``r`` is the first entry
+    of largest magnitude in column ``c`` at or below row ``r``; a column
+    whose candidates all sit at or below ``threshold`` is skipped.  Each
+    step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
+    and right of the pivot, within the panel's columns, and keeps the
+    multipliers below the pivot.  At the panel's end its pivot rows get
+    the panel's earlier updates right of the panel, and the rows below
+    them one product ``L21 @ U12``.  The last panel spans every remaining
+    column and keeps no multipliers, so a system of at most ``_PANEL``
+    columns runs exactly the unblocked loop.  Returns the pivot columns
+    (pivot ``r`` in row ``r`` of ``w``) and the number of row
+    interchanges; below each pivot ``w`` is left unspecified.
     """
     cols: list[int] = []
     swaps = 0
-    for c in range(ncols):
-        r = len(cols)
-        if r == w.shape[0]:
-            break
-        col = w[r:, c]
-        mags = np.abs(col)
-        p = int(mags.argmax())
-        if not mags[p] > threshold:
+    for c0 in range(0, ncols, _PANEL):
+        last = ncols - c0 <= _PANEL
+        end = w.shape[1] if last else c0 + _PANEL
+        r0 = len(cols)
+        for c in range(c0, min(c0 + _PANEL, ncols)):
+            r = len(cols)
+            if r == w.shape[0]:
+                break
+            col = w[r:, c]
+            mags = np.abs(col)
+            p = int(mags.argmax())
+            if not mags[p] > threshold:
+                continue
+            if p:
+                w[r], w[r + p] = w[r + p].copy(), w[r].copy()
+                swaps += 1
+            piv = complex(col[0])  # divide in Python: numpy's division rounds differently
+            m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
+            if not last:
+                col[1:] = m
+            block = w[r + 1 :, c + 1 : end]  # a view: no copy back into w
+            block -= np.multiply.outer(m, w[r, c + 1 : end])
+            cols.append(c)
+        r1 = len(cols)
+        if last or r1 == r0:
             continue
-        if p:
-            w[r], w[r + p] = w[r + p].copy(), w[r].copy()
-            swaps += 1
-        piv = complex(col[0])  # divide in Python: numpy's division rounds differently
-        m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
-        block = w[r + 1 :, c + 1 :]  # a view: no copy back into w
-        block -= np.multiply.outer(m, w[r, c + 1 :])
-        cols.append(c)
+        pcols = cols[r0:]
+        for i in range(r0 + 1, r1):
+            w[i, end:] -= w[i, pcols[: i - r0]] @ w[r0:i, end:]
+        w[r1:, end:] -= w[r1:, pcols] @ w[r0:r1, end:]
     return cols, swaps
 
 

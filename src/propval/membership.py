@@ -8,8 +8,10 @@ Three instrumented deciders plus one independent oracle:
   at the first failed comparison.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
   -- Gaussian elimination with partial pivoting on the package's one
-  elimination core (``linalg._row_echelon``, numpy rank-1 updates, also
-  behind :func:`~propval.linalg.independent_columns`); the two run the
+  elimination core (``linalg._row_echelon``, numpy rank-1 updates
+  within a panel of columns and one matrix product per panel for the
+  trailing block, also behind
+  :func:`~propval.linalg.independent_columns`); the two run the
   same loop and differ only in what each step is charged.  The
   iterative form is charged for the rows below the pivot and the
   columns right of it, ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a

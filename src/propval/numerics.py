@@ -6,7 +6,8 @@ accumulate in an :class:`OpCounter` passed around as an explicit
 argument; there is no process-global counting state, so concurrent runs
 with independent counters never interfere.  The deciders increment
 the counter fields directly, by a closed-form amount per elimination
-step (run as numpy block updates) or per comparison (on plain
+step (run as numpy rank-1 updates within a panel of columns and one
+matrix product per panel) or per comparison (on plain
 ``complex`` values).  Passing ``None`` as the counter disables counting
 without changing any numeric result.
 

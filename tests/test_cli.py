@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,28 @@ def spin52_files(tmp_path):
 def qubit_files(tmp_path):
     paths = export_fixture(fixture_by_name("qubit"), tmp_path)
     return {p.stem.replace("qubit_", ""): str(p) for p in paths}
+
+
+# Exact stdout of commands on the exported fixtures.  Every system these
+# commands eliminate fits in one elimination panel, so the bytes,
+# roundoff-level witness components included, must not change with how
+# larger systems are blocked.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_cli_stdout_is_byte_identical_to_the_recorded_output(
+    capsys, tmp_path, command
+):
+    for name in ("qubit", "spin52"):
+        export_fixture(fixture_by_name(name), tmp_path)
+    argv = [
+        str(tmp_path / arg) if arg.endswith(".json") else arg
+        for arg in command.split()
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN[command]
 
 
 def test_valuate_spin52_fixture_files(capsys, spin52_files):
@@ -200,6 +223,13 @@ def test_cost_requires_exactly_one_processor_kind(capsys):
     assert exc.value.code == 2
 
 
+def test_cost_rejects_eq_without_q(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "--t1", "10", "--tinf", "2", "--p", "2", "--eq", "3"])
+    assert exc.value.code == 2
+    assert "--eq requires --q" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fixture", ["qubit", "spin52"])
 def test_demo_nondistributivity(capsys, fixture):
     code, out, _ = run(capsys, "demo", "nondistributivity", "--fixture", fixture)
@@ -238,7 +268,7 @@ def test_tolerance_env_override(capsys, qubit_files, monkeypatch):
     assert json.loads(out)["verdict"] == "true"
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "abc"])
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_invalid_tolerance_is_rejected(capsys, qubit_files, monkeypatch, value, source):
     argv = ["valuate", qubit_files["projector"], qubit_files["state_z_up"]]
@@ -250,3 +280,5 @@ def test_invalid_tolerance_is_rejected(capsys, qubit_files, monkeypatch, value, 
     assert code == 2
     assert out == ""
     assert "InvalidTolerance" in err
+    if value == "abc":
+        assert ("--tolerance" if source == "flag" else "PROPVAL_TOLERANCE") in err

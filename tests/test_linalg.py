@@ -256,6 +256,73 @@ def test_independent_columns_finds_the_planted_set(planted):
     assert matrix_rank(a) == len(expected)
 
 
+def unblocked_row_echelon(w, ncols, threshold):
+    """Reference: one rank-1 update of the whole trailing block per pivot.
+
+    ``linalg._row_echelon`` must choose the same pivots and swaps and
+    reach the same echelon rows; it blocks the updates into panels.
+    """
+    cols, swaps = [], 0
+    for c in range(ncols):
+        r = len(cols)
+        if r == w.shape[0]:
+            break
+        col = w[r:, c]
+        mags = np.abs(col)
+        p = int(mags.argmax())
+        if not mags[p] > threshold:
+            continue
+        if p:
+            w[r], w[r + p] = w[r + p].copy(), w[r].copy()
+            swaps += 1
+        piv = complex(col[0])
+        m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
+        w[r + 1 :, c + 1 :] -= np.multiply.outer(m, w[r, c + 1 :])
+        cols.append(c)
+    return cols, swaps
+
+
+@st.composite
+def panel_systems(draw):
+    """Up to three panels of columns: wide, tall, low rank, with zero and
+    scaled-duplicate columns planted on the panel boundaries."""
+    panel = linalg._PANEL
+    n = draw(st.integers(1, 3 * panel + 4))
+    k = draw(st.integers(1, 3 * panel + 4))
+    rank = draw(st.integers(1, min(n, k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def normal(rows, cols):
+        return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+    a = normal(n, rank) @ normal(rank, k)
+    for j in [j for edge in range(panel, k, panel) for j in (edge - 1, edge)]:
+        kind = draw(st.sampled_from(["generic", "zero", "duplicate"]))
+        if kind == "zero":
+            a[:, j] = 0
+        elif kind == "duplicate":
+            a[:, j] = draw(st.sampled_from([2.0, -0.5j, 1e-3])) * a[:, j - 1]
+    ncols = draw(st.integers(max(k - 2, 0), k))  # k - 2: as for an augmented system
+    return a, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=panel_systems())
+def test_blocked_elimination_matches_the_unblocked_loop(system):
+    a, ncols = system
+    threshold = 1e-9 * linalg.max_abs(a)
+    got, want = a.copy(), a.copy()
+    cols, swaps = linalg._row_echelon(got, ncols, threshold)
+    assert (cols, swaps) == unblocked_row_echelon(want, ncols, threshold)
+    if ncols <= linalg._PANEL:
+        assert np.array_equal(got, want)
+        return
+    echelon = np.ones(a.shape, dtype=bool)
+    for r, c in enumerate(cols):
+        echelon[r + 1 :, c] = False  # multipliers in the blocked form
+    assert np.abs(got - want)[echelon].max() <= 1e-12 * linalg.max_abs(a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=32),

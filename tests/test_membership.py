@@ -205,7 +205,7 @@ def test_matrix_version_counts_per_step_block_sizes():
         assert ctx.add_sub == ctx.mul
 
 
-@pytest.mark.parametrize("n", [3, 4, 9, 24, 128, 256])
+@pytest.mark.parametrize("n", [3, 4, 9, 24, 128, 256, 300])
 def test_matrix_and_iterative_agree_bitwise(n):
     for seed in range(4 if n < 100 else 1):
         for target in TargetKind:
