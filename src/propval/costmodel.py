@@ -25,7 +25,7 @@ model where every elimination step runs in constant time.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,7 +97,6 @@ class CostSample:
     n: int
     path: PathKind
     counts: OpCounter
-    wall_time: float | None = None
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,6 @@ def benchmark_paths(
     n_values: list[int],
     seed: int,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    measure_time: bool = False,
 ) -> list[CostSample]:
     """One sample per (n, path), ordered by n then path.
 
@@ -148,9 +146,7 @@ def benchmark_paths(
     (in range, in kernel, generic); the recorded counts are the
     contracted tallies of the corresponding verdict path.  The first
     draw's projector serves all three paths, so its bases are computed
-    once per dimension.  Deterministic given the seed; ``wall_time``
-    stays None unless requested so that equal seeds give equal sample
-    lists.
+    once per dimension.  Deterministic given the seed.
     """
     samples = []
     for n in n_values:
@@ -162,9 +158,7 @@ def benchmark_paths(
             drawn, state = random_instance(n, seed, target)
             if projector is None:
                 projector = drawn
-            started = time.perf_counter()
             verdict = valuate(projector, state, tol)
-            elapsed = time.perf_counter() - started
             if verdict.value is not expected:
                 raise PropvalError(
                     f"instance (n={n}, seed={seed}, {target.value}) produced "
@@ -175,9 +169,7 @@ def benchmark_paths(
                 PathKind.KERNEL_FALSE: verdict.cost_false_path,
                 PathKind.GAP_BOTH: verdict.cost_gap_path,
             }[path]
-            samples.append(
-                CostSample(n, path, counts, elapsed if measure_time else None)
-            )
+            samples.append(CostSample(n, path, counts))
     return samples
 
 
@@ -217,6 +209,8 @@ def fit_growth(samples: list[CostSample], path: PathKind) -> GrowthFit:
 
 
 def _check_bounds(t1: float, tinf: float, processors: int) -> None:
+    if not (math.isfinite(t1) and math.isfinite(tinf)):
+        raise InvalidBounds(f"work and span must be finite, got {t1} and {tinf}")
     if tinf > t1:
         raise InvalidBounds(f"span {tinf} exceeds work {t1}")
     if tinf < 1 or t1 < 1:
@@ -240,8 +234,10 @@ def quantum_cost(t1: float, tinf: float, q: int, eq_: float) -> CostProfile:
     off the returned profile) drops below the request.
     """
     _check_bounds(t1, tinf, q)
-    if eq_ <= 0:
-        raise InvalidBounds("quantum efficiency must be positive")
+    if not (math.isfinite(eq_) and eq_ > 0):
+        raise InvalidBounds(
+            f"quantum efficiency must be finite and positive, got {eq_}"
+        )
     x_q = t1 / (q * eq_)
     clamped = x_q < tinf
     if clamped:

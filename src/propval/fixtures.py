@@ -194,6 +194,8 @@ def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+_MAX_RETRIES = 8  # fresh draws tried for a component orthogonal to the direction
+
 _TARGET_SALT = {
     TargetKind.IN_RANGE: 1,
     TargetKind.IN_KERNEL: 2,
@@ -205,7 +207,6 @@ def random_instance(
     n: int,
     seed: int,
     target: TargetKind,
-    max_retries: int = 8,
 ) -> tuple[Projector, StateVector]:
     """Seeded rank-1 projector with a state of the requested kind.
 
@@ -224,12 +225,12 @@ def random_instance(
         return projector, StateVector(phase * direction)
     if target is TargetKind.GENERIC:
         return projector, StateVector(_unit_vector(rng, n))
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         draw = _unit_vector(rng, n)
         perp = draw - direction * np.vdot(direction, draw)
         norm = np.linalg.norm(perp)
         if norm > 1e-6:
             return projector, StateVector(perp / norm)
     raise DegenerateDraw(
-        f"no usable orthogonal component after {max_retries} draws"
+        f"no usable orthogonal component after {_MAX_RETRIES} draws"
     )

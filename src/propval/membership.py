@@ -1,11 +1,10 @@
 """Solvability checks for the range and kernel linear systems.
 
-Three instrumented deciders plus one independent oracle:
+Every system runs one path: elimination, then one cross-product
+consistency check on the rows it leaves.  Two instrumented kernel
+formulations, the range check as their one-unknown case, and one
+independent oracle:
 
-* :func:`range_membership` -- O(n) cross-product consistency check for
-  the single-column system.  A membership verdict costs exactly
-  ``2(n-1)`` multiplications and ``n-1`` comparisons; a rejection exits
-  at the first failed comparison.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
   -- Gaussian elimination with partial pivoting on the package's one
   elimination core (``linalg._row_echelon``, numpy rank-1 updates
@@ -22,21 +21,29 @@ Three instrumented deciders plus one independent oracle:
   column, O(n) divisions and O(n^2) multiplications/subtractions per
   step.  Verdict and witness are identical in both forms on every
   input; only the tallies differ.
+* :func:`range_membership` -- the single-column system.  It has no
+  column to eliminate, so the consistency check decides on every row
+  in O(n) and is the whole tally: a membership verdict costs exactly
+  ``2(n-1)`` multiplications and ``n-1`` comparisons, and a rejection
+  exits at the first failed comparison.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
 Consistency of the eliminated system is decided by a cross-product
 condition on the remaining rows (for the nondegenerate ``n-1`` unknown
 case, one comparison on the trailing 2x2 block costing 2
-multiplications).  Those final-check operations are tallied in a
-separate counter on the result, not in the elimination counter, because
-the closed-form totals above cover the elimination loop only.
+multiplications).  On the kernel systems those final-check operations
+are tallied in a separate counter on the result, not in the elimination
+counter, because the closed-form totals above cover the elimination
+loop only.
 
 Every decider charges its :class:`OpCounter` directly: elimination one
-closed-form amount per step, the cross-product checks two
-multiplications and one comparison per comparison made.  Witness
-extraction (back-substitution, or the single anchor division of the
-range check) is a convenience output and is not counted.
+closed-form amount per step, the cross-product check two
+multiplications and one comparison per comparison made.  A result's
+``counts`` is the tally of that call alone; the counter passed in
+accumulates across calls.  Witness extraction (back-substitution, or
+the single anchor division of the range check) is a convenience output
+and is not counted.
 """
 
 from __future__ import annotations
@@ -118,12 +125,14 @@ def range_membership(
 ) -> MembershipResult:
     """Decide solvability of the one-unknown system ``column * x = psi``.
 
-    The system is consistent iff all cross products against an anchor
-    entry agree: ``column[a] * psi[j] == column[j] * psi[a]`` for every
-    j.  The anchor is the first entry of the column above tolerance (the
-    condition degenerates if anchored on a zero entry).
+    The one-unknown case of the elimination path: there is no column to
+    eliminate, so the cross-product condition of :func:`_cross_consistency`
+    decides on every row, ``column[a] * psi[j] == column[j] * psi[a]``,
+    anchored on the first entry above ``abs_eps * max|column|``.  That
+    check is the whole tally, reported as ``counts``: ``2(n-1)``
+    multiplications and ``n-1`` comparisons for a member, two and one
+    per comparison made on a rejection.
     """
-    ctx = ctx if ctx is not None else OpCounter()
     arr = r.array if isinstance(r, SubspaceBasis) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -131,31 +140,18 @@ def range_membership(
         raise DimensionMismatch(
             f"range check expects exactly one column, got {arr.shape[1]}"
         )
-    if arr.shape[0] != psi.dim:
-        raise DimensionMismatch(
-            f"column has {arr.shape[0]} rows, state has {psi.dim}"
-        )
-    _require_finite(arr)
-    _require_finite(psi.components)
-    column = [complex(z) for z in arr[:, 0]]
-    b = [complex(z) for z in psi.components]
-    n = len(column)
-    threshold = tol.abs_eps * max(abs(z) for z in column)
-    anchor = next((i for i, z in enumerate(column) if abs(z) > threshold), None)
-    if anchor is None:
+    aug = AugmentedMatrix.from_system(arr, psi)
+    # With no entry above the anchor threshold the shared check would
+    # accept any zero right-hand side; a basis column must not be zero.
+    scale = max_abs(aug.body[:, 0])
+    if not scale > tol.abs_eps * scale:
         raise ZeroColumn("basis column is numerically zero")
-
-    member = True
-    for j in range(n):
-        if j == anchor:
-            continue
-        ctx.mul += 2
-        ctx.cmp += 1
-        if not tol.equal(b[anchor] * column[j], b[j] * column[anchor]):
-            member = False
-            break
-    witness = [b[anchor] / column[anchor]] if member else None
-    return MembershipResult(member, witness, ctx.snapshot())
+    result = _eliminate(aug, None, tol, full_block=False)
+    tally = result.final_check
+    if ctx is not None:
+        ctx.mul += tally.mul
+        ctx.cmp += tally.cmp
+    return MembershipResult(result.member, result.witness, tally)
 
 
 def _cross_consistency(
@@ -216,7 +212,8 @@ def _eliminate(
     tol: TolerancePolicy,
     full_block: bool,
 ) -> MembershipResult:
-    """Row-echelon elimination shared by both kernel formulations.
+    """Row-echelon elimination shared by both kernel formulations and the
+    range check.
 
     Eliminates every unknown column except the last with
     ``linalg._row_echelon``, then applies the cross-product consistency
@@ -308,8 +305,8 @@ def membership_of(
     """Does psi lie in the span of the given columns?
 
     Dispatch by width: an empty span contains only the zero vector, a
-    single column uses the O(n) cross-product check, anything wider
-    goes through elimination.
+    single column is the O(n) range check, anything wider runs
+    :func:`kernel_membership_iterative`.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:

@@ -97,8 +97,5 @@ class TolerancePolicy:
     def equal(self, a: complex, b: complex) -> bool:
         return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
 
-    def is_zero(self, a: complex) -> bool:
-        return abs(a) <= self.abs_eps
-
 
 DEFAULT_TOLERANCE = TolerancePolicy()

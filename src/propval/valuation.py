@@ -271,7 +271,6 @@ def demo_nondistributivity(
     p: Projector,
     phi: StateVector,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
-    commutator_tol: float = COMMUTATOR_TOLERANCE,
 ) -> NondistributivityReport:
     """Exhibit Q and (P or not-P) differing from (Q and P) or (Q and not-P).
 
@@ -286,9 +285,10 @@ def demo_nondistributivity(
     commutator_norm = float(
         np.linalg.norm(q.array @ p.array - p.array @ q.array)
     )
-    if commutator_norm <= commutator_tol:
+    if commutator_norm <= COMMUTATOR_TOLERANCE:
         raise CommutingOperators(
-            f"commutator norm {commutator_norm:.3e} is below {commutator_tol:.1e}"
+            f"commutator norm {commutator_norm:.3e} is below "
+            f"{COMMUTATOR_TOLERANCE:.1e}"
         )
     q_range = Subspace(_range_columns(q, tol))
     if not q_range.contains(phi, tol):

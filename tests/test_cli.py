@@ -37,7 +37,9 @@ def qubit_files(tmp_path):
 # Exact stdout of commands on the exported fixtures.  Every system these
 # commands eliminate fits in one elimination panel, so the bytes,
 # roundoff-level witness components included, must not change with how
-# larger systems are blocked.
+# larger systems are blocked.  The default ``bench`` prints tallies and
+# slopes only: every range-path tally and gap-path early exit from n = 8
+# to 256.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
@@ -208,9 +210,33 @@ def test_cost_quantum_clamped(capsys):
     assert report["clamped"] is True
 
 
-def test_cost_rejects_inverted_bounds(capsys):
-    code, _, err = run(capsys, "cost", "--t1", "10", "--tinf", "20", "--p", "2")
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--t1", "10", "--tinf", "20", "--p", "2"],
+        ["--t1", "nan", "--tinf", "1", "--p", "2"],
+        ["--t1", "10", "--tinf", "nan", "--p", "2"],
+        ["--t1", "inf", "--tinf", "1", "--p", "2"],
+        ["--t1", "inf", "--tinf", "inf", "--q", "2", "--eq", "1"],
+        ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "nan"],
+        ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "inf"],
+        ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "0"],
+    ],
+    ids=[
+        "inverted",
+        "nan-work",
+        "nan-span",
+        "infinite-work",
+        "infinite-both",
+        "nan-efficiency",
+        "infinite-efficiency",
+        "zero-efficiency",
+    ],
+)
+def test_cost_rejects_invalid_bounds(capsys, bounds):
+    code, out, err = run(capsys, "cost", *bounds)
     assert code == 2
+    assert out == ""
     assert "InvalidBounds" in err
 
 

@@ -23,7 +23,7 @@ from propval.membership import (
     range_membership,
     residual_oracle,
 )
-from propval.numerics import OpCounter
+from propval.numerics import DEFAULT_TOLERANCE, OpCounter
 
 S2 = 1 / math.sqrt(2)
 
@@ -126,6 +126,99 @@ def test_range_membership_shape_errors():
         range_membership(np.eye(3), StateVector(np.eye(3)[0]))
     with pytest.raises(DimensionMismatch):
         range_membership(np.ones((3, 1)), StateVector([1.0, 0.0]))
+
+
+def reference_range_membership(column, psi, ctx, tol=DEFAULT_TOLERANCE):
+    """The range check's own anchor search and comparison loop.
+
+    A copy of the loop that decided the one-unknown system before it ran
+    on the shared elimination path; kept as the reference the shared path
+    must match bit for bit, tallies included.
+    """
+    column = [complex(z) for z in column]
+    b = [complex(z) for z in psi.components]
+    threshold = tol.abs_eps * max(abs(z) for z in column)
+    anchor = next((i for i, z in enumerate(column) if abs(z) > threshold), None)
+    if anchor is None:
+        raise ZeroColumn("basis column is numerically zero")
+    for j in range(len(column)):
+        if j == anchor:
+            continue
+        ctx.mul += 2
+        ctx.cmp += 1
+        if not tol.equal(b[anchor] * column[j], b[j] * column[anchor]):
+            return False, None
+    return True, [b[anchor] / column[anchor]]
+
+
+@st.composite
+def one_column_systems(draw):
+    """Columns with zero, tiny and leading-zero entries; states on, off and
+    near the span, some within a few tolerances of the comparison bound."""
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = rng.normal(size=n) + 1j * rng.normal(size=n)
+    column *= draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    leading = draw(st.integers(0, n - 1))
+    column[:leading] = draw(st.sampled_from([0.0, 1e-12, 1e-12j]))
+    for j in range(leading, n):
+        kind = draw(st.sampled_from(["generic"] * 4 + ["zero", "tiny"]))
+        if kind == "zero":
+            column[j] = 0
+        elif kind == "tiny":
+            column[j] *= 1e-12
+    coefficient = rng.normal() + 1j * rng.normal()
+    family = draw(st.sampled_from(["span", "off", "near"]))
+    if family == "span":
+        rhs = coefficient * column
+    elif family == "off":
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    else:
+        rhs = coefficient * column
+        j = draw(st.integers(0, n - 1))
+        margin = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+        rhs[j] += margin * 1e-9 / (np.abs(column).max() or 1.0)
+    return column, StateVector(rhs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=one_column_systems())
+def test_range_check_matches_its_own_loop(system):
+    column, psi = system
+    want_ctx = OpCounter()
+    try:
+        want = reference_range_membership(column, psi, want_ctx)
+    except ZeroColumn:
+        with pytest.raises(ZeroColumn):
+            range_membership(column, psi)
+        with pytest.raises(ZeroColumn):
+            membership_of(column.reshape(-1, 1), psi)
+        return
+    for decide in (range_membership, membership_of):
+        ctx = OpCounter()
+        res = decide(column.reshape(-1, 1), psi, ctx)
+        assert (res.member, res.witness) == want
+        assert res.counts == ctx == want_ctx  # early-exit index included
+
+
+def test_counts_are_this_calls_tally_while_ctx_accumulates():
+    proj, psi = random_instance(6, seed=4, target=TargetKind.GENERIC)
+    rcols, kcols = range_basis(proj).array, kernel_basis(proj).array
+    aug = AugmentedMatrix.from_system(kcols, psi)
+    deciders = [
+        lambda ctx: range_membership(rcols, psi, ctx),
+        lambda ctx: kernel_membership_iterative(aug, ctx),
+        lambda ctx: kernel_membership_matrix(aug, ctx),
+        lambda ctx: membership_of(rcols, psi, ctx),
+        lambda ctx: membership_of(kcols, psi, ctx),
+    ]
+    for decide in deciders:
+        tally = decide(None).counts
+        assert tally.total > 0
+        ctx = OpCounter(mul=7, div=5, add_sub=3, cmp=2)
+        before = ctx.snapshot()
+        assert decide(ctx).counts == tally
+        assert ctx == before + tally
 
 
 # ---------------------------------------------------------------- kernel
