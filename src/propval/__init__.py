@@ -40,6 +40,7 @@ from .fixtures import (
 from .linalg import (
     BasisKind,
     DimensionMismatch,
+    EchelonFactor,
     FullRankProjector,
     MalformedMatrixFile,
     NonFiniteEntry,
@@ -54,6 +55,7 @@ from .linalg import (
     decompose,
     independent_columns,
     kernel_basis,
+    kernel_factor,
     load_matrix,
     load_state,
     matrix_rank,
@@ -67,6 +69,7 @@ from .membership import (
     AugmentedMatrix,
     MembershipResult,
     ZeroColumn,
+    kernel_membership,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,

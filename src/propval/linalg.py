@@ -2,20 +2,24 @@
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 value types below (:class:`StateVector`, :class:`Projector`,
-:class:`SubspaceBasis`) are immutable wrappers: their backing arrays
-are marked read-only on construction so instances can be shared freely
-between threads.  A :class:`Projector` also memoises its range and
-kernel bases, once per (basis kind, tolerance policy); a memoised basis
-is a read-only :class:`SubspaceBasis` written at most once, so sharing
-stays safe.
+:class:`SubspaceBasis`, :class:`EchelonFactor`) are immutable wrappers:
+their backing arrays are marked read-only on construction so instances
+can be shared freely between threads.  A :class:`Projector` also
+memoises, once per tolerance policy, its range basis and its kernel
+factor, whose pivot columns are the kernel basis; each memo entry is
+written at most once, so sharing stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
-a pivot below ``abs_eps * max|entry|`` as zero.  Basis columns are
-selected deterministically, lowest index first, so repeated runs pick
-the same vectors.  That loop, :func:`_row_echelon`, is the package's
-one elimination core; both kernel deciders in ``membership`` run it.
-It works in panels of columns: one rank-1 update per pivot inside a
-panel, then one matrix product for the block right of and below it.
+a pivot at or below ``abs_eps * max|entry|`` of the eliminated matrix as
+zero; that one threshold serves bases, ranks and factors alike.  Basis
+columns are selected deterministically, lowest index first, so repeated
+runs pick the same vectors.  That loop, :func:`_row_echelon`, is the
+package's one elimination core: it picks bases, and its factors
+(:func:`kernel_factor`, ``_factor``) serve every elimination decider in
+``membership``.  It works in panels of columns: one rank-1 update per
+pivot inside a panel, then one matrix product for the block right of
+and below it.  One elimination of ``I - P`` gives both the kernel basis
+and its factor, because a non-pivot column issues no update.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -25,6 +29,7 @@ File format for matrices and vectors (vectors are n x 1)::
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -112,15 +117,15 @@ class Projector:
 
     Construct through :func:`validate_projector` or
     :func:`projector_from_state`; the constructor itself performs no
-    checks.  :func:`range_basis` and :func:`kernel_basis` compute each
-    basis once per tolerance policy and keep it on the instance; the
-    memo is write-once, holds read-only bases, and takes no part in
-    equality.
+    checks.  :func:`range_basis` and :func:`kernel_factor` (behind
+    :func:`kernel_basis`) compute their value once per tolerance policy
+    and keep it on the instance; the memo is write-once, holds read-only
+    values, and takes no part in equality.
     """
 
     array: np.ndarray
     rank: int
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self, "array", np.array(self.array, dtype=complex))
@@ -170,25 +175,30 @@ _PANEL = 32  # columns eliminated per panel before the trailing block is updated
 
 def _row_echelon(
     w: np.ndarray, ncols: int, threshold: float
-) -> tuple[list[int], int]:
+) -> tuple[list[int], list[int]]:
     """Right-looking blocked Gaussian elimination of the first ``ncols`` columns.
 
     Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
     3.4), ``_PANEL`` columns at a time.  Pivot ``r`` is the first entry
     of largest magnitude in column ``c`` at or below row ``r``; a column
-    whose candidates all sit at or below ``threshold`` is skipped.  Each
+    whose candidates all sit at or below ``threshold`` is skipped.  Every
+    caller passes ``abs_eps * max|entry|`` of the matrix it eliminates,
+    so a basis and a factor of the same matrix pick the same pivots.  Each
     step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
-    and right of the pivot, within the panel's columns, and keeps the
-    multipliers below the pivot.  At the panel's end its pivot rows get
-    the panel's earlier updates right of the panel, and the rows below
-    them one product ``L21 @ U12``.  The last panel spans every remaining
-    column and keeps no multipliers, so a system of at most ``_PANEL``
-    columns runs exactly the unblocked loop.  Returns the pivot columns
-    (pivot ``r`` in row ``r`` of ``w``) and the number of row
-    interchanges; below each pivot ``w`` is left unspecified.
+    and right of the pivot, within the panel's columns, and stores the
+    multipliers below the pivot in every panel.  At the panel's end its
+    pivot rows get the panel's earlier updates right of the panel, and
+    the rows below them one product ``L21 @ U12``.  The last panel spans
+    every remaining column, so a system of at most ``_PANEL`` columns
+    runs exactly the unblocked loop.  Row interchanges move whole rows,
+    stored multipliers included, so on return ``w`` holds U on and above
+    each pivot and the multipliers below it in the final row order
+    (LAPACK's ``getrf`` layout).  Returns the pivot columns (pivot ``r``
+    in row ``r`` of ``w``) and, per pivot, the row swapped into row
+    ``r`` at its step (``r`` itself when none was).
     """
     cols: list[int] = []
-    swaps = 0
+    swapped: list[int] = []
     for c0 in range(0, ncols, _PANEL):
         last = ncols - c0 <= _PANEL
         end = w.shape[1] if last else c0 + _PANEL
@@ -204,14 +214,13 @@ def _row_echelon(
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
-                swaps += 1
             piv = complex(col[0])  # divide in Python: numpy's division rounds differently
             m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
-            if not last:
-                col[1:] = m
+            col[1:] = m
             block = w[r + 1 :, c + 1 : end]  # a view: no copy back into w
             block -= np.multiply.outer(m, w[r, c + 1 : end])
             cols.append(c)
+            swapped.append(r + p)
         r1 = len(cols)
         if last or r1 == r0:
             continue
@@ -219,7 +228,110 @@ def _row_echelon(
         for i in range(r0 + 1, r1):
             w[i, end:] -= w[i, pcols[: i - r0]] @ w[r0:i, end:]
         w[r1:, end:] -= w[r1:, pcols] @ w[r0:r1, end:]
-    return cols, swaps
+    return cols, swapped
+
+
+@dataclass(frozen=True, eq=False)  # shared by identity, like the memo holding it
+class EchelonFactor:
+    """The right-hand-side-independent half of deciding ``B x = b``.
+
+    Elimination picks its pivots and multipliers from the unknown
+    columns alone, so everything except the right-hand side's own
+    updates is fixed by ``B`` (LAPACK's ``getrf``/``getrs`` split; Golub
+    & Van Loan, *Matrix Computations*, 3.2-3.4).  A factor holds what
+    :mod:`~propval.membership` needs to decide one ``b`` in O(n^2):
+
+    * ``lu`` -- n x t, the ``t`` eliminated unknowns: U on and above the
+      diagonal, the multipliers below it, rows in the order left after
+      the ``t`` interchanges;
+    * ``swapped`` -- the row swapped into row ``r`` at step ``r``;
+    * ``positions`` -- the unknown eliminated at step ``r``;
+    * ``last`` -- the last unknown's column after those ``t`` steps, the
+      column the cross-product check anchors on;
+    * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
+      the one pivot and anchor threshold;
+    * ``basis`` -- for a projector's kernel, the pivot columns of
+      ``I - P`` that are the system's unknowns.
+
+    Arrays are read-only, so a factor is shared freely between threads.
+    """
+
+    lu: np.ndarray
+    last: np.ndarray
+    swapped: tuple[int, ...]
+    positions: tuple[int, ...]
+    unknowns: int
+    threshold: float
+    basis: SubspaceBasis | None = None
+
+    def __post_init__(self):
+        self.lu.setflags(write=False)
+        self.last.setflags(write=False)
+
+    @property
+    def rows(self) -> int:
+        return self.last.shape[0]
+
+    @property
+    def row_swaps(self) -> int:
+        return sum(p != r for r, p in enumerate(self.swapped))
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """A fresh copy of ``b`` taken through the ``t`` elimination steps."""
+        return _forward(self.lu, self.swapped, b)
+
+
+def _forward(lu: np.ndarray, swapped, b: np.ndarray) -> np.ndarray:
+    """``b`` through the steps of ``lu``: interchanges, then the multipliers.
+
+    Column by column in the loop's order, so on a one-panel system each
+    entry sees the same operations as in :func:`_row_echelon` itself.  A
+    step never swaps a row above it, so applying every interchange first
+    is the same arithmetic.
+    """
+    y = np.array(b, dtype=complex)
+    for r, p in enumerate(swapped):
+        if p != r:
+            y[r], y[p] = y[p], y[r]
+    for r in range(len(swapped)):
+        y[r + 1 :] -= lu[r + 1 :, r] * y[r]
+    return y
+
+
+def _factor(
+    a: np.ndarray, tol: TolerancePolicy, kind: BasisKind | None = None
+) -> EchelonFactor:
+    """One elimination of every column of ``a``, kept as an :class:`EchelonFactor`.
+
+    The unknowns are every column of ``a`` or, with ``kind``, the pivot
+    columns, kept as a basis of that kind; a non-pivot column issues no
+    update, so eliminating ``a`` eliminates the basis too.  The pivot
+    threshold is ``abs_eps * max|a|``, the one :func:`independent_columns`
+    uses, so the basis is the one it picks.  The factor covers the
+    unknowns before the last: if the last unknown was itself a pivot, its
+    interchange is undone, and its column is forward-solved from ``a``
+    like a right-hand side.
+    """
+    _require_finite(a)
+    w = np.array(a, dtype=complex)
+    threshold = tol.abs_eps * max_abs(w)
+    cols, swapped = _row_echelon(w, w.shape[1], threshold)
+    unknowns = cols if kind is not None else list(range(w.shape[1]))
+    t = bisect_left(cols, unknowns[-1]) if unknowns else 0
+    lu = w.T[cols[:t]].T  # n x t, each eliminated column contiguous
+    if t < len(cols) and swapped[t] != t:
+        lu[[t, swapped[t]]] = lu[[swapped[t], t]]
+    position = {c: i for i, c in enumerate(unknowns)}
+    last = a[:, unknowns[-1]] if unknowns else np.zeros(w.shape[0])
+    return EchelonFactor(
+        lu,
+        _forward(lu, swapped[:t], last),
+        tuple(swapped[:t]),
+        tuple(position[c] for c in cols[:t]),
+        len(unknowns),
+        threshold,
+        None if kind is None else SubspaceBasis(a[:, cols], kind),
+    )
 
 
 def independent_columns(
@@ -284,20 +396,16 @@ def validate_projector(
         raise NotIdempotent("matrix is not idempotent within tolerance")
     cols = independent_columns(m, tol)
     p = Projector(m, rank=len(cols))
-    p._bases[BasisKind.RANGE, tol] = SubspaceBasis(p.array[:, cols], BasisKind.RANGE)
+    p._memo[BasisKind.RANGE, tol] = SubspaceBasis(p.array[:, cols], BasisKind.RANGE)
     return p
 
 
-def _basis(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> SubspaceBasis:
-    """The memoised basis of ``kind``, computed on the first request."""
-    basis = p._bases.get((kind, tol))
-    if basis is None:
-        a = p.array
-        if kind is BasisKind.KERNEL:
-            a = np.eye(p.dim, dtype=complex) - a
-        basis = SubspaceBasis(a[:, independent_columns(a, tol)], kind)
-        basis = p._bases.setdefault((kind, tol), basis)
-    return basis
+def _memoised(p: Projector, key: tuple, build):
+    """``p``'s value for ``key``, built on the first request; write-once."""
+    value = p._memo.get(key)
+    if value is None:
+        value = p._memo.setdefault(key, build())
+    return value
 
 
 def range_basis(
@@ -306,16 +414,37 @@ def range_basis(
     """Independent columns of the projector matrix, lowest index first."""
     if p.rank == 0:
         raise ZeroProjector("range of the zero projector is {0}")
-    return _basis(p, BasisKind.RANGE, tol)
+    return _memoised(
+        p,
+        (BasisKind.RANGE, tol),
+        lambda: SubspaceBasis(
+            p.array[:, independent_columns(p.array, tol)], BasisKind.RANGE
+        ),
+    )
+
+
+def kernel_factor(
+    p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
+) -> EchelonFactor:
+    """The kernel system's factor: one elimination of ``I - M`` per policy.
+
+    Its pivot columns are the kernel basis and its unknowns; a state's
+    kernel membership then costs one O(n^2) solve against it.
+    """
+    if p.rank == p.dim:
+        raise FullRankProjector("kernel of a full-rank projector is {0}")
+    return _memoised(
+        p,
+        (BasisKind.KERNEL, tol),
+        lambda: _factor(np.eye(p.dim, dtype=complex) - p.array, tol, BasisKind.KERNEL),
+    )
 
 
 def kernel_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SubspaceBasis:
-    """Independent columns of (I - M), lowest index first."""
-    if p.rank == p.dim:
-        raise FullRankProjector("kernel of a full-rank projector is {0}")
-    return _basis(p, BasisKind.KERNEL, tol)
+    """Independent columns of (I - M), lowest index first (:func:`kernel_factor`)."""
+    return kernel_factor(p, tol).basis
 
 
 def decompose(

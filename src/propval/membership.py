@@ -1,26 +1,31 @@
 """Solvability checks for the range and kernel linear systems.
 
-Every system runs one path: elimination, then one cross-product
-consistency check on the rows it leaves.  Two instrumented kernel
-formulations, the range check as their one-unknown case, and one
-independent oracle:
+Every system runs one path, split as LAPACK splits ``getrf`` from
+``getrs``: a *factor* of the unknown columns
+(:class:`~propval.linalg.EchelonFactor`, one run of the package's one
+elimination core ``linalg._row_echelon``, which never reads the
+right-hand side), then a per-state *solve* that takes the right-hand
+side through the factor's interchanges and multipliers, applies one
+cross-product consistency check to the rows left live, and
+back-substitutes a witness.  The factor costs O(n^3), the solve O(n^2).
+Deciders:
 
+* :func:`kernel_membership` -- the kernel system of a projector.  Its
+  factor is memoised on the projector
+  (:func:`~propval.linalg.kernel_factor`, whose pivot columns are the
+  kernel basis), so the elimination runs once per projector and
+  tolerance policy and every state pays only the solve.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
-  -- Gaussian elimination with partial pivoting on the package's one
-  elimination core (``linalg._row_echelon``, numpy rank-1 updates
-  within a panel of columns and one matrix product per panel for the
-  trailing block, also behind
-  :func:`~propval.linalg.independent_columns`); the two run the
-  same loop and differ only in what each step is charged.  The
-  iterative form is charged for the rows below the pivot and the
-  columns right of it, ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a
-  nondegenerate system with ``n-1`` unknowns that is exactly
-  ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
-  and as many subtractions.  The matrix form (column division, outer
-  product, block subtraction) is also charged for the pivot row and
-  column, O(n) divisions and O(n^2) multiplications/subtractions per
-  step.  Verdict and witness are identical in both forms on every
-  input; only the tallies differ.
+  -- the same factor and solve on a bare :class:`AugmentedMatrix`; the
+  two differ only in what each step is charged.  The iterative form is
+  charged for the rows below the pivot and the columns right of it,
+  ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a nondegenerate system
+  with ``n-1`` unknowns that is exactly ``n(n-1)/2 - 1`` divisions and
+  ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.  The
+  matrix form (column division, outer product, block subtraction) is
+  also charged for the pivot row and column, O(n) divisions and O(n^2)
+  multiplications/subtractions per step.  Verdict and witness are
+  identical in both forms on every input; only the tallies differ.
 * :func:`range_membership` -- the single-column system.  It has no
   column to eliminate, so the consistency check decides on every row
   in O(n) and is the whole tally: a membership verdict costs exactly
@@ -39,11 +44,13 @@ loop only.
 
 Every decider charges its :class:`OpCounter` directly: elimination one
 closed-form amount per step, the cross-product check two
-multiplications and one comparison per comparison made.  A result's
-``counts`` is the tally of that call alone; the counter passed in
-accumulates across calls.  Witness extraction (back-substitution, or
-the single anchor division of the range check) is a convenience output
-and is not counted.
+multiplications and one comparison per comparison made.  The
+elimination is charged to every solve, as if it ran there: the tally is
+the paper's cost of deciding the system, which a memoised factor saves
+in wall time but not in operations.  A result's ``counts`` is the tally
+of that call alone; the counter passed in accumulates across calls.
+Witness extraction (back-substitution, or the single anchor division of
+the range check) is a convenience output and is not counted.
 """
 
 from __future__ import annotations
@@ -52,14 +59,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, StateVector, SubspaceBasis, max_abs
-from .linalg import _require_finite, _row_echelon
+from .linalg import (
+    DimensionMismatch,
+    EchelonFactor,
+    Projector,
+    StateVector,
+    SubspaceBasis,
+    kernel_factor,
+    max_abs,
+)
+from .linalg import _factor, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
     "AugmentedMatrix",
     "MembershipResult",
     "ZeroColumn",
+    "kernel_membership",
     "kernel_membership_iterative",
     "kernel_membership_matrix",
     "membership_of",
@@ -131,7 +147,8 @@ def range_membership(
     anchored on the first entry above ``abs_eps * max|column|``.  That
     check is the whole tally, reported as ``counts``: ``2(n-1)``
     multiplications and ``n-1`` comparisons for a member, two and one
-    per comparison made on a rejection.
+    per comparison made on a rejection.  Nothing is copied: the check
+    reads the column and the state as they are.
     """
     arr = r.array if isinstance(r, SubspaceBasis) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
@@ -140,99 +157,117 @@ def range_membership(
         raise DimensionMismatch(
             f"range check expects exactly one column, got {arr.shape[1]}"
         )
-    aug = AugmentedMatrix.from_system(arr, psi)
-    # With no entry above the anchor threshold the shared check would
-    # accept any zero right-hand side; a basis column must not be zero.
-    scale = max_abs(aug.body[:, 0])
+    b = _rhs(arr.shape[0], psi)
+    _require_finite(arr)
+    # With no entry above the anchor threshold the check would accept
+    # any zero right-hand side; a basis column must not be zero.
+    scale = max_abs(arr)
     if not scale > tol.abs_eps * scale:
         raise ZeroColumn("basis column is numerically zero")
-    result = _eliminate(aug, None, tol, full_block=False)
-    tally = result.final_check
+    tally = OpCounter()
+    member, x = _cross_consistency(
+        arr[:, 0].tolist(), b.tolist(), tol.abs_eps * scale, tol, tally
+    )
     if ctx is not None:
         ctx.mul += tally.mul
         ctx.cmp += tally.cmp
-    return MembershipResult(result.member, result.witness, tally)
+    return MembershipResult(member, [x] if member else None, tally)
+
+
+def _rhs(rows: int, psi: StateVector) -> np.ndarray:
+    """The state's components, checked against a system of ``rows`` rows."""
+    if rows != psi.dim:
+        raise DimensionMismatch(f"matrix has {rows} rows, rhs has {psi.dim}")
+    _require_finite(psi.components)
+    return psi.components
 
 
 def _cross_consistency(
-    live: list[list[complex]],
-    k: int,
+    col: list[complex],
+    rhs: list[complex],
     threshold: float,
     tol: TolerancePolicy,
     fctx: OpCounter,
-) -> tuple[bool, list[complex] | None]:
-    """Consistency of the one-unknown system left in the live rows.
+) -> tuple[bool, complex | None]:
+    """Consistency of the one-unknown system ``col * x = rhs``.
 
     After elimination the live rows carry a single unknown column (the
-    last one) plus the right-hand side.  With an anchor row ``a`` the
-    system is consistent iff ``col[a]*rhs[j] == col[j]*rhs[a]`` for all
-    other live rows; with no usable anchor, iff every live right-hand
-    side is zero.  For the nondegenerate case of two live rows this is
-    the trailing 2x2 cross condition: 2 multiplications, 1 comparison.
+    last one) plus the right-hand side.  With an anchor row ``a``, the
+    first with ``|col[a]| > threshold``, the system is consistent iff
+    ``col[a]*rhs[j] == col[j]*rhs[a]`` for all other live rows; with no
+    anchor, iff every live right-hand side is zero.  For the
+    nondegenerate case of two live rows this is the trailing 2x2 cross
+    condition: 2 multiplications, 1 comparison.  Returns the verdict and
+    the unknown's value, ``rhs[a] / col[a]`` (0 without an anchor).
     """
-    anchor = next((row for row in live if abs(row[k - 1]) > threshold), None)
+    anchor = next((i for i, z in enumerate(col) if abs(z) > threshold), None)
     if anchor is None:
-        for row in live:
+        for z in rhs:
             fctx.cmp += 1
-            if not tol.equal(row[k], 0.0):
+            if not tol.equal(z, 0.0):
                 return False, None
-        return True, None
-    a_col, a_rhs = anchor[k - 1], anchor[k]
-    for row in live:
-        if row is anchor:
+        return True, 0j
+    a_col, a_rhs = col[anchor], rhs[anchor]
+    for j, (c, z) in enumerate(zip(col, rhs)):
+        if j == anchor:
             continue
         fctx.mul += 2
         fctx.cmp += 1
-        if not tol.equal(a_col * row[k], row[k - 1] * a_rhs):
+        if not tol.equal(a_col * z, c * a_rhs):
             return False, None
-    return True, anchor
+    return True, a_rhs / a_col
 
 
-def _solution_from_echelon(
-    pivots: list[tuple[int, list[complex]]],
-    anchor_row: list[complex] | None,
-    k: int,
-) -> list[complex]:
-    """Back-substitute through the recorded pivot rows; free unknowns are 0."""
-    x = [0j] * k
-    if anchor_row is not None:
-        x[k - 1] = anchor_row[k] / anchor_row[k - 1]
-    for c, row in reversed(pivots):
-        acc = row[k]
-        for c2 in range(c + 1, k):
-            if x[c2] != 0:
-                acc -= row[c2] * x[c2]
-        x[c] = acc / row[c]
+def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[complex]:
+    """Solve the eliminated rows upward, one column of U at a time.
+
+    ``x[c] = y[i] / U[i, c]``, then ``y[:i] -= U[:i, c] * x[c]``; free
+    unknowns are 0.  The column sweep, not a dot product of each row
+    with the solved tail, is what keeps one-panel witnesses at the bits
+    the row-by-row loop gave (the spin52 witness in
+    ``tests/golden_cli.json``): a row dot product sums in another order
+    and moves its first entry from -8.02e-16 to -7.45e-16.
+    """
+    x = [0j] * f.unknowns
+    x[-1] = x_last
+    t = len(f.positions)
+    if x_last != 0:
+        y[:t] -= f.last[:t] * x_last
+    for i in range(t - 1, -1, -1):
+        xi = complex(y[i]) / complex(f.lu[i, i])  # Python division, as in the loop
+        x[f.positions[i]] = xi
+        if xi != 0:
+            y[:i] -= f.lu[:i, i] * xi
     return x
 
 
-def _eliminate(
-    aug: AugmentedMatrix,
+def _solve(
+    f: EchelonFactor,
+    b: np.ndarray,
     ctx: OpCounter | None,
     tol: TolerancePolicy,
     full_block: bool,
 ) -> MembershipResult:
-    """Row-echelon elimination shared by both kernel formulations and the
-    range check.
+    """Decide ``B x = b`` from the factor of ``B``: the per-state half.
 
-    Eliminates every unknown column except the last with
-    ``linalg._row_echelon``, then applies the cross-product consistency
-    condition to the remaining rows; a skipped column is a free unknown.
-    Step ``(r, c)`` is charged for ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
+    Takes a copy of ``b`` through the factor's interchanges and multipliers,
+    applies :func:`_cross_consistency` to the rows left live, and
+    back-substitutes a witness -- O(n^2) where the elimination was
+    O(n^3).  Step ``(r, c)`` of the factored elimination is charged as
+    if it had run here, for ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
     over rows ``top..n-1`` and columns ``left..k``: below and right of
     the pivot, or with ``full_block`` the whole live block including the
     pivot row and column.  That is ``n - top`` divisions and
-    ``(n - top)(k + 1 - left)`` multiplications and as many subtractions;
-    ``full_block`` changes the charge only, not the arithmetic.
+    ``(n - top)(k + 1 - left)`` multiplications and as many
+    subtractions; the charge depends on ``(n, k)`` and the pivots only,
+    never on the state, and ``full_block`` changes the charge only.
     """
     ctx = ctx if ctx is not None else OpCounter()
     start = ctx.snapshot()
-    n, k = aug.rows, aug.unknowns
-    work = aug.body.copy()
-    threshold = tol.abs_eps * max_abs(aug.body[:, :k])
-    cols, swaps = _row_echelon(work, k - 1, threshold)
+    n, k = f.rows, f.unknowns
+    y = f.forward(b)
     shift = 0 if full_block else 1  # (top, left) = (r, c) + shift
-    for r, c in enumerate(cols):
+    for r, c in enumerate(f.positions):
         height = n - r - shift
         updated = height * (k + 1 - c - shift)
         ctx.div += height
@@ -240,12 +275,12 @@ def _eliminate(
         ctx.add_sub += updated
     elimination = ctx.snapshot() - start
     fctx = OpCounter()
-    member, anchor_row = _cross_consistency(
-        work[len(cols) :].tolist(), k, threshold, tol, fctx
+    t = len(f.positions)
+    member, x_last = _cross_consistency(
+        f.last[t:].tolist(), y[t:].tolist(), f.threshold, tol, fctx
     )
-    pivots = list(zip(cols, work[: len(cols)].tolist())) if member else []
-    witness = _solution_from_echelon(pivots, anchor_row, k) if member else None
-    return MembershipResult(member, witness, elimination, fctx, swaps)
+    witness = _back_substitute(f, y, x_last) if member else None
+    return MembershipResult(member, witness, elimination, fctx, f.row_swaps)
 
 
 def kernel_membership_iterative(
@@ -259,7 +294,8 @@ def kernel_membership_iterative(
     ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
     and as many subtractions.
     """
-    return _eliminate(aug, ctx, tol, full_block=False)
+    f = _factor(aug.body[:, :-1], tol)
+    return _solve(f, aug.body[:, -1], ctx, tol, full_block=False)
 
 
 def kernel_membership_matrix(
@@ -275,7 +311,33 @@ def kernel_membership_matrix(
     :func:`kernel_membership_iterative`, so verdict and witness are
     equal bit for bit; only the tallies differ.
     """
-    return _eliminate(aug, ctx, tol, full_block=True)
+    f = _factor(aug.body[:, :-1], tol)
+    return _solve(f, aug.body[:, -1], ctx, tol, full_block=True)
+
+
+def kernel_membership(
+    p: Projector,
+    psi: StateVector,
+    ctx: OpCounter | None = None,
+    tol: TolerancePolicy = DEFAULT_TOLERANCE,
+) -> MembershipResult:
+    """Does psi lie in the kernel of ``p``?
+
+    Solves against ``p``'s memoised :func:`~propval.linalg.kernel_factor`:
+    the first request per tolerance policy pays the one O(n^3)
+    elimination of ``I - P``, which also picks the kernel basis, and
+    every state pays only the O(n^2) :func:`_solve`.  Verdict, witness
+    and tallies are those of :func:`membership_of` on the kernel basis:
+    an empty kernel contains only the zero vector, and a one-column
+    kernel reports its cross check as ``counts``, as the range check
+    does.
+    """
+    if p.rank == p.dim:
+        return membership_of(np.zeros((p.dim, 0), dtype=complex), psi, ctx, tol)
+    f = kernel_factor(p, tol)
+    if f.unknowns < 2:
+        return membership_of(f.basis.array, psi, ctx, tol)
+    return _solve(f, _rhs(p.dim, psi), ctx, tol, full_block=False)
 
 
 def residual_oracle(
@@ -305,8 +367,9 @@ def membership_of(
     """Does psi lie in the span of the given columns?
 
     Dispatch by width: an empty span contains only the zero vector, a
-    single column is the O(n) range check, anything wider runs
-    :func:`kernel_membership_iterative`.
+    single column is the O(n) range check, anything wider is factored
+    and solved as :func:`kernel_membership_iterative` does, without
+    building an augmented system.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
@@ -318,6 +381,5 @@ def membership_of(
         return MembershipResult(member, [] if member else None, OpCounter())
     if k == 1:
         return range_membership(columns, psi, ctx, tol)
-    return kernel_membership_iterative(
-        AugmentedMatrix.from_system(columns, psi), ctx, tol
-    )
+    b = _rhs(columns.shape[0], psi)
+    return _solve(_factor(columns, tol), b, ctx, tol, full_block=False)

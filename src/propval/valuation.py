@@ -38,7 +38,7 @@ from .linalg import (
     null_space_basis,
     range_basis,
 )
-from .membership import membership_of
+from .membership import kernel_membership, membership_of
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -124,7 +124,7 @@ def valuate(
     if range_result.member:
         value = TruthValue.TRUE
     else:
-        decisive = membership_of(_kernel_columns(p, tol), psi, OpCounter(), tol)
+        decisive = kernel_membership(p, psi, OpCounter(), tol)
         value = TruthValue.FALSE if decisive.member else TruthValue.GAP
         kernel_counts = decisive.counts
     gap = range_result.counts + kernel_counts if value is TruthValue.GAP else None
@@ -147,7 +147,7 @@ def valuate_ql(
     """
     _check_state(p, psi, tol)
     if gap_to_true:
-        result = membership_of(_kernel_columns(p, tol), psi, OpCounter(), tol)
+        result = kernel_membership(p, psi, OpCounter(), tol)
         value = TruthValue.FALSE if result.member else TruthValue.TRUE
         return TruthVerdict(value, OpCounter(), result.counts, None, result.witness)
     result = membership_of(_range_columns(p, tol), psi, OpCounter(), tol)

@@ -26,6 +26,7 @@ from propval.linalg import (
     decompose,
     independent_columns,
     kernel_basis,
+    kernel_factor,
     load_matrix,
     load_state,
     matrix_rank,
@@ -36,7 +37,7 @@ from propval.linalg import (
     validate_projector,
 )
 from propval.numerics import TolerancePolicy
-from propval.valuation import TruthValue, valuate
+from propval.valuation import TruthValue, valuate, valuate_ql
 
 S2 = 1 / math.sqrt(2)
 
@@ -259,10 +260,11 @@ def test_independent_columns_finds_the_planted_set(planted):
 def unblocked_row_echelon(w, ncols, threshold):
     """Reference: one rank-1 update of the whole trailing block per pivot.
 
-    ``linalg._row_echelon`` must choose the same pivots and swaps and
-    reach the same echelon rows; it blocks the updates into panels.
+    ``linalg._row_echelon`` must choose the same pivots and interchanges
+    and reach the same echelon rows, multipliers stored below each
+    pivot; it blocks the updates into panels.
     """
-    cols, swaps = [], 0
+    cols, swapped = [], []
     for c in range(ncols):
         r = len(cols)
         if r == w.shape[0]:
@@ -274,12 +276,13 @@ def unblocked_row_echelon(w, ncols, threshold):
             continue
         if p:
             w[r], w[r + p] = w[r + p].copy(), w[r].copy()
-            swaps += 1
         piv = complex(col[0])
         m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
+        col[1:] = m
         w[r + 1 :, c + 1 :] -= np.multiply.outer(m, w[r, c + 1 :])
         cols.append(c)
-    return cols, swaps
+        swapped.append(r + p)
+    return cols, swapped
 
 
 @st.composite
@@ -312,15 +315,12 @@ def test_blocked_elimination_matches_the_unblocked_loop(system):
     a, ncols = system
     threshold = 1e-9 * linalg.max_abs(a)
     got, want = a.copy(), a.copy()
-    cols, swaps = linalg._row_echelon(got, ncols, threshold)
-    assert (cols, swaps) == unblocked_row_echelon(want, ncols, threshold)
+    cols, swapped = linalg._row_echelon(got, ncols, threshold)
+    assert (cols, swapped) == unblocked_row_echelon(want, ncols, threshold)
     if ncols <= linalg._PANEL:
         assert np.array_equal(got, want)
         return
-    echelon = np.ones(a.shape, dtype=bool)
-    for r, c in enumerate(cols):
-        echelon[r + 1 :, c] = False  # multipliers in the blocked form
-    assert np.abs(got - want)[echelon].max() <= 1e-12 * linalg.max_abs(a)
+    assert np.abs(got - want).max() <= 1e-12 * linalg.max_abs(a)  # multipliers too
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,14 +401,41 @@ def test_bases_are_computed_once_per_policy(monkeypatch):
         (TargetKind.GENERIC, TruthValue.GAP),
     ):
         assert valuate(p, random_instance(8, 3, target)[1]).value is expected
-    # validation seeds the range basis; the FALSE verdict adds the kernel's
-    assert len(calls) == 2
+    # validation seeds the range basis; the kernel's comes with its factor
+    assert len(calls) == 1
     assert range_basis(p, TolerancePolicy()) is range_basis(p)
     assert kernel_basis(p, TolerancePolicy()) is kernel_basis(p)
-    assert len(calls) == 2
+    assert kernel_factor(p, TolerancePolicy()) is kernel_factor(p)
+    assert kernel_basis(p) is kernel_factor(p).basis
+    assert len(calls) == 1
     wider = TolerancePolicy(abs_eps=1e-6)
     assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
+    calls = []
+    original = linalg._row_echelon
+
+    def counted(w, ncols, threshold):
+        calls.append(w.shape[1])
+        return original(w, ncols, threshold)
+
+    monkeypatch.setattr(linalg, "_row_echelon", counted)
+    n = 40  # more than one panel
+    drawn, first = random_instance(n, 5, TargetKind.IN_KERNEL)
+    p = validate_projector(drawn.array)
+    calls.clear()  # validation eliminates P for the range basis
+    assert valuate(p, first).value is TruthValue.FALSE
+    assert calls == [n]  # I - P: the kernel basis and the factor in one
+    calls.clear()
+    generic = random_instance(n, 5, TargetKind.GENERIC)[1]
+    assert valuate(p, generic).value is TruthValue.GAP
+    v = generic.components - p.array @ generic.components
+    second = StateVector(v / np.linalg.norm(v))
+    assert valuate(p, second).value is TruthValue.FALSE
+    assert valuate_ql(p, second, gap_to_true=True).value is TruthValue.FALSE
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -458,3 +485,37 @@ def test_threads_sharing_a_projector_get_one_basis_per_policy():
     for got in seen:
         assert len(got) == len(threads)
         assert all(basis is got[0] for basis in got)
+
+
+def test_threads_valuating_shared_projectors_get_one_factor_per_policy():
+    cases = [random_instance(40, s, TargetKind.IN_KERNEL) for s in range(8)]
+    policies = (TolerancePolicy(), TolerancePolicy(abs_eps=1e-8))
+    seen = [[] for _ in cases]
+
+    def worker():
+        for (p, psi), got in zip(cases, seen):
+            for tol in policies:
+                verdict = valuate(p, psi, tol)
+                got.append((tol, verdict, kernel_factor(p, tol), kernel_basis(p, tol)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (p, _), got in zip(cases, seen):
+        factors = [v for v in p._memo.values() if isinstance(v, linalg.EchelonFactor)]
+        assert len(factors) == len(policies)
+        for tol in policies:
+            mine = [g for g in got if g[0] == tol]
+            assert len(mine) == len(threads)
+            assert all(f is p._memo[BasisKind.KERNEL, tol] for _, _, f, _ in mine)
+            assert all(b is mine[0][2].basis for _, _, _, b in mine)
+            assert all(v == mine[0][1] for _, v, _, _ in mine)
+            assert mine[0][1].value is TruthValue.FALSE

@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from propval import linalg
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
     DimensionMismatch,
     NonFiniteEntry,
     StateVector,
     kernel_basis,
+    kernel_factor,
     range_basis,
+    validate_projector,
 )
 from propval.membership import (
     AugmentedMatrix,
+    MembershipResult,
     ZeroColumn,
+    kernel_membership,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,
@@ -24,6 +29,7 @@ from propval.membership import (
     residual_oracle,
 )
 from propval.numerics import DEFAULT_TOLERANCE, OpCounter
+from propval.valuation import TruthValue, valuate
 
 S2 = 1 / math.sqrt(2)
 
@@ -450,3 +456,173 @@ def test_membership_dispatch_by_width():
     assert not membership_of(np.zeros((3, 0)), unit).member
     assert membership_of(np.eye(3), unit).member  # full basis via elimination
     assert membership_of(np.eye(3)[:, :1], unit).member  # single column
+
+
+# ------------------------------------------------- factor against the loop
+
+
+def reference_eliminate(aug, ctx, tol, full_block):
+    """The kernel decider before it was split into a factor and a solve.
+
+    A copy of the per-state elimination that ran every unknown column
+    but the last through ``linalg._row_echelon`` with the state appended,
+    then the cross check on the live rows and a row-by-row
+    back-substitution; kept as the reference the factored path must
+    match: verdict, tallies and interchanges exactly, witness to rounding.
+    """
+    start = ctx.snapshot()
+    n, k = aug.rows, aug.unknowns
+    work = aug.body.copy()
+    threshold = tol.abs_eps * linalg.max_abs(aug.body[:, :k])
+    cols, swapped = linalg._row_echelon(work, k - 1, threshold)
+    shift = 0 if full_block else 1
+    for r, c in enumerate(cols):
+        height = n - r - shift
+        updated = height * (k + 1 - c - shift)
+        ctx.div += height
+        ctx.mul += updated
+        ctx.add_sub += updated
+    elimination = ctx.snapshot() - start
+    fctx = OpCounter()
+    live = work[len(cols) :].tolist()
+    anchor = next((row for row in live if abs(row[k - 1]) > threshold), None)
+    member = True
+    if anchor is None:
+        for row in live:
+            fctx.cmp += 1
+            if not tol.equal(row[k], 0.0):
+                member = False
+                break
+    else:
+        for row in live:
+            if row is anchor:
+                continue
+            fctx.mul += 2
+            fctx.cmp += 1
+            if not tol.equal(anchor[k - 1] * row[k], row[k - 1] * anchor[k]):
+                member = False
+                break
+    swaps = sum(p != r for r, p in enumerate(swapped))
+    if not member:
+        return MembershipResult(False, None, elimination, fctx, swaps)
+    x = [0j] * k
+    if anchor is not None:
+        x[k - 1] = anchor[k] / anchor[k - 1]
+    for c, row in reversed(list(zip(cols, work[: len(cols)].tolist()))):
+        acc = row[k]
+        for c2 in range(c + 1, k):
+            if x[c2] != 0:
+                acc -= row[c2] * x[c2]
+        x[c] = acc / row[c]
+    return MembershipResult(True, x, elimination, fctx, swaps)
+
+
+def reference_membership_of(cols, psi, tol=DEFAULT_TOLERANCE):
+    """``membership_of``'s dispatch over :func:`reference_eliminate`."""
+    result = reference_eliminate(
+        AugmentedMatrix.from_system(cols, psi), OpCounter(), tol, False
+    )
+    if cols.shape[1] == 1:  # the range check reports its cross check as counts
+        return MembershipResult(result.member, result.witness, result.final_check)
+    return result
+
+
+def assert_same_decision(got, want):
+    assert got.member == want.member
+    assert got.counts == want.counts
+    assert got.final_check == want.final_check
+    assert got.row_swaps == want.row_swaps
+    if want.member:
+        w, g = np.array(want.witness), np.array(got.witness)
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    else:
+        assert got.witness is None
+
+
+def projector_with_state(draw, n_min, last_row_scales):
+    """A rank 1..3 projector, n up to 80, and a unit state in its range,
+    in its kernel, generic, or a kernel state moved a few tolerances off.
+
+    The range basis's last row is scaled by one of ``last_row_scales``:
+    below 1, the largest entry of ``I - P`` sits in its last column,
+    which the kernel basis drops.
+    """
+    n = draw(st.integers(n_min, 80))
+    rank = min(draw(st.integers(1, 3)), n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    raw = normal(n, rank)
+    raw[-1] *= draw(st.sampled_from(last_row_scales))
+    q, _ = np.linalg.qr(raw)
+    m = q @ q.conj().T
+    family = draw(st.sampled_from(["range", "kernel", "generic", "near"]))
+    v = normal(n)
+    if family == "range":
+        v = q @ normal(rank)
+    elif family in ("kernel", "near"):
+        v = v - m @ v
+    v /= np.linalg.norm(v)
+    if family == "near":
+        j = draw(st.integers(0, n - 1))
+        v[j] += draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])) * 1e-9
+        v /= np.linalg.norm(v)
+    return m, StateVector(v)
+
+
+@st.composite
+def projector_systems(draw):
+    return projector_with_state(draw, 2, [1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projector_systems(), columns=st.sampled_from(["basis", "all"]))
+def test_factored_deciders_match_the_per_state_elimination(case, columns):
+    m, psi = case
+    p = validate_projector(m)  # fresh: no kernel factor yet
+    got = kernel_membership(p, psi)
+    basis = kernel_basis(p).array
+    assert_same_decision(got, reference_membership_of(basis, psi))
+    verdict = valuate(p, psi)
+    if verdict.value is not TruthValue.TRUE:
+        assert verdict.cost_false_path == got.counts
+        assert verdict.witness == got.witness
+    # bare systems: the kernel basis, or every column of I - P with free unknowns
+    cols = basis if columns == "basis" else np.eye(p.dim) - p.array
+    aug = AugmentedMatrix.from_system(cols, psi)
+    for decide, full_block in (
+        (kernel_membership_iterative, False),
+        (kernel_membership_matrix, True),
+    ):
+        want = reference_eliminate(aug, OpCounter(), DEFAULT_TOLERANCE, full_block)
+        assert_same_decision(decide(aug), want)
+
+
+@st.composite
+def kernels_of_width_two_or_more(draw):
+    return projector_with_state(draw, 5, [1.0, 0.3, 0.05, 1e-3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernels_of_width_two_or_more())
+def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case):
+    """Factoring I - P scales the pivot threshold by max|I - P|; factoring
+    its basis columns alone by their own maximum.  Both pick the same
+    pivots and interchanges and reach the same verdicts, also when the
+    largest entry of I - P sits in a column the basis drops."""
+    m, psi = case
+    p = validate_projector(m)
+    fused = kernel_factor(p)
+    basis = fused.basis.array
+    alone = linalg._factor(basis, DEFAULT_TOLERANCE)
+    complement = np.eye(p.dim) - p.array
+    if np.abs(complement).max() > np.abs(basis).max():
+        assert fused.threshold > alone.threshold
+    assert fused.positions == alone.positions == tuple(range(fused.unknowns - 1))
+    assert fused.swapped == alone.swapped
+    assert fused.unknowns == alone.unknowns == p.dim - p.rank
+    bare = kernel_membership_iterative(AugmentedMatrix.from_system(basis, psi))
+    assert kernel_membership(p, psi).member == bare.member
