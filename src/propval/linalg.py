@@ -90,7 +90,8 @@ class StateVector:
 
     Norm is not enforced here: decomposition parts are state-vector
     shaped but generally not unit.  Operations that need a unit vector
-    check :meth:`is_unit` and raise :class:`NotUnitNorm`.
+    check :meth:`is_unit` and raise :class:`NotUnitNorm`, or
+    :class:`NonFiniteEntry` for a NaN or infinite component.
     """
 
     components: np.ndarray
@@ -168,6 +169,17 @@ def max_abs(a: np.ndarray) -> float:
 def _require_finite(a: np.ndarray) -> None:
     if not np.isfinite(a).all():
         raise NonFiniteEntry("matrix has a NaN or infinite entry")
+
+
+def _require_unit(psi: StateVector, tol: TolerancePolicy) -> None:
+    """Raise :class:`NotUnitNorm` unless ``psi`` is a unit vector.
+
+    A NaN or infinite component gives a NaN or infinite norm; such a
+    state raises :class:`NonFiniteEntry` instead, as on every other path.
+    """
+    if not psi.is_unit(tol):
+        _require_finite(psi.components)
+        raise NotUnitNorm(f"state norm {psi.norm} deviates from 1")
 
 
 _PANEL = 32  # columns eliminated per panel before the trailing block is updated
@@ -371,8 +383,7 @@ def projector_from_state(
     psi: StateVector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Projector:
     """Rank-1 projector onto the line spanned by a unit vector."""
-    if not psi.is_unit(tol):
-        raise NotUnitNorm(f"state norm {psi.norm} deviates from 1")
+    _require_unit(psi, tol)
     v = psi.components
     return Projector(np.outer(v, v.conj()), rank=1)
 

@@ -30,21 +30,25 @@ Deciders:
   column to eliminate, so the consistency check decides on every row
   in O(n) and is the whole tally: a membership verdict costs exactly
   ``2(n-1)`` multiplications and ``n-1`` comparisons, and a rejection
-  exits at the first failed comparison.
+  is charged up to the first failed comparison.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
 Consistency of the eliminated system is decided by a cross-product
 condition on the remaining rows (for the nondegenerate ``n-1`` unknown
 case, one comparison on the trailing 2x2 block costing 2
-multiplications).  On the kernel systems those final-check operations
-are tallied in a separate counter on the result, not in the elimination
-counter, because the closed-form totals above cover the elimination
-loop only.
+multiplications).  The first comparison runs on Python ``complex``
+values and every further one in a single numpy pass that repeats
+CPython's complex arithmetic, so each is decided bit for bit as a loop
+of :meth:`~propval.numerics.TolerancePolicy.equal` calls would decide
+it.  On the kernel systems those final-check operations are tallied in
+a separate counter on the result, not in the elimination counter,
+because the closed-form totals above cover the elimination loop only.
 
 Every decider charges its :class:`OpCounter` directly: elimination one
 closed-form amount per step, the cross-product check two
-multiplications and one comparison per comparison made.  The
+multiplications and one comparison per comparison up to and including
+the first that fails, although the numpy pass decides them all.  The
 elimination is charged to every solve, as if it ran there: the tally is
 the paper's cost of deciding the system, which a memoised factor saves
 in wall time but not in operations.  A result's ``counts`` is the tally
@@ -55,6 +59,7 @@ the range check) is a convenience output and is not counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +71,6 @@ from .linalg import (
     StateVector,
     SubspaceBasis,
     kernel_factor,
-    max_abs,
 )
 from .linalg import _factor, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
@@ -147,8 +151,8 @@ def range_membership(
     anchored on the first entry above ``abs_eps * max|column|``.  That
     check is the whole tally, reported as ``counts``: ``2(n-1)``
     multiplications and ``n-1`` comparisons for a member, two and one
-    per comparison made on a rejection.  Nothing is copied: the check
-    reads the column and the state as they are.
+    per comparison made on a rejection.  One ``hypot`` pass over the
+    column gives its scale, its finiteness and the anchor.
     """
     arr = r.array if isinstance(r, SubspaceBasis) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
@@ -158,16 +162,18 @@ def range_membership(
             f"range check expects exactly one column, got {arr.shape[1]}"
         )
     b = _rhs(arr.shape[0], psi)
-    _require_finite(arr)
+    col = arr[:, 0]
+    mags = _magnitudes(col)
+    scale = mags.max(initial=0.0)  # NaN or inf if an entry is
+    if not math.isfinite(scale):
+        _require_finite(col)
     # With no entry above the anchor threshold the check would accept
     # any zero right-hand side; a basis column must not be zero.
-    scale = max_abs(arr)
-    if not scale > tol.abs_eps * scale:
+    threshold = tol.abs_eps * scale
+    if not scale > threshold:
         raise ZeroColumn("basis column is numerically zero")
     tally = OpCounter()
-    member, x = _cross_consistency(
-        arr[:, 0].tolist(), b.tolist(), tol.abs_eps * scale, tol, tally
-    )
+    member, x = _cross_consistency(col, b, mags > threshold, tol, tally)
     if ctx is not None:
         ctx.mul += tally.mul
         ctx.cmp += tally.cmp
@@ -182,40 +188,95 @@ def _rhs(rows: int, psi: StateVector) -> np.ndarray:
     return psi.components
 
 
+def _magnitudes(z: np.ndarray) -> np.ndarray:
+    """``abs`` of every entry as CPython computes it: ``hypot(re, im)``."""
+    return np.hypot(z.real, z.imag)
+
+
 def _cross_consistency(
-    col: list[complex],
-    rhs: list[complex],
-    threshold: float,
+    col: np.ndarray,
+    rhs: np.ndarray,
+    above: np.ndarray,
     tol: TolerancePolicy,
     fctx: OpCounter,
 ) -> tuple[bool, complex | None]:
     """Consistency of the one-unknown system ``col * x = rhs``.
 
     After elimination the live rows carry a single unknown column (the
-    last one) plus the right-hand side.  With an anchor row ``a``, the
-    first with ``|col[a]| > threshold``, the system is consistent iff
-    ``col[a]*rhs[j] == col[j]*rhs[a]`` for all other live rows; with no
-    anchor, iff every live right-hand side is zero.  For the
-    nondegenerate case of two live rows this is the trailing 2x2 cross
-    condition: 2 multiplications, 1 comparison.  Returns the verdict and
-    the unknown's value, ``rhs[a] / col[a]`` (0 without an anchor).
+    last one) plus the right-hand side.  ``above`` marks the rows where
+    ``|col|`` exceeds the threshold.  With an anchor row ``a``, the first
+    of them, the system is consistent iff ``col[a]*rhs[j] == col[j]*rhs[a]``
+    within ``tol`` for all other rows; with no anchor, iff every
+    right-hand side is zero.  The tally is that of the loop that stops at
+    the first failing row: 2 multiplications and 1 comparison per
+    comparison up to and including it.  For the nondegenerate case of
+    two live rows this is the trailing 2x2 cross condition: 2
+    multiplications, 1 comparison.
+
+    The first comparison runs on Python ``complex`` values; it alone
+    decides that 2x2 check and most rejections.  Any further rows are
+    decided together in one numpy pass (:func:`_first_cross_failure`),
+    whose fixed cost of some 20 numpy calls would otherwise be paid by
+    every small system.  Returns the verdict and the unknown's value,
+    ``rhs[a] / col[a]`` (0 without an anchor).
     """
-    anchor = next((i for i, z in enumerate(col) if abs(z) > threshold), None)
-    if anchor is None:
-        for z in rhs:
-            fctx.cmp += 1
-            if not tol.equal(z, 0.0):
-                return False, None
+    n = col.shape[0]
+    if not n:  # a wide system can leave no live row: nothing to compare
         return True, 0j
-    a_col, a_rhs = col[anchor], rhs[anchor]
-    for j, (c, z) in enumerate(zip(col, rhs)):
-        if j == anchor:
-            continue
-        fctx.mul += 2
-        fctx.cmp += 1
-        if not tol.equal(a_col * z, c * a_rhs):
-            return False, None
-    return True, a_rhs / a_col
+    anchor = int(above.argmax())
+    if not above[anchor]:
+        size = _magnitudes(rhs)
+        fail = _first_false(size <= tol.abs_eps + tol.rel_eps * size)
+        fctx.cmp += n if fail is None else fail + 1
+        return (True, 0j) if fail is None else (False, None)
+    a_col, a_rhs = complex(col[anchor]), complex(rhs[anchor])
+    j = int(anchor == 0)  # the first row compared
+    if j < n and not tol.equal(a_col * complex(rhs[j]), complex(col[j]) * a_rhs):
+        fail = j
+    elif n <= 2:
+        fail = None
+    else:
+        fail = _first_cross_failure(col, rhs, anchor, tol)
+    made = n - 1 if fail is None else fail + 1 - (anchor < fail)
+    fctx.mul += 2 * made
+    fctx.cmp += made
+    return (True, a_rhs / a_col) if fail is None else (False, None)
+
+
+def _first_cross_failure(
+    col: np.ndarray, rhs: np.ndarray, anchor: int, tol: TolerancePolicy
+) -> int | None:
+    """The first row ``j`` where ``tol.equal(col[a]*rhs[j], col[j]*rhs[a])`` fails.
+
+    Every row is decided in one numpy pass, bit for bit as
+    :meth:`TolerancePolicy.equal` decides it on ``complex`` values: both
+    products by CPython's formula on real and imaginary parts (stacked,
+    so one 2 x n pass computes them), magnitudes by ``hypot``.  numpy's
+    complex ``*`` and ``abs`` round differently.  Products beyond the
+    float range become inf or NaN as in CPython, without a warning.  A
+    difference within ``abs_eps`` passes whatever the products' size, so
+    their magnitudes are computed only if some row is further apart.
+    Returns None if every row passes; the anchor row is not compared.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate((rhs, col)).reshape(2, -1)
+        s = x[::-1, anchor, None]  # col[a] scales rhs, rhs[a] scales col
+        re = s.real * x.real - s.imag * x.imag
+        im = s.real * x.imag + s.imag * x.real
+        dist = np.hypot(re[0] - re[1], im[0] - im[1])
+        ok = dist <= tol.abs_eps
+        ok[anchor] = True
+        fail = _first_false(ok)
+        if fail is not None:
+            ok = dist <= tol.abs_eps + tol.rel_eps * np.hypot(re, im).max(axis=0)
+            ok[anchor] = True
+            fail = _first_false(ok)
+    return fail
+
+
+def _first_false(ok: np.ndarray) -> int | None:
+    first = int(ok.argmin())
+    return None if ok[first] else first
 
 
 def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[complex]:
@@ -276,8 +337,9 @@ def _solve(
     elimination = ctx.snapshot() - start
     fctx = OpCounter()
     t = len(f.positions)
+    live = f.last[t:]
     member, x_last = _cross_consistency(
-        f.last[t:].tolist(), y[t:].tolist(), f.threshold, tol, fctx
+        live, y[t:], _magnitudes(live) > f.threshold, tol, fctx
     )
     witness = _back_substitute(f, y, x_last) if member else None
     return MembershipResult(member, witness, elimination, fctx, f.row_swaps)

@@ -7,9 +7,11 @@ argument; there is no process-global counting state, so concurrent runs
 with independent counters never interfere.  The deciders increment
 the counter fields directly, by a closed-form amount per elimination
 step (run as numpy rank-1 updates within a panel of columns and one
-matrix product per panel) or per comparison (on plain
-``complex`` values).  Passing ``None`` as the counter disables counting
-without changing any numeric result.
+matrix product per panel) or per comparison.  A system's comparisons
+run on ``complex`` values or in one numpy pass that repeats CPython's
+``complex`` arithmetic, and are charged up to the first that fails, as
+a loop stopping there would be.  Passing ``None`` as the counter
+disables counting without changing any numeric result.
 
 Equality of scalars is decided by a single :class:`TolerancePolicy`
 shared across the package, since the values flowing through the

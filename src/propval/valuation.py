@@ -28,7 +28,6 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
-    NotUnitNorm,
     Projector,
     StateVector,
     SubspaceBasis,
@@ -38,6 +37,7 @@ from .linalg import (
     null_space_basis,
     range_basis,
 )
+from .linalg import _require_unit
 from .membership import kernel_membership, membership_of
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
@@ -110,8 +110,7 @@ def _check_state(p: Projector, psi: StateVector, tol: TolerancePolicy) -> None:
         raise DimensionMismatch(
             f"state dim {psi.dim} does not match projector dim {p.dim}"
         )
-    if not psi.is_unit(tol):
-        raise NotUnitNorm(f"state norm {psi.norm} deviates from 1")
+    _require_unit(psi, tol)
 
 
 def valuate(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propval import linalg
+from propval import linalg, membership
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
     DimensionMismatch,
@@ -28,7 +28,7 @@ from propval.membership import (
     range_membership,
     residual_oracle,
 )
-from propval.numerics import DEFAULT_TOLERANCE, OpCounter
+from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
 from propval.valuation import TruthValue, valuate
 
 S2 = 1 / math.sqrt(2)
@@ -205,6 +205,96 @@ def test_range_check_matches_its_own_loop(system):
         res = decide(column.reshape(-1, 1), psi, ctx)
         assert (res.member, res.witness) == want
         assert res.counts == ctx == want_ctx  # early-exit index included
+
+
+def assert_range_check_matches_reference(column, psi):
+    want_ctx = OpCounter()
+    want = reference_range_membership(column, psi, want_ctx)
+    for decide in (range_membership, membership_of):
+        ctx = OpCounter()
+        res = decide(column.reshape(-1, 1), psi, ctx)
+        assert (res.member, res.witness) == want
+        assert res.counts == ctx == want_ctx  # early-exit index included
+
+
+@st.composite
+def long_one_column_systems(draw):
+    """n = 65..512, past the first comparison into the vectorised pass: the
+    anchor placed late behind entries at or below the anchor threshold,
+    more such entries after it, and states on the span, off it, or moved
+    off it at one row before or after the anchor."""
+    n = draw(st.integers(65, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = rng.normal(size=n) + 1j * rng.normal(size=n)
+    column *= draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    anchor = draw(st.integers(1, n - 2))
+    below = draw(st.sampled_from([0.0, 1e-12]))  # times |entry|: under 1e-9 max
+    quiet = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    quiet[: anchor + 1] = False
+    column[:anchor] *= below
+    column[quiet] *= below
+    rhs = (rng.normal() + 1j * rng.normal()) * column
+    family = draw(st.sampled_from(["span", "off", "before", "after"]))
+    if family == "off":
+        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    elif family != "span":
+        rows = (0, anchor) if family == "before" else (anchor + 1, n)
+        j = draw(st.integers(rows[0], rows[1] - 1))
+        margin = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 1e6]))
+        rhs[j] += margin * 1e-9 / abs(column[anchor])
+    return column, StateVector(rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=long_one_column_systems())
+def test_long_range_checks_match_the_loop(system):
+    assert_range_check_matches_reference(*system)
+
+
+@pytest.mark.parametrize("family", ["span", "off"])
+@pytest.mark.parametrize("state_scale", [1e160, 1e-160, 1e200, 1e-200])
+@pytest.mark.parametrize("column_scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_range_check_matches_the_loop_at_extreme_scales(
+    column_scale, state_scale, family
+):
+    """Products past the float range become inf or NaN, or underflow,
+    exactly as in the loop over ``complex`` values, and raise no warning.
+    The first row compared (row 1, after the anchor in row 0) is zero on
+    both sides and passes, so every further row runs in the vectorised
+    pass, the anchor row's own product included."""
+    rng = np.random.default_rng(5)
+    n = 100
+    direction = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if family == "span":
+        rhs = (rng.normal() + 1j * rng.normal()) * direction
+    direction[1] = rhs[1] = 0
+    assert_range_check_matches_reference(
+        column_scale * direction, StateVector(state_scale * rhs)
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e150, 1e-150])
+def test_vectorised_comparisons_round_as_cpython(scale):
+    """Each row sits exactly on the bound of its own tolerance, so the
+    vectorised pass agrees with ``TolerancePolicy.equal`` on ``complex``
+    values only if its products, differences, magnitudes and bound carry
+    the same bits."""
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        col = (rng.normal(size=2) + 1j * rng.normal(size=2)) * scale
+        rhs = col * (rng.normal() + 1j * rng.normal())
+        rhs += (rng.normal(size=2) + 1j * rng.normal(size=2)) * scale * 1e-8
+        p, q = complex(col[0]) * complex(rhs[1]), complex(col[1]) * complex(rhs[0])
+        gap, size = abs(p - q), max(abs(p), abs(q))
+        for tol in (
+            TolerancePolicy(gap, 0.0),
+            TolerancePolicy(math.nextafter(gap, 0.0), 0.0),
+            TolerancePolicy(0.0, gap / size),
+            TolerancePolicy(0.0, math.nextafter(gap / size, 0.0)),
+        ):
+            fail = membership._first_cross_failure(col, rhs, 0, tol)
+            assert (fail is None) == tol.equal(p, q), (col, rhs, tol)
 
 
 def test_counts_are_this_calls_tally_while_ctx_accumulates():

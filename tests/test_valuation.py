@@ -8,6 +8,7 @@ import pytest
 from propval.fixtures import TargetKind, qubit_fixture, random_instance, spin52_fixture
 from propval.linalg import (
     DimensionMismatch,
+    NonFiniteEntry,
     NotUnitNorm,
     StateVector,
     kernel_basis,
@@ -84,6 +85,22 @@ def test_valuate_rejects_bad_states():
         valuate(fx.projector, StateVector([2.0, 0.0]))
     with pytest.raises(DimensionMismatch):
         valuate(fx.projector, StateVector([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_non_finite_states_name_the_non_finite_entry(bad):
+    """A NaN or infinite component makes the norm NaN or infinite too;
+    the error names the entry, not the norm."""
+    fx = qubit_fixture()
+    psi = StateVector([bad, 0.0])
+    for decide in (
+        lambda: valuate(fx.projector, psi),
+        lambda: valuate_ql(fx.projector, psi),
+        lambda: valuate_ql(fx.projector, psi, gap_to_true=True),
+        lambda: projector_from_state(psi),
+    ):
+        with pytest.raises(NonFiniteEntry):
+            decide()
 
 
 def test_valuate_trivial_projectors():
