@@ -55,7 +55,6 @@ from .linalg import (
     decompose,
     independent_columns,
     kernel_basis,
-    kernel_factor,
     load_matrix,
     load_state,
     matrix_rank,
@@ -63,18 +62,19 @@ from .linalg import (
     projector_from_state,
     range_basis,
     save_matrix,
+    subspace_factor,
     validate_projector,
 )
 from .membership import (
     AugmentedMatrix,
     MembershipResult,
     ZeroColumn,
-    kernel_membership,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,
     range_membership,
     residual_oracle,
+    subspace_membership,
 )
 from .numerics import (
     DEFAULT_TOLERANCE,

@@ -1,13 +1,16 @@
-"""Dense complex matrices, projector validation, and subspace bases.
+"""Dense complex matrices, projector validation, and subspace factors.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 value types below (:class:`StateVector`, :class:`Projector`,
 :class:`SubspaceBasis`, :class:`EchelonFactor`) are immutable wrappers:
 their backing arrays are marked read-only on construction so instances
-can be shared freely between threads.  A :class:`Projector` also
-memoises, once per tolerance policy, its range basis and its kernel
-factor, whose pivot columns are the kernel basis; each memo entry is
-written at most once, so sharing stays safe.
+can be shared freely between threads.  A :class:`Projector` memoises
+one factor per subspace and tolerance policy
+(:func:`subspace_factor`): the elimination of ``P`` for its range, of
+``I - P`` for its kernel.  The pivot columns of each are that
+subspace's basis, so :func:`range_basis` and :func:`kernel_basis` read
+it off the factor.  Each memo entry is written at most once, so sharing
+stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot at or below ``abs_eps * max|entry|`` of the eliminated matrix as
@@ -15,11 +18,11 @@ zero; that one threshold serves bases, ranks and factors alike.  Basis
 columns are selected deterministically, lowest index first, so repeated
 runs pick the same vectors.  That loop, :func:`_row_echelon`, is the
 package's one elimination core: it picks bases, and its factors
-(:func:`kernel_factor`, ``_factor``) serve every elimination decider in
-``membership``.  It works in panels of columns: one rank-1 update per
+(:func:`subspace_factor`, ``_factor``) serve every elimination decider
+in ``membership``.  It works in panels of columns: one rank-1 update per
 pivot inside a panel, then one matrix product for the block right of
-and below it.  One elimination of ``I - P`` gives both the kernel basis
-and its factor, because a non-pivot column issues no update.
+and below it.  One elimination of ``P`` or ``I - P`` gives both the
+basis and its factor, because a non-pivot column issues no update.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -118,10 +121,10 @@ class Projector:
 
     Construct through :func:`validate_projector` or
     :func:`projector_from_state`; the constructor itself performs no
-    checks.  :func:`range_basis` and :func:`kernel_factor` (behind
-    :func:`kernel_basis`) compute their value once per tolerance policy
-    and keep it on the instance; the memo is write-once, holds read-only
-    values, and takes no part in equality.
+    checks.  :func:`subspace_factor` factors the range or kernel system
+    once per tolerance policy and keeps the factor on the instance
+    (:func:`validate_projector` seeds the range factor); the memo is
+    write-once, holds read-only values, and takes no part in equality.
     """
 
     array: np.ndarray
@@ -262,8 +265,8 @@ class EchelonFactor:
       column the cross-product check anchors on;
     * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
       the one pivot and anchor threshold;
-    * ``basis`` -- for a projector's kernel, the pivot columns of
-      ``I - P`` that are the system's unknowns.
+    * ``basis`` -- for a projector's range or kernel, the pivot columns
+      of ``P`` or ``I - P`` that are the system's unknowns.
 
     Arrays are read-only, so a factor is shared freely between threads.
     """
@@ -393,8 +396,8 @@ def validate_projector(
 ) -> Projector:
     """Check finiteness, Hermiticity and idempotency, compute the rank.
 
-    The independent columns that give the rank also seed the projector's
-    range basis for ``tol``.
+    The one elimination of ``m`` that gives the rank is kept as the
+    projector's range factor for ``tol``.
     """
     m = np.asarray(m, dtype=complex)
     _require_finite(m)
@@ -405,17 +408,30 @@ def validate_projector(
         raise NotHermitian("matrix is not Hermitian within tolerance")
     if max_abs(m @ m - m) > bound:
         raise NotIdempotent("matrix is not idempotent within tolerance")
-    cols = independent_columns(m, tol)
-    p = Projector(m, rank=len(cols))
-    p._memo[BasisKind.RANGE, tol] = SubspaceBasis(p.array[:, cols], BasisKind.RANGE)
+    f = _factor(m, tol, BasisKind.RANGE)
+    p = Projector(m, rank=f.unknowns)
+    p._memo[BasisKind.RANGE, tol] = f
     return p
 
 
-def _memoised(p: Projector, key: tuple, build):
-    """``p``'s value for ``key``, built on the first request; write-once."""
-    value = p._memo.get(key)
+def subspace_factor(
+    p: Projector, kind: BasisKind, tol: TolerancePolicy = DEFAULT_TOLERANCE
+) -> EchelonFactor:
+    """The factor of ``p``'s range or kernel system, memoised per policy.
+
+    One elimination of ``P`` (range) or ``I - P`` (kernel); its pivot
+    columns are the subspace's basis and the system's unknowns, so a
+    state's membership then costs one O(n k) solve against it, for a
+    subspace of dimension k.
+    """
+    if kind is BasisKind.RANGE and p.rank == 0:
+        raise ZeroProjector("range of the zero projector is {0}")
+    if kind is BasisKind.KERNEL and p.rank == p.dim:
+        raise FullRankProjector("kernel of a full-rank projector is {0}")
+    value = p._memo.get((kind, tol))
     if value is None:
-        value = p._memo.setdefault(key, build())
+        a = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
+        value = p._memo.setdefault((kind, tol), _factor(a, tol, kind))
     return value
 
 
@@ -423,39 +439,14 @@ def range_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SubspaceBasis:
     """Independent columns of the projector matrix, lowest index first."""
-    if p.rank == 0:
-        raise ZeroProjector("range of the zero projector is {0}")
-    return _memoised(
-        p,
-        (BasisKind.RANGE, tol),
-        lambda: SubspaceBasis(
-            p.array[:, independent_columns(p.array, tol)], BasisKind.RANGE
-        ),
-    )
-
-
-def kernel_factor(
-    p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> EchelonFactor:
-    """The kernel system's factor: one elimination of ``I - M`` per policy.
-
-    Its pivot columns are the kernel basis and its unknowns; a state's
-    kernel membership then costs one O(n^2) solve against it.
-    """
-    if p.rank == p.dim:
-        raise FullRankProjector("kernel of a full-rank projector is {0}")
-    return _memoised(
-        p,
-        (BasisKind.KERNEL, tol),
-        lambda: _factor(np.eye(p.dim, dtype=complex) - p.array, tol, BasisKind.KERNEL),
-    )
+    return subspace_factor(p, BasisKind.RANGE, tol).basis
 
 
 def kernel_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> SubspaceBasis:
-    """Independent columns of (I - M), lowest index first (:func:`kernel_factor`)."""
-    return kernel_factor(p, tol).basis
+    """Independent columns of (I - M), lowest index first."""
+    return subspace_factor(p, BasisKind.KERNEL, tol).basis
 
 
 def decompose(

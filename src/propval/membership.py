@@ -10,11 +10,13 @@ cross-product consistency check to the rows left live, and
 back-substitutes a witness.  The factor costs O(n^3), the solve O(n^2).
 Deciders:
 
-* :func:`kernel_membership` -- the kernel system of a projector.  Its
-  factor is memoised on the projector
-  (:func:`~propval.linalg.kernel_factor`, whose pivot columns are the
-  kernel basis), so the elimination runs once per projector and
-  tolerance policy and every state pays only the solve.
+* :func:`subspace_membership` -- the range or kernel system of a
+  projector, one decider for both.  Its factor is memoised on the
+  projector (:func:`~propval.linalg.subspace_factor`, whose pivot
+  columns are the subspace's basis), so the elimination runs once per
+  projector, subspace and tolerance policy and every state pays only
+  the solve.  An empty subspace contains only the zero vector, and a
+  one-column subspace goes to :func:`range_membership`.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
   -- the same factor and solve on a bare :class:`AugmentedMatrix`; the
   two differ only in what each step is charged.  The iterative form is
@@ -66,11 +68,12 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
+    BasisKind,
     EchelonFactor,
     Projector,
     StateVector,
     SubspaceBasis,
-    kernel_factor,
+    subspace_factor,
 )
 from .linalg import _factor, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
@@ -79,12 +82,12 @@ __all__ = [
     "AugmentedMatrix",
     "MembershipResult",
     "ZeroColumn",
-    "kernel_membership",
     "kernel_membership_iterative",
     "kernel_membership_matrix",
     "membership_of",
     "range_membership",
     "residual_oracle",
+    "subspace_membership",
 ]
 
 
@@ -225,8 +228,7 @@ def _cross_consistency(
         return True, 0j
     anchor = int(above.argmax())
     if not above[anchor]:
-        size = _magnitudes(rhs)
-        fail = _first_false(size <= tol.abs_eps + tol.rel_eps * size)
+        fail = _first_nonzero(rhs, tol)
         fctx.cmp += n if fail is None else fail + 1
         return (True, 0j) if fail is None else (False, None)
     a_col, a_rhs = complex(col[anchor]), complex(rhs[anchor])
@@ -272,6 +274,12 @@ def _first_cross_failure(
             ok[anchor] = True
             fail = _first_false(ok)
     return fail
+
+
+def _first_nonzero(rhs: np.ndarray, tol: TolerancePolicy) -> int | None:
+    """The first entry of ``rhs`` that ``tol.equal`` tells apart from zero."""
+    size = _magnitudes(rhs)
+    return _first_false(size <= tol.abs_eps + tol.rel_eps * size)
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -377,26 +385,27 @@ def kernel_membership_matrix(
     return _solve(f, aug.body[:, -1], ctx, tol, full_block=True)
 
 
-def kernel_membership(
+def subspace_membership(
     p: Projector,
+    kind: BasisKind,
     psi: StateVector,
     ctx: OpCounter | None = None,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> MembershipResult:
-    """Does psi lie in the kernel of ``p``?
+    """Does psi lie in the range or the kernel of ``p``?
 
-    Solves against ``p``'s memoised :func:`~propval.linalg.kernel_factor`:
-    the first request per tolerance policy pays the one O(n^3)
-    elimination of ``I - P``, which also picks the kernel basis, and
-    every state pays only the O(n^2) :func:`_solve`.  Verdict, witness
-    and tallies are those of :func:`membership_of` on the kernel basis:
-    an empty kernel contains only the zero vector, and a one-column
-    kernel reports its cross check as ``counts``, as the range check
-    does.
+    Solves against ``p``'s memoised :func:`~propval.linalg.subspace_factor`:
+    the first request per subspace and tolerance policy pays the one
+    O(n^3) elimination of ``P`` or ``I - P``, which also picks the
+    basis, and every state pays only the O(n k) :func:`_solve` for a
+    subspace of dimension k.
+    Verdict, witness and tallies are those of :func:`membership_of` on
+    the basis: an empty subspace contains only the zero vector, and a
+    one-column subspace is the O(n) :func:`range_membership`.
     """
-    if p.rank == p.dim:
-        return membership_of(np.zeros((p.dim, 0), dtype=complex), psi, ctx, tol)
-    f = kernel_factor(p, tol)
+    if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
+        return membership_of(np.zeros((p.dim, 0)), psi, ctx, tol)
+    f = subspace_factor(p, kind, tol)
     if f.unknowns < 2:
         return membership_of(f.basis.array, psi, ctx, tol)
     return _solve(f, _rhs(p.dim, psi), ctx, tol, full_block=False)
@@ -438,8 +447,7 @@ def membership_of(
         raise DimensionMismatch("expected a 2-d column stack")
     k = columns.shape[1]
     if k == 0:
-        _require_finite(psi.components)
-        member = bool(np.all(np.abs(psi.components) <= tol.abs_eps))
+        member = _first_nonzero(_rhs(columns.shape[0], psi), tol) is None
         return MembershipResult(member, [] if member else None, OpCounter())
     if k == 1:
         return range_membership(columns, psi, ctx, tol)

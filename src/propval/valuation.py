@@ -5,7 +5,10 @@ membership: ``TRUE`` if the state lies in the projector's range,
 ``FALSE`` if in its kernel, and ``GAP`` when in neither (the ranges and
 kernels of a projector split the space, so TRUE and FALSE exclude each
 other).  Each verdict carries the operation tallies of the membership
-checks that ran.
+checks that ran.  Both systems are decided by the one decider
+:func:`~propval.membership.subspace_membership`, against the factor
+each projector keeps per subspace, so a verdict after the first on a
+projector costs a solve, never an elimination.
 
 :func:`valuate_ql` is the two-valued variant that collapses the gap
 into FALSE by deciding on the range system alone (both outcomes then
@@ -27,18 +30,18 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    BasisKind,
     DimensionMismatch,
     Projector,
     StateVector,
     SubspaceBasis,
     independent_columns,
-    kernel_basis,
     matrix_rank,
     null_space_basis,
-    range_basis,
+    subspace_factor,
 )
 from .linalg import _require_unit
-from .membership import kernel_membership, membership_of
+from .membership import membership_of, subspace_membership
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -93,18 +96,6 @@ class TruthVerdict:
     witness: list[complex] | None
 
 
-def _range_columns(p: Projector, tol: TolerancePolicy) -> np.ndarray:
-    if p.rank == 0:
-        return np.zeros((p.dim, 0), dtype=complex)
-    return range_basis(p, tol).array
-
-
-def _kernel_columns(p: Projector, tol: TolerancePolicy) -> np.ndarray:
-    if p.rank == p.dim:
-        return np.zeros((p.dim, 0), dtype=complex)
-    return kernel_basis(p, tol).array
-
-
 def _check_state(p: Projector, psi: StateVector, tol: TolerancePolicy) -> None:
     if psi.dim != p.dim:
         raise DimensionMismatch(
@@ -118,12 +109,12 @@ def valuate(
 ) -> TruthVerdict:
     """Three-valued verdict: range member, else kernel member, else gap."""
     _check_state(p, psi, tol)
-    range_result = membership_of(_range_columns(p, tol), psi, OpCounter(), tol)
+    range_result = subspace_membership(p, BasisKind.RANGE, psi, tol=tol)
     decisive, kernel_counts = range_result, OpCounter()
     if range_result.member:
         value = TruthValue.TRUE
     else:
-        decisive = kernel_membership(p, psi, OpCounter(), tol)
+        decisive = subspace_membership(p, BasisKind.KERNEL, psi, tol=tol)
         value = TruthValue.FALSE if decisive.member else TruthValue.GAP
         kernel_counts = decisive.counts
     gap = range_result.counts + kernel_counts if value is TruthValue.GAP else None
@@ -145,11 +136,11 @@ def valuate_ql(
     FALSE iff it is consistent (gap collapses into TRUE).
     """
     _check_state(p, psi, tol)
+    kind = BasisKind.KERNEL if gap_to_true else BasisKind.RANGE
+    result = subspace_membership(p, kind, psi, tol=tol)
     if gap_to_true:
-        result = kernel_membership(p, psi, OpCounter(), tol)
         value = TruthValue.FALSE if result.member else TruthValue.TRUE
         return TruthVerdict(value, OpCounter(), result.counts, None, result.witness)
-    result = membership_of(_range_columns(p, tol), psi, OpCounter(), tol)
     value = TruthValue.TRUE if result.member else TruthValue.FALSE
     return TruthVerdict(value, result.counts, OpCounter(), None, result.witness)
 
@@ -191,6 +182,13 @@ class Subspace:
         self, psi: StateVector, tol: TolerancePolicy = DEFAULT_TOLERANCE
     ) -> bool:
         return membership_of(self.array, psi, OpCounter(), tol).member
+
+
+def _subspace(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
+    """``p``'s range or kernel, from its memoised factor; {0} when empty."""
+    if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
+        return Subspace.zero(p.dim)
+    return Subspace.from_basis(subspace_factor(p, kind, tol).basis)
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -289,12 +287,12 @@ def demo_nondistributivity(
             f"commutator norm {commutator_norm:.3e} is below "
             f"{COMMUTATOR_TOLERANCE:.1e}"
         )
-    q_range = Subspace(_range_columns(q, tol))
-    if not q_range.contains(phi, tol):
+    if not subspace_membership(q, BasisKind.RANGE, phi, tol=tol).member:
         raise PhiNotInRange("phi must lie in the range of the first projector")
 
-    p_range = Subspace(_range_columns(p, tol))
-    p_kernel = Subspace(_kernel_columns(p, tol))
+    q_range = _subspace(q, BasisKind.RANGE, tol)
+    p_range = _subspace(p, BasisKind.RANGE, tol)
+    p_kernel = _subspace(p, BasisKind.KERNEL, tol)
     lhs = meet(q_range, join(p_range, p_kernel, tol), tol)
     with_p = meet(q_range, p_range, tol)
     with_complement = meet(q_range, p_kernel, tol)

@@ -70,15 +70,15 @@ def test_benchmark_is_deterministic_and_ordered():
 
 def test_benchmark_extracts_each_basis_once_per_dimension(monkeypatch):
     calls = []
-    original = linalg.independent_columns
+    original = linalg._row_echelon
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return original(*args, **kwargs)
+    def counted(w, ncols, threshold):
+        calls.append(w.shape[1])
+        return original(w, ncols, threshold)
 
-    monkeypatch.setattr(linalg, "independent_columns", counted)
+    monkeypatch.setattr(linalg, "_row_echelon", counted)
     benchmark_paths([3, 4, 5], seed=11)
-    assert calls == [3, 4, 5]  # the range basis; the kernel's comes with its factor
+    assert calls == [3, 3, 4, 4, 5, 5]  # per dimension: P's factor, then I - P's
 
 
 def test_csv_schema():

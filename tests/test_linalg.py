@@ -26,7 +26,6 @@ from propval.linalg import (
     decompose,
     independent_columns,
     kernel_basis,
-    kernel_factor,
     load_matrix,
     load_state,
     matrix_rank,
@@ -34,9 +33,10 @@ from propval.linalg import (
     projector_from_state,
     range_basis,
     save_matrix,
+    subspace_factor,
     validate_projector,
 )
-from propval.numerics import TolerancePolicy
+from propval.numerics import DEFAULT_TOLERANCE, TolerancePolicy
 from propval.valuation import TruthValue, valuate, valuate_ql
 
 S2 = 1 / math.sqrt(2)
@@ -384,36 +384,8 @@ def test_value_types_are_immutable():
         s.components[0] = 2.0
 
 
-def test_bases_are_computed_once_per_policy(monkeypatch):
-    calls = []
-    original = linalg.independent_columns
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "independent_columns", counted)
-    drawn, _ = random_instance(8, 3, TargetKind.IN_RANGE)
-    p = validate_projector(drawn.array)
-    for target, expected in (
-        (TargetKind.IN_RANGE, TruthValue.TRUE),
-        (TargetKind.IN_KERNEL, TruthValue.FALSE),
-        (TargetKind.GENERIC, TruthValue.GAP),
-    ):
-        assert valuate(p, random_instance(8, 3, target)[1]).value is expected
-    # validation seeds the range basis; the kernel's comes with its factor
-    assert len(calls) == 1
-    assert range_basis(p, TolerancePolicy()) is range_basis(p)
-    assert kernel_basis(p, TolerancePolicy()) is kernel_basis(p)
-    assert kernel_factor(p, TolerancePolicy()) is kernel_factor(p)
-    assert kernel_basis(p) is kernel_factor(p).basis
-    assert len(calls) == 1
-    wider = TolerancePolicy(abs_eps=1e-6)
-    assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
-    assert len(calls) == 2
-
-
-def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
+def count_eliminations(monkeypatch):
+    """Columns of every array ``linalg._row_echelon`` runs on, in order."""
     calls = []
     original = linalg._row_echelon
 
@@ -422,10 +394,41 @@ def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
         return original(w, ncols, threshold)
 
     monkeypatch.setattr(linalg, "_row_echelon", counted)
+    return calls
+
+
+def test_bases_are_computed_once_per_policy(monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    drawn, _ = random_instance(8, 3, TargetKind.IN_RANGE)
+    p = validate_projector(drawn.array)
+    assert calls == [8]  # P: the rank and the range factor in one
+    for target, expected in (
+        (TargetKind.IN_RANGE, TruthValue.TRUE),
+        (TargetKind.IN_KERNEL, TruthValue.FALSE),
+        (TargetKind.GENERIC, TruthValue.GAP),
+    ):
+        assert valuate(p, random_instance(8, 3, target)[1]).value is expected
+    assert calls == [8, 8]  # I - P, on the first kernel verdict
+    bases = {BasisKind.RANGE: range_basis, BasisKind.KERNEL: kernel_basis}
+    for kind, basis in bases.items():
+        f = subspace_factor(p, kind, TolerancePolicy())
+        assert f is subspace_factor(p, kind) is p._memo[kind, DEFAULT_TOLERANCE]
+        assert basis(p, TolerancePolicy()) is basis(p) is f.basis
+    assert calls == [8, 8]
+    wider = TolerancePolicy(abs_eps=1e-6)
+    assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
+    assert np.array_equal(kernel_basis(p, wider).array, kernel_basis(p).array)
+    assert calls == [8, 8, 8, 8]  # one per (kind, policy)
+    assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())
+    assert len(p._memo) == 4
+
+
+def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
+    calls = count_eliminations(monkeypatch)
     n = 40  # more than one panel
     drawn, first = random_instance(n, 5, TargetKind.IN_KERNEL)
     p = validate_projector(drawn.array)
-    calls.clear()  # validation eliminates P for the range basis
+    calls.clear()  # validation eliminates P for the range factor
     assert valuate(p, first).value is TruthValue.FALSE
     assert calls == [n]  # I - P: the kernel basis and the factor in one
     calls.clear()
@@ -436,6 +439,28 @@ def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
     assert valuate(p, second).value is TruthValue.FALSE
     assert valuate_ql(p, second, gap_to_true=True).value is TruthValue.FALSE
     assert calls == []
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_range_verdicts_solve_against_the_factor_validation_made(monkeypatch, rank):
+    calls = count_eliminations(monkeypatch)
+    n = 40
+    rng = np.random.default_rng(rank)
+    q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
+    p = validate_projector(q @ q.conj().T)
+    assert p.rank == rank
+    assert calls == [n]  # P: the rank, the range basis and its factor in one
+    calls.clear()
+    in_range = StateVector(q @ random_unit(rng, rank))
+    for _ in range(3):
+        assert valuate(p, in_range).value is TruthValue.TRUE
+    assert valuate_ql(p, in_range).value is TruthValue.TRUE
+    assert calls == []  # a solve per range verdict, no elimination
+    generic = StateVector(random_unit(rng, n))
+    assert valuate(p, generic).value is TruthValue.GAP
+    assert valuate_ql(p, generic).value is TruthValue.FALSE
+    assert valuate_ql(p, generic, gap_to_true=True).value is TruthValue.TRUE
+    assert calls == [n]  # I - P, once
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,7 +512,7 @@ def test_threads_sharing_a_projector_get_one_basis_per_policy():
         assert all(basis is got[0] for basis in got)
 
 
-def test_threads_valuating_shared_projectors_get_one_factor_per_policy():
+def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypatch):
     cases = [random_instance(40, s, TargetKind.IN_KERNEL) for s in range(8)]
     policies = (TolerancePolicy(), TolerancePolicy(abs_eps=1e-8))
     seen = [[] for _ in cases]
@@ -496,7 +521,8 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy():
         for (p, psi), got in zip(cases, seen):
             for tol in policies:
                 verdict = valuate(p, psi, tol)
-                got.append((tol, verdict, kernel_factor(p, tol), kernel_basis(p, tol)))
+                factors = {kind: subspace_factor(p, kind, tol) for kind in BasisKind}
+                got.append((tol, verdict, factors, kernel_basis(p, tol)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,12 +536,19 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for (p, _), got in zip(cases, seen):
-        factors = [v for v in p._memo.values() if isinstance(v, linalg.EchelonFactor)]
-        assert len(factors) == len(policies)
+        assert len(p._memo) == len(BasisKind) * len(policies)
+        assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())
         for tol in policies:
             mine = [g for g in got if g[0] == tol]
             assert len(mine) == len(threads)
-            assert all(f is p._memo[BasisKind.KERNEL, tol] for _, _, f, _ in mine)
-            assert all(b is mine[0][2].basis for _, _, _, b in mine)
+            for kind in BasisKind:
+                assert all(fs[kind] is p._memo[kind, tol] for _, _, fs, _ in mine)
+            assert all(b is mine[0][2][BasisKind.KERNEL].basis for *_, b in mine)
             assert all(v == mine[0][1] for _, v, _, _ in mine)
             assert mine[0][1].value is TruthValue.FALSE
+    # whichever thread built a factor, later verdicts eliminate nothing
+    calls = count_eliminations(monkeypatch)
+    for p, psi in cases:
+        for tol in policies:
+            assert valuate(p, psi, tol).value is TruthValue.FALSE
+    assert calls == []

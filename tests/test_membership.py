@@ -4,32 +4,33 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propval import linalg, membership
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
+    BasisKind,
     DimensionMismatch,
     NonFiniteEntry,
     StateVector,
     kernel_basis,
-    kernel_factor,
     range_basis,
+    subspace_factor,
     validate_projector,
 )
 from propval.membership import (
     AugmentedMatrix,
     MembershipResult,
     ZeroColumn,
-    kernel_membership,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,
     range_membership,
     residual_oracle,
+    subspace_membership,
 )
 from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
-from propval.valuation import TruthValue, valuate
+from propval.valuation import Subspace, TruthValue, valuate
 
 S2 = 1 / math.sqrt(2)
 
@@ -548,6 +549,15 @@ def test_membership_dispatch_by_width():
     assert membership_of(np.eye(3)[:, :1], unit).member  # single column
 
 
+def test_the_empty_span_checks_the_state_dimension():
+    zero = membership_of(np.zeros((3, 0)), StateVector(np.zeros(3)))
+    assert zero.member and zero.counts == OpCounter()
+    with pytest.raises(DimensionMismatch):
+        membership_of(np.zeros((3, 0)), StateVector(np.zeros(5)))
+    with pytest.raises(DimensionMismatch):
+        Subspace.zero(3).contains(StateVector(np.zeros(4)))
+
+
 # ------------------------------------------------- factor against the loop
 
 
@@ -668,16 +678,32 @@ def projector_systems(draw):
     return projector_with_state(draw, 2, [1.0])
 
 
+def two_panel_case():
+    """n = 80, rank 40, a state in the range: the range unknowns, and the
+    kernel's, span two elimination panels."""
+    rng = np.random.default_rng(40)
+    raw = rng.normal(size=(80, 40)) + 1j * rng.normal(size=(80, 40))
+    q, _ = np.linalg.qr(raw)
+    v = q @ (rng.normal(size=40) + 1j * rng.normal(size=40))
+    return q @ q.conj().T, StateVector(v / np.linalg.norm(v))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=projector_systems(), columns=st.sampled_from(["basis", "all"]))
+@example(case=two_panel_case(), columns="basis")
 def test_factored_deciders_match_the_per_state_elimination(case, columns):
     m, psi = case
-    p = validate_projector(m)  # fresh: no kernel factor yet
-    got = kernel_membership(p, psi)
+    p = validate_projector(m)  # fresh: the range factor only
+    in_range = subspace_membership(p, BasisKind.RANGE, psi)
+    assert_same_decision(in_range, reference_membership_of(range_basis(p).array, psi))
+    got = subspace_membership(p, BasisKind.KERNEL, psi)
     basis = kernel_basis(p).array
     assert_same_decision(got, reference_membership_of(basis, psi))
     verdict = valuate(p, psi)
-    if verdict.value is not TruthValue.TRUE:
+    assert verdict.cost_true_path == in_range.counts
+    if verdict.value is TruthValue.TRUE:
+        assert verdict.witness == in_range.witness
+    else:
         assert verdict.cost_false_path == got.counts
         assert verdict.witness == got.witness
     # bare systems: the kernel basis, or every column of I - P with free unknowns
@@ -692,27 +718,28 @@ def test_factored_deciders_match_the_per_state_elimination(case, columns):
 
 
 @st.composite
-def kernels_of_width_two_or_more(draw):
+def subspaces_of_width_two_or_more(draw):
     return projector_with_state(draw, 5, [1.0, 0.3, 0.05, 1e-3])
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=kernels_of_width_two_or_more())
-def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case):
-    """Factoring I - P scales the pivot threshold by max|I - P|; factoring
-    its basis columns alone by their own maximum.  Both pick the same
-    pivots and interchanges and reach the same verdicts, also when the
-    largest entry of I - P sits in a column the basis drops."""
+@given(case=subspaces_of_width_two_or_more(), kind=st.sampled_from(BasisKind))
+def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
+    """Factoring P or I - P scales the pivot threshold by its maximum
+    entry; factoring the basis columns alone by their own maximum.  Both
+    pick the same pivots and interchanges and reach the same verdicts,
+    also when the largest entry sits in a column the basis drops."""
     m, psi = case
     p = validate_projector(m)
-    fused = kernel_factor(p)
+    fused = subspace_factor(p, kind)
     basis = fused.basis.array
     alone = linalg._factor(basis, DEFAULT_TOLERANCE)
-    complement = np.eye(p.dim) - p.array
-    if np.abs(complement).max() > np.abs(basis).max():
+    factored = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
+    if np.abs(factored).max() > np.abs(basis).max():
         assert fused.threshold > alone.threshold
     assert fused.positions == alone.positions == tuple(range(fused.unknowns - 1))
     assert fused.swapped == alone.swapped
-    assert fused.unknowns == alone.unknowns == p.dim - p.rank
+    count = p.rank if kind is BasisKind.RANGE else p.nullity
+    assert fused.unknowns == alone.unknowns == count
     bare = kernel_membership_iterative(AugmentedMatrix.from_system(basis, psi))
-    assert kernel_membership(p, psi).member == bare.member
+    assert subspace_membership(p, kind, psi).member == bare.member
