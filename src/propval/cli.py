@@ -13,12 +13,19 @@ status 2 means the input or configuration was rejected, with a
 diagnostic naming the violated invariant.  Reports are JSON with
 numbers rendered to 9 significant digits; default seeds are fixed, so
 default runs are byte-reproducible.  The environment variable
-``PROPVAL_TOLERANCE`` overrides the absolute comparison tolerance.
+``PROPVAL_TOLERANCE`` overrides the absolute comparison tolerance; it
+is read on every call.
+
+:func:`main` can be called repeatedly in one process: the first call
+builds the parser and later calls reuse it, so a one-shot ``propval``
+process builds one parser, as before.  :func:`build_parser` returns a
+fresh parser on every call, safe to extend.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,8 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "cost" and (args.p is None) == (args.q is None):
         parser.error("provide exactly one of --p or --q")

@@ -9,8 +9,9 @@ one factor per subspace and tolerance policy
 (:func:`subspace_factor`): the elimination of ``P`` for its range, of
 ``I - P`` for its kernel.  The pivot columns of each are that
 subspace's basis, so :func:`range_basis` and :func:`kernel_basis` read
-it off the factor.  Each memo entry is written at most once, so sharing
-stays safe.
+it off the factor.  Each memo entry is written at most once, and a
+lock on the miss path makes threads that miss the same entry build it
+once, so sharing stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot at or below ``abs_eps * max|entry|`` of the eliminated matrix as
@@ -32,6 +33,7 @@ File format for matrices and vectors (vectors are n x 1)::
 from __future__ import annotations
 
 import json
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -414,6 +416,11 @@ def validate_projector(
     return p
 
 
+# Serialises memo misses so threads that miss the same key build its
+# factor once; hits never take it.
+_FACTOR_BUILD = threading.Lock()
+
+
 def subspace_factor(
     p: Projector, kind: BasisKind, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> EchelonFactor:
@@ -430,8 +437,11 @@ def subspace_factor(
         raise FullRankProjector("kernel of a full-rank projector is {0}")
     value = p._memo.get((kind, tol))
     if value is None:
-        a = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
-        value = p._memo.setdefault((kind, tol), _factor(a, tol, kind))
+        with _FACTOR_BUILD:
+            value = p._memo.get((kind, tol))
+            if value is None:
+                a = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
+                value = p._memo[kind, tol] = _factor(a, tol, kind)
     return value
 
 
@@ -498,8 +508,10 @@ def load_matrix(path) -> np.ndarray:
     with open(path) as f:
         try:
             d = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise MalformedMatrixFile(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise MalformedMatrixFile("JSON nested too deeply") from None
     return matrix_from_json_dict(d)
 
 

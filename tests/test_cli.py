@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import propval
+from propval import cli
 from propval.cli import main
 from propval.fixtures import export_fixture, fixture_by_name
 from propval.linalg import save_matrix
@@ -53,9 +58,10 @@ def test_cli_stdout_is_byte_identical_to_the_recorded_output(
         str(tmp_path / arg) if arg.endswith(".json") else arg
         for arg in command.split()
     ]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == GOLDEN[command]
+    for _ in range(2):  # a repeat in the same process reuses the parser
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == GOLDEN[command]
 
 
 def test_valuate_spin52_fixture_files(capsys, spin52_files):
@@ -123,6 +129,21 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
     code, out, err = run(capsys, "valuate", str(proj), str(vec))
     assert code == 2 and out == ""
     assert "NonFiniteEntry" in err
+
+
+@pytest.mark.parametrize(
+    "content", [b"[" * 100000, b"\xff\xfe{}"], ids=["deeply-nested", "not-utf8"]
+)
+def test_valuate_rejects_malformed_matrix_files(capsys, qubit_files, tmp_path, content):
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(content)
+    for argv in (
+        [str(broken), qubit_files["state_z_up"]],
+        [qubit_files["projector"], str(broken)],
+    ):
+        code, out, err = run(capsys, "valuate", *argv)
+        assert code == 2 and out == ""
+        assert "MalformedMatrixFile" in err
 
 
 def test_valuate_missing_file(capsys, tmp_path):
@@ -308,3 +329,77 @@ def test_invalid_tolerance_is_rejected(capsys, qubit_files, monkeypatch, value, 
     assert "InvalidTolerance" in err
     if value == "abc":
         assert ("--tolerance" if source == "flag" else "PROPVAL_TOLERANCE") in err
+
+
+def test_main_builds_one_parser_for_many_calls(capsys, qubit_files, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (
+        ["valuate", qubit_files["projector"], qubit_files["state_y_plus"]],
+        ["valuate", qubit_files["projector"], qubit_files["state_y_plus"], "--ql"],
+        ["cost", "--t1", "10", "--tinf", "1", "--p", "2"],
+        ["demo", "nondistributivity", "--fixture", "spin52"],
+        ["bench", "--grid", "8"],
+    ):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+    cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import propval.cli\n"
+        "print(len(built), propval.cli._parser.cache_info().currsize)\n"
+    )
+    src = str(Path(propval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
+
+
+def test_the_tolerance_variable_is_read_on_every_call(
+    capsys, qubit_files, monkeypatch
+):
+    monkeypatch.delenv("PROPVAL_TOLERANCE", raising=False)
+    argv = ["valuate", qubit_files["projector"], qubit_files["state_z_up"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] == "gap"
+    monkeypatch.setenv("PROPVAL_TOLERANCE", "0.8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verdict"] == "true"
+
+
+def test_a_reused_parser_still_rejects_bad_usage(capsys, qubit_files):
+    verdict = ["valuate", qubit_files["projector"], qubit_files["state_y_plus"]]
+    valid = ["cost", "--t1", "10", "--tinf", "1", "--p", "2"]
+    assert run(capsys, *verdict)[0] == 0
+    assert run(capsys, *valid)[0] == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--t1", "10", "--tinf", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: propval ")
+        assert "provide exactly one of --p or --q" in captured.err
+    code, out, _ = run(capsys, *valid)
+    assert code == 0 and json.loads(out)["processors"] == 2

@@ -524,6 +524,7 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
                 factors = {kind: subspace_factor(p, kind, tol) for kind in BasisKind}
                 got.append((tol, verdict, factors, kernel_basis(p, tol)))
 
+    calls = count_eliminations(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -535,6 +536,8 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    # one elimination per (projector, kind, policy), however the threads raced
+    assert calls == [40] * len(cases) * len(BasisKind) * len(policies)
     for (p, _), got in zip(cases, seen):
         assert len(p._memo) == len(BasisKind) * len(policies)
         assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())
@@ -547,7 +550,7 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
             assert all(v == mine[0][1] for _, v, _, _ in mine)
             assert mine[0][1].value is TruthValue.FALSE
     # whichever thread built a factor, later verdicts eliminate nothing
-    calls = count_eliminations(monkeypatch)
+    calls.clear()
     for p, psi in cases:
         for tol in policies:
             assert valuate(p, psi, tol).value is TruthValue.FALSE
