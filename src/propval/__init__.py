@@ -50,7 +50,7 @@ from .linalg import (
     NotUnitNorm,
     Projector,
     StateVector,
-    SubspaceBasis,
+    Subspace,
     ZeroProjector,
     decompose,
     independent_columns,
@@ -87,7 +87,6 @@ from .valuation import (
     CommutingOperators,
     NondistributivityReport,
     PhiNotInRange,
-    Subspace,
     TruthValue,
     TruthVerdict,
     demo_nondistributivity,

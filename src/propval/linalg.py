@@ -1,11 +1,13 @@
-"""Dense complex matrices, projector validation, and subspace factors.
+"""Dense complex matrices, projector validation, subspaces and their factors.
 
 Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 value types below (:class:`StateVector`, :class:`Projector`,
-:class:`SubspaceBasis`, :class:`EchelonFactor`) are immutable wrappers:
+:class:`Subspace`, :class:`EchelonFactor`) are immutable wrappers:
 their backing arrays are marked read-only on construction so instances
-can be shared freely between threads.  A :class:`Projector` memoises
-one factor per subspace and tolerance policy
+can be shared freely between threads.  A :class:`Subspace` is the one
+column-stack type: a projector's range or kernel basis and every
+operand of the lattice in ``valuation`` alike.  A :class:`Projector`
+memoises one factor per subspace and tolerance policy
 (:func:`subspace_factor`): the elimination of ``P`` for its range, of
 ``I - P`` for its kernel.  The pivot columns of each are that
 subspace's basis, so :func:`range_basis` and :func:`kernel_basis` read
@@ -15,10 +17,11 @@ once, so sharing stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot at or below ``abs_eps * max|entry|`` of the eliminated matrix as
-zero; that one threshold serves bases, ranks and factors alike.  Basis
-columns are selected deterministically, lowest index first, so repeated
-runs pick the same vectors.  That loop, :func:`_row_echelon`, is the
-package's one elimination core: it picks bases, and its factors
+zero; that one threshold serves bases, ranks, null spaces and factors
+alike.  Basis columns are selected deterministically, lowest index
+first, so repeated runs pick the same vectors.  That loop,
+:func:`_row_echelon`, is the package's one elimination core: it picks
+bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
 in ``membership``.  It works in panels of columns: one rank-1 update per
 pivot inside a panel, then one matrix product for the block right of
@@ -146,24 +149,31 @@ class Projector:
 
 
 @dataclass(frozen=True)
-class SubspaceBasis:
-    """Linearly independent columns spanning a projector's range or kernel."""
+class Subspace:
+    """Span of independent columns: an ``ambient_dim x dim`` stack (none = {0})."""
 
-    array: np.ndarray  # n x k, columns are the basis vectors
-    kind: BasisKind
+    array: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.array, dtype=complex)
         if arr.ndim != 2:
-            raise DimensionMismatch("basis must be a 2-d column stack")
+            raise DimensionMismatch("subspace basis must be a 2-d column stack")
         _freeze(self, "array", arr)
 
+    @classmethod
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls(np.zeros((ambient_dim, 0), dtype=complex))
+
+    @classmethod
+    def full(cls, ambient_dim: int) -> "Subspace":
+        return cls(np.eye(ambient_dim, dtype=complex))
+
     @property
-    def dim(self) -> int:
+    def ambient_dim(self) -> int:
         return self.array.shape[0]
 
     @property
-    def count(self) -> int:
+    def dim(self) -> int:
         return self.array.shape[1]
 
 
@@ -279,7 +289,7 @@ class EchelonFactor:
     positions: tuple[int, ...]
     unknowns: int
     threshold: float
-    basis: SubspaceBasis | None = None
+    basis: Subspace | None = None
 
     def __post_init__(self):
         self.lu.setflags(write=False)
@@ -347,7 +357,7 @@ def _factor(
         tuple(position[c] for c in cols[:t]),
         len(unknowns),
         threshold,
-        None if kind is None else SubspaceBasis(a[:, cols], kind),
+        None if kind is None else Subspace(a[:, cols]),
     )
 
 
@@ -360,28 +370,48 @@ def independent_columns(
     below ``abs_eps * max|entry|`` is treated as zero and the column
     skipped.
     """
-    work = np.array(a, dtype=complex)
-    if work.ndim != 2:
-        raise DimensionMismatch("expected a 2-d array")
-    return _row_echelon(work, work.shape[1], tol.abs_eps * max_abs(work))[0]
+    return _echelon(a, tol)[1]
 
 
 def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     return len(independent_columns(a, tol))
 
 
+def _echelon(a: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, list[int]]:
+    """A checked copy of ``a`` in row echelon form, and its pivot columns."""
+    w = np.array(a, dtype=complex)
+    if w.ndim != 2:
+        raise DimensionMismatch("expected a 2-d array")
+    _require_finite(w)
+    return w, _row_echelon(w, w.shape[1], tol.abs_eps * max_abs(w))[0]
+
+
 def null_space_basis(
     a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> np.ndarray:
-    """Columns spanning the null space of ``a`` (possibly zero columns)."""
-    a = np.asarray(a, dtype=complex)
-    n_cols = a.shape[1]
-    if n_cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(a)
-    cutoff = tol.abs_eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].conj().T
+    """Columns spanning the null space of ``a``, one per free column.
+
+    From the row echelon form :func:`independent_columns` computes: the
+    vector of free column ``c`` is 1 at ``c``, 0 at the other free
+    columns, and solves ``U x = 0`` for the pivot entries by
+    back-substitution, all free columns at once.  U is the pivot rows of
+    the echelon form; a free column's entries left of a row's pivot are
+    sub-threshold candidates the elimination skipped, taken as 0.
+    """
+    w, cols = _echelon(a, tol)
+    n = w.shape[1]
+    pivots = set(cols)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=complex)
+    basis[free, range(len(free))] = 1
+    if free:
+        x = -w[: len(cols), free]
+        x[np.greater.outer(cols, free)] = 0
+        for i in range(len(cols) - 1, -1, -1):
+            x[i] /= w[i, cols[i]]
+            x[:i] -= np.multiply.outer(w[:i, cols[i]], x[i])
+        basis[cols] = x
+    return basis
 
 
 def projector_from_state(
@@ -447,14 +477,14 @@ def subspace_factor(
 
 def range_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> SubspaceBasis:
+) -> Subspace:
     """Independent columns of the projector matrix, lowest index first."""
     return subspace_factor(p, BasisKind.RANGE, tol).basis
 
 
 def kernel_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
-) -> SubspaceBasis:
+) -> Subspace:
     """Independent columns of (I - M), lowest index first."""
     return subspace_factor(p, BasisKind.KERNEL, tol).basis
 

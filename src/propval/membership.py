@@ -72,7 +72,7 @@ from .linalg import (
     EchelonFactor,
     Projector,
     StateVector,
-    SubspaceBasis,
+    Subspace,
     subspace_factor,
 )
 from .linalg import _factor, _require_finite
@@ -141,7 +141,7 @@ class MembershipResult:
 
 
 def range_membership(
-    r: SubspaceBasis | np.ndarray,
+    r: Subspace | np.ndarray,
     psi: StateVector,
     ctx: OpCounter | None = None,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
@@ -157,7 +157,7 @@ def range_membership(
     per comparison made on a rejection.  One ``hypot`` pass over the
     column gives its scale, its finiteness and the anchor.
     """
-    arr = r.array if isinstance(r, SubspaceBasis) else np.asarray(r, dtype=complex)
+    arr = r.array if isinstance(r, Subspace) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.shape[1] != 1:

@@ -17,7 +17,15 @@ deciding on the kernel system alone, sits behind a flag.
 
 Compound propositions live in the lattice of subspaces: conjunction is
 subspace intersection (:func:`meet`), disjunction is span of the union
-(:func:`join`).  This lattice is famously not distributive;
+(:func:`join`).  Meet, join and :func:`span_equal` all decide rank on
+the one elimination core of :mod:`~propval.linalg` and its one pivot
+threshold, so the null space behind a meet and the rank behind the
+join of the same pair count the same pivots of ``[A | B]``.  Partial
+pivoting does not reveal rank on every matrix: the unit
+upper-triangular matrix with -1 above the diagonal has every pivot 1
+and counts as full rank, however close to singular (Higham, *Accuracy
+and Stability of Numerical Algorithms*, ch. 9); that is the answer the
+whole lattice gives.  This lattice is famously not distributive;
 :func:`demo_nondistributivity` builds the standard counterexample from
 a pair of noncommuting projectors.
 """
@@ -34,7 +42,7 @@ from .linalg import (
     DimensionMismatch,
     Projector,
     StateVector,
-    SubspaceBasis,
+    Subspace,
     independent_columns,
     matrix_rank,
     null_space_basis,
@@ -145,50 +153,11 @@ def valuate_ql(
     return TruthVerdict(value, result.counts, OpCounter(), None, result.witness)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace given by independent spanning columns (none = {0})."""
-
-    array: np.ndarray  # ambient_dim x dim
-
-    def __post_init__(self):
-        arr = np.array(self.array, dtype=complex)
-        if arr.ndim != 2:
-            raise DimensionMismatch("subspace basis must be a 2-d column stack")
-        object.__setattr__(self, "array", arr)
-        arr.setflags(write=False)
-
-    @classmethod
-    def from_basis(cls, basis: SubspaceBasis) -> "Subspace":
-        return cls(basis.array)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=complex))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=complex))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[1]
-
-    def contains(
-        self, psi: StateVector, tol: TolerancePolicy = DEFAULT_TOLERANCE
-    ) -> bool:
-        return membership_of(self.array, psi, OpCounter(), tol).member
-
-
 def _subspace(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
     """``p``'s range or kernel, from its memoised factor; {0} when empty."""
     if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
         return Subspace.zero(p.dim)
-    return Subspace.from_basis(subspace_factor(p, kind, tol).basis)
+    return subspace_factor(p, kind, tol).basis
 
 
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -208,17 +177,9 @@ def meet(
     matrix [A | -B]; the intersection is then spanned by the A u.
     """
     _require_same_ambient(a, b)
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = np.hstack([a.array, -b.array])
-    pairs = null_space_basis(stacked, tol)
-    if pairs.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
+    pairs = null_space_basis(np.hstack([a.array, -b.array]), tol)
     vectors = a.array @ pairs[: a.dim, :]
-    cols = independent_columns(vectors, tol)
-    if not cols:
-        return Subspace.zero(a.ambient_dim)
-    return Subspace(vectors[:, cols])
+    return Subspace(vectors[:, independent_columns(vectors, tol)])
 
 
 def join(
@@ -227,10 +188,7 @@ def join(
     """Span of the union: stack the bases, drop dependent columns."""
     _require_same_ambient(a, b)
     stacked = np.hstack([a.array, b.array])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
-    cols = independent_columns(stacked, tol)
-    return Subspace(stacked[:, cols])
+    return Subspace(stacked[:, independent_columns(stacked, tol)])
 
 
 def span_equal(
@@ -299,7 +257,8 @@ def demo_nondistributivity(
     rhs = join(with_p, with_complement, tol)
 
     def verdict(s: Subspace) -> TruthValue:
-        return TruthValue.TRUE if s.contains(phi, tol) else TruthValue.FALSE
+        member = membership_of(s.array, phi, tol=tol).member
+        return TruthValue.TRUE if member else TruthValue.FALSE
 
     return NondistributivityReport(
         lhs_value=verdict(lhs),

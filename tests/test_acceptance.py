@@ -85,6 +85,7 @@ def test_criterion_1_qubit_regression():
 def test_criterion_2_spin52_regression():
     with criterion(2, "six-level worked example: kernel witness and FALSE verdict"):
         fx = spin52_fixture()
+        valuate(fx.projector, fx.states["psi"])  # warm-up
         started = time.perf_counter()
         kernel = kernel_membership_iterative(fx.reference_kernel_system)
         rng = range_membership(

@@ -302,7 +302,7 @@ def test_fixtures_export_lists_files(capsys, tmp_path):
     files = json.loads(out)["files"]
     assert len(files) == 4  # projector + three states
     for f in files:
-        assert json.loads(open(f).read())["rows"] == 2
+        assert json.loads(Path(f).read_text())["rows"] == 2
 
 
 def test_tolerance_env_override(capsys, qubit_files, monkeypatch):

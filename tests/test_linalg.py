@@ -22,6 +22,7 @@ from propval.linalg import (
     NotUnitNorm,
     Projector,
     StateVector,
+    Subspace,
     ZeroProjector,
     decompose,
     independent_columns,
@@ -29,6 +30,7 @@ from propval.linalg import (
     load_matrix,
     load_state,
     matrix_rank,
+    max_abs,
     null_space_basis,
     projector_from_state,
     range_basis,
@@ -100,8 +102,8 @@ def test_validate_projector_errors():
 
 def test_range_basis_spin52_is_proportional_to_direction():
     basis = range_basis(spin52_fixture().projector)
-    assert basis.kind is BasisKind.RANGE
-    assert basis.count == 1
+    assert isinstance(basis, Subspace)
+    assert basis.dim == 1
     col = basis.array[:, 0]
     direction = np.array(
         [1, math.sqrt(5), math.sqrt(10), math.sqrt(10), math.sqrt(5), 1]
@@ -133,8 +135,8 @@ def test_range_basis_zero_projector_raises():
 def test_kernel_basis_spin52_matches_quoted_columns():
     fx = spin52_fixture()
     basis = kernel_basis(fx.projector)
-    assert basis.kind is BasisKind.KERNEL
-    assert basis.count == 5
+    assert isinstance(basis, Subspace)
+    assert basis.dim == 5
     quoted = fx.reference_kernel_system.body[:, :5]  # integer normalisation
     assert np.allclose(basis.array, quoted / 32, atol=1e-14)
 
@@ -161,8 +163,8 @@ def test_rank_plus_kernel_count_is_dimension():
         q, _ = np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
         p = validate_projector(q @ q.conj().T)
         assert p.rank == r
-        assert kernel_basis(p).count == n - r
-        assert range_basis(p).count == r
+        assert kernel_basis(p).dim == n - r
+        assert range_basis(p).dim == r
 
 
 def test_basis_vectors_are_fixed_or_annihilated():
@@ -342,6 +344,60 @@ def test_null_space_basis_annihilates():
     ns = null_space_basis(a)
     assert ns.shape[1] == 2
     assert np.linalg.norm(a @ ns) < 1e-10
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_gepp_counts_the_hard_matrix_as_full_rank(n):
+    # Unit upper-triangular, -1 above the diagonal: every pivot is 1, so
+    # partial pivoting does not reveal rank (sigma_min / sigma_max is
+    # 1.5e-10 at n = 30); rank and null space give the same answer.
+    u = np.eye(n) - np.triu(np.ones((n, n)), 1)
+    assert matrix_rank(u) == n
+    assert null_space_basis(u).shape == (n, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=1, max_value=12),
+    r=st.integers(min_value=0, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_null_space_of_a_rank_r_product(m, n, r, seed):
+    r = min(r, m, n)
+    rng = np.random.default_rng(seed)
+    left = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    right = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    a = left @ right
+    ns = null_space_basis(a)
+    assert ns.shape == (n, n - r)
+    if ns.size:
+        assert max_abs(a @ ns) <= 1e-9 * max_abs(a) * max_abs(ns)
+
+
+def test_null_space_treats_a_skipped_entry_as_zero():
+    # Column 1's only entry is below abs_eps * max|a| = 1e-9, so the
+    # elimination skips it; it sits left of row 1's pivot (column 2).
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 5e-10, 2e-9]])
+    assert independent_columns(a) == [0, 2]
+    expected = np.array([[0.0], [1.0], [0.0]])
+    assert np.array_equal(null_space_basis(a), expected)
+    a[1, 1] = 0.0
+    assert np.array_equal(null_space_basis(a), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_decisions_reject_non_finite_entries(bad):
+    a = np.array([[bad, 1.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteEntry):
+        matrix_rank(a)
+    with pytest.raises(NonFiniteEntry):
+        null_space_basis(a)
+
+
+def test_null_space_basis_rejects_a_one_dimensional_array():
+    with pytest.raises(DimensionMismatch):
+        null_space_basis(np.ones(3))
 
 
 def test_matrix_json_roundtrip(tmp_path):

@@ -555,7 +555,7 @@ def test_the_empty_span_checks_the_state_dimension():
     with pytest.raises(DimensionMismatch):
         membership_of(np.zeros((3, 0)), StateVector(np.zeros(5)))
     with pytest.raises(DimensionMismatch):
-        Subspace.zero(3).contains(StateVector(np.zeros(4)))
+        membership_of(Subspace.zero(3).array, StateVector(np.zeros(4)))
 
 
 # ------------------------------------------------- factor against the loop

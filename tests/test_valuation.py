@@ -187,9 +187,7 @@ def test_join_of_range_and_kernel_is_everything():
     rng = np.random.default_rng(32)
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     p = projector_from_state(StateVector(v / np.linalg.norm(v)))
-    joined = join(
-        Subspace.from_basis(range_basis(p)), Subspace.from_basis(kernel_basis(p))
-    )
+    joined = join(range_basis(p), kernel_basis(p))
     assert joined.dim == 6
     assert span_equal(joined, Subspace.full(6))
 
@@ -201,6 +199,25 @@ def test_join_with_zero_and_distinct_lines():
     a = Subspace(np.array([[1.0], [0.0], [0.0]]))
     b = Subspace(np.array([[0.0], [1.0], [1.0]]) / math.sqrt(2))
     assert join(a, b).dim == 2
+
+
+def test_meet_and_join_of_empty_operands_are_the_zero_subspace():
+    rng = np.random.default_rng(35)
+    zero, s = Subspace.zero(4), random_subspace(rng, 4, 2)
+    for a, b in [(zero, zero), (zero, s), (s, zero)]:
+        assert meet(a, b).array.shape == (4, 0)
+    assert join(zero, zero).array.shape == (4, 0)
+    disjoint = Subspace(np.eye(4)[:, 2:])
+    assert meet(Subspace(np.eye(4)[:, :2]), disjoint).array.shape == (4, 0)
+
+
+@pytest.mark.parametrize("n", [30, 40, 60])
+def test_meet_and_join_keep_the_dimension_law_on_one_rank_policy(n):
+    # GEPP's non-rank-revealing matrix: a near-singular SVD rank and the
+    # pivot rank differ by one, so two policies would break the law.
+    u = np.eye(n) - np.triu(np.ones((n, n)), 1)
+    a, b = Subspace(u[:, : n // 2]), Subspace(u[:, n // 2 :])
+    assert meet(a, b).dim + join(a, b).dim == a.dim + b.dim
 
 
 def test_lattice_laws_on_random_pairs():
