@@ -36,6 +36,7 @@ File format for matrices and vectors (vectors are n x 1)::
 from __future__ import annotations
 
 import json
+import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -208,7 +209,9 @@ def _row_echelon(
     Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
     3.4), ``_PANEL`` columns at a time.  Pivot ``r`` is the first entry
     of largest magnitude in column ``c`` at or below row ``r``; a column
-    whose candidates all sit at or below ``threshold`` is skipped.  Every
+    whose candidates all sit at or below ``threshold`` is skipped.
+    Nothing changes between pivots, so one pass over the rest of the
+    panel finds the next column that is not, and skips the run.  Every
     caller passes ``abs_eps * max|entry|`` of the matrix it eliminates,
     so a basis and a factor of the same matrix pick the same pivots.  Each
     step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
@@ -230,7 +233,9 @@ def _row_echelon(
         last = ncols - c0 <= _PANEL
         end = w.shape[1] if last else c0 + _PANEL
         r0 = len(cols)
-        for c in range(c0, min(c0 + _PANEL, ncols)):
+        stop = min(c0 + _PANEL, ncols)
+        c = c0
+        while c < stop:
             r = len(cols)
             if r == w.shape[0]:
                 break
@@ -238,6 +243,9 @@ def _row_echelon(
             mags = np.abs(col)
             p = int(mags.argmax())
             if not mags[p] > threshold:
+                rest = np.abs(w[r:, c + 1 : stop]).max(axis=0)
+                live = np.flatnonzero(rest > threshold)
+                c = c + 1 + int(live[0]) if live.size else stop
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
@@ -248,6 +256,7 @@ def _row_echelon(
             block -= np.multiply.outer(m, w[r, c + 1 : end])
             cols.append(c)
             swapped.append(r + p)
+            c += 1
         r1 = len(cols)
         if last or r1 == r0:
             continue
@@ -256,6 +265,53 @@ def _row_echelon(
             w[i, end:] -= w[i, pcols[: i - r0]] @ w[r0:i, end:]
         w[r1:, end:] -= w[r1:, pcols] @ w[r0:r1, end:]
     return cols, swapped
+
+
+def _magnitudes(z: np.ndarray) -> np.ndarray:
+    """``abs`` of every entry as CPython computes it: ``hypot(re, im)``."""
+    return np.hypot(z.real, z.imag)
+
+
+@dataclass(frozen=True, eq=False)
+class CrossCheck:
+    """The state-independent half of the consistency check of ``col * x = b``.
+
+    The system is consistent iff ``col[a] * b[j] == col[j] * b[a]`` for
+    every row ``j``, anchored on the first row ``a`` where ``|col|``
+    exceeds the threshold (``anchor``, ``None`` if no row does; then iff
+    ``b`` is zero).  ``col`` is read-only and ``anchor_entry`` is
+    ``complex(col[anchor])``, so a verdict computes only the products
+    that involve its ``b``.
+    """
+
+    col: np.ndarray
+    anchor: int | None
+    anchor_entry: complex
+
+    def __post_init__(self):
+        self.col.setflags(write=False)
+
+
+def _cross_check(
+    col: np.ndarray, tol: TolerancePolicy, threshold: float | None = None
+) -> CrossCheck:
+    """Anchor ``col`` for :class:`CrossCheck`, in one ``hypot`` pass.
+
+    The anchor threshold defaults to ``abs_eps * max|col|``, the
+    one-unknown system's own; that pass also finds a NaN or infinite
+    entry (:class:`NonFiniteEntry`).
+    """
+    mags = _magnitudes(col)
+    if threshold is None:
+        scale = mags.max(initial=0.0)  # NaN or inf if an entry is
+        if not math.isfinite(scale):
+            _require_finite(col)
+        threshold = tol.abs_eps * scale
+    above = mags > threshold
+    if not above.any():
+        return CrossCheck(col, None, 0j)
+    anchor = int(above.argmax())
+    return CrossCheck(col, anchor, complex(col[anchor]))
 
 
 @dataclass(frozen=True, eq=False)  # shared by identity, like the memo holding it
@@ -273,14 +329,22 @@ class EchelonFactor:
       the ``t`` interchanges;
     * ``swapped`` -- the row swapped into row ``r`` at step ``r``;
     * ``positions`` -- the unknown eliminated at step ``r``;
-    * ``last`` -- the last unknown's column after those ``t`` steps, the
-      column the cross-product check anchors on;
+    * ``last`` -- the last unknown's column after those ``t`` steps;
     * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
-      the one pivot and anchor threshold;
+      the one pivot threshold;
+    * ``check`` -- the cross-product check on the rows ``last[t:]`` left
+      live, anchored above ``threshold``; a projector subspace of one
+      unknown is anchored above its column's own scale, as
+      :func:`~propval.membership.range_membership` anchors it;
+    * ``charges`` -- the (divisions, multiplications) each solve charges
+      for the elimination (:func:`_charges`), the first pair below and
+      right of each pivot, the second over the whole live block;
+    * ``row_swaps`` -- how many of the ``t`` steps swapped rows;
     * ``basis`` -- for a projector's range or kernel, the pivot columns
       of ``P`` or ``I - P`` that are the system's unknowns.
 
-    Arrays are read-only, so a factor is shared freely between threads.
+    Arrays are read-only, and every field is set once in :func:`_factor`,
+    so a factor is shared freely between threads.
     """
 
     lu: np.ndarray
@@ -289,19 +353,14 @@ class EchelonFactor:
     positions: tuple[int, ...]
     unknowns: int
     threshold: float
+    check: CrossCheck
+    charges: tuple[tuple[int, int], tuple[int, int]]
+    row_swaps: int
     basis: Subspace | None = None
 
     def __post_init__(self):
         self.lu.setflags(write=False)
         self.last.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.last.shape[0]
-
-    @property
-    def row_swaps(self) -> int:
-        return sum(p != r for r, p in enumerate(self.swapped))
 
     def forward(self, b: np.ndarray) -> np.ndarray:
         """A fresh copy of ``b`` taken through the ``t`` elimination steps."""
@@ -337,7 +396,9 @@ def _factor(
     uses, so the basis is the one it picks.  The factor covers the
     unknowns before the last: if the last unknown was itself a pivot, its
     interchange is undone, and its column is forward-solved from ``a``
-    like a right-hand side.
+    like a right-hand side.  Everything a solve needs that does not
+    depend on the state is computed here, once: the cross-product check
+    on the live rows, the elimination's charges and the row swaps.
     """
     _require_finite(a)
     w = np.array(a, dtype=complex)
@@ -349,16 +410,45 @@ def _factor(
     if t < len(cols) and swapped[t] != t:
         lu[[t, swapped[t]]] = lu[[swapped[t], t]]
     position = {c: i for i, c in enumerate(unknowns)}
-    last = a[:, unknowns[-1]] if unknowns else np.zeros(w.shape[0])
+    positions = tuple(position[c] for c in cols[:t])
+    column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
+    last = _forward(lu, swapped[:t], column)
+    last.setflags(write=False)  # before the check takes its view
+    own_scale = kind is not None and len(unknowns) == 1
     return EchelonFactor(
         lu,
-        _forward(lu, swapped[:t], last),
+        last,
         tuple(swapped[:t]),
-        tuple(position[c] for c in cols[:t]),
+        positions,
         len(unknowns),
         threshold,
+        _cross_check(last[t:], tol, None if own_scale else threshold),
+        _charges(len(w), len(unknowns), positions),
+        sum(p != r for r, p in enumerate(swapped[:t])),
         None if kind is None else Subspace(a[:, cols]),
     )
+
+
+def _charges(
+    n: int, k: int, positions: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """What a solve charges for the elimination of ``n`` rows, ``k`` unknowns.
+
+    Step ``(r, c)`` is charged as if it ran in the solve, for
+    ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]`` over rows ``top..n-1``
+    and columns ``left..k``: ``n - top`` divisions and
+    ``(n - top)(k + 1 - left)`` multiplications (and as many
+    subtractions).  Returns the (divisions, multiplications) summed over
+    the steps for ``(top, left) = (r + 1, c + 1)``, below and right of
+    the pivot, and for ``(r, c)``, the whole live block.
+    """
+    div = mul = block_mul = 0
+    for r, c in enumerate(positions):
+        height, width = n - r, k + 1 - c
+        div += height - 1
+        mul += (height - 1) * (width - 1)
+        block_mul += height * width
+    return (div, mul), (div + len(positions), block_mul)
 
 
 def independent_columns(
@@ -511,19 +601,25 @@ def matrix_to_json_dict(a: np.ndarray) -> dict:
     }
 
 
+def _json_field(d: dict, name: str, convert):
+    """``convert(d[name])``; a missing or unconvertible field is malformed."""
+    try:
+        return convert(d[name])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedMatrixFile(f"missing or invalid field {name!r}: {exc}") from exc
+
+
 def matrix_from_json_dict(d: dict) -> np.ndarray:
+    rows, cols = _json_field(d, "rows", int), _json_field(d, "cols", int)
+    count = _json_field(d, "entries", len)
+    if rows < 0 or cols < 0 or count != rows * cols:
+        raise MalformedMatrixFile(f"expected {rows * cols} entries, got {count}")
     try:
-        rows, cols, entries = int(d["rows"]), int(d["cols"]), d["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedMatrixFile(f"missing or invalid field: {exc}") from exc
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
+        flat = [complex(re, im) for re, im in d["entries"]]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedMatrixFile(
-            f"expected {rows * cols} entries, got {len(entries)}"
-        )
-    try:
-        flat = [complex(re, im) for re, im in entries]
-    except (TypeError, ValueError) as exc:
-        raise MalformedMatrixFile("entries must be [re, im] pairs") from exc
+            "field 'entries' must hold [re, im] pairs of floats"
+        ) from exc
     a = np.array(flat, dtype=complex).reshape(rows, cols)
     _require_finite(a)
     return a

@@ -15,8 +15,13 @@ Deciders:
   projector (:func:`~propval.linalg.subspace_factor`, whose pivot
   columns are the subspace's basis), so the elimination runs once per
   projector, subspace and tolerance policy and every state pays only
-  the solve.  An empty subspace contains only the zero vector, and a
-  one-column subspace goes to :func:`range_membership`.
+  the solve.  The factor also keeps the state-independent half of the
+  cross-product check (the live column, its anchor row and the anchor's
+  entry), the elimination's charge and the row swaps, so a solve does
+  only the arithmetic that involves its state.  An empty subspace
+  contains only the zero vector, and a one-column subspace is decided
+  as :func:`range_membership` decides it, on the factor's anchored
+  column.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
   -- the same factor and solve on a bare :class:`AugmentedMatrix`; the
   two differ only in what each step is charged.  The iterative form is
@@ -47,21 +52,21 @@ it.  On the kernel systems those final-check operations are tallied in
 a separate counter on the result, not in the elimination counter,
 because the closed-form totals above cover the elimination loop only.
 
-Every decider charges its :class:`OpCounter` directly: elimination one
-closed-form amount per step, the cross-product check two
-multiplications and one comparison per comparison up to and including
-the first that fails, although the numpy pass decides them all.  The
-elimination is charged to every solve, as if it ran there: the tally is
-the paper's cost of deciding the system, which a memoised factor saves
-in wall time but not in operations.  A result's ``counts`` is the tally
-of that call alone; the counter passed in accumulates across calls.
-Witness extraction (back-substitution, or the single anchor division of
-the range check) is a convenience output and is not counted.
+Every decider charges its :class:`OpCounter` directly: elimination the
+closed-form amounts of its steps (summed once, when the factor is
+built), the cross-product check two multiplications and one comparison
+per comparison up to and including the first that fails, although the
+numpy pass decides them all.  The elimination is charged to every
+solve, as if it ran there: the tally is the paper's cost of deciding the
+system, which a memoised factor saves in wall time but not in
+operations.  A result's ``counts`` is the tally of that call alone; the
+counter passed in accumulates across calls.  Witness extraction
+(back-substitution, or the single anchor division of the range check)
+is a convenience output and is not counted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,13 +74,14 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     BasisKind,
+    CrossCheck,
     EchelonFactor,
     Projector,
     StateVector,
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _require_finite
+from .linalg import _cross_check, _factor, _magnitudes, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -154,8 +160,9 @@ def range_membership(
     anchored on the first entry above ``abs_eps * max|column|``.  That
     check is the whole tally, reported as ``counts``: ``2(n-1)``
     multiplications and ``n-1`` comparisons for a member, two and one
-    per comparison made on a rejection.  One ``hypot`` pass over the
-    column gives its scale, its finiteness and the anchor.
+    per comparison made on a rejection.  The column's half of the check
+    (:func:`~propval.linalg._cross_check`) is built per call here; a
+    projector's one-unknown factor keeps it.
     """
     arr = r.array if isinstance(r, Subspace) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
@@ -165,18 +172,19 @@ def range_membership(
             f"range check expects exactly one column, got {arr.shape[1]}"
         )
     b = _rhs(arr.shape[0], psi)
-    col = arr[:, 0]
-    mags = _magnitudes(col)
-    scale = mags.max(initial=0.0)  # NaN or inf if an entry is
-    if not math.isfinite(scale):
-        _require_finite(col)
+    return _column_membership(_cross_check(arr[:, 0], tol), b, ctx, tol)
+
+
+def _column_membership(
+    check: CrossCheck, b: np.ndarray, ctx: OpCounter | None, tol: TolerancePolicy
+) -> MembershipResult:
+    """:func:`range_membership` on a column already anchored."""
     # With no entry above the anchor threshold the check would accept
     # any zero right-hand side; a basis column must not be zero.
-    threshold = tol.abs_eps * scale
-    if not scale > threshold:
+    if check.anchor is None:
         raise ZeroColumn("basis column is numerically zero")
     tally = OpCounter()
-    member, x = _cross_consistency(col, b, mags > threshold, tol, tally)
+    member, x = _cross_consistency(check, b, tol, tally)
     if ctx is not None:
         ctx.mul += tally.mul
         ctx.cmp += tally.cmp
@@ -191,28 +199,22 @@ def _rhs(rows: int, psi: StateVector) -> np.ndarray:
     return psi.components
 
 
-def _magnitudes(z: np.ndarray) -> np.ndarray:
-    """``abs`` of every entry as CPython computes it: ``hypot(re, im)``."""
-    return np.hypot(z.real, z.imag)
-
-
 def _cross_consistency(
-    col: np.ndarray,
+    check: CrossCheck,
     rhs: np.ndarray,
-    above: np.ndarray,
     tol: TolerancePolicy,
     fctx: OpCounter,
 ) -> tuple[bool, complex | None]:
     """Consistency of the one-unknown system ``col * x = rhs``.
 
     After elimination the live rows carry a single unknown column (the
-    last one) plus the right-hand side.  ``above`` marks the rows where
-    ``|col|`` exceeds the threshold.  With an anchor row ``a``, the first
-    of them, the system is consistent iff ``col[a]*rhs[j] == col[j]*rhs[a]``
-    within ``tol`` for all other rows; with no anchor, iff every
-    right-hand side is zero.  The tally is that of the loop that stops at
-    the first failing row: 2 multiplications and 1 comparison per
-    comparison up to and including it.  For the nondegenerate case of
+    last one) plus the right-hand side.  ``check`` holds that column and
+    its anchor row ``a``, the first where ``|col|`` exceeds the
+    threshold.  With an anchor the system is consistent iff
+    ``col[a]*rhs[j] == col[j]*rhs[a]`` within ``tol`` for all other rows;
+    with none, iff every right-hand side is zero.  The tally is that of
+    the loop that stops at the first failing row: 2 multiplications and
+    1 comparison per comparison up to and including it.  For the nondegenerate case of
     two live rows this is the trailing 2x2 cross condition: 2
     multiplications, 1 comparison.
 
@@ -223,15 +225,15 @@ def _cross_consistency(
     every small system.  Returns the verdict and the unknown's value,
     ``rhs[a] / col[a]`` (0 without an anchor).
     """
+    col, anchor = check.col, check.anchor
     n = col.shape[0]
     if not n:  # a wide system can leave no live row: nothing to compare
         return True, 0j
-    anchor = int(above.argmax())
-    if not above[anchor]:
+    if anchor is None:
         fail = _first_nonzero(rhs, tol)
         fctx.cmp += n if fail is None else fail + 1
         return (True, 0j) if fail is None else (False, None)
-    a_col, a_rhs = complex(col[anchor]), complex(rhs[anchor])
+    a_col, a_rhs = check.anchor_entry, complex(rhs[anchor])
     j = int(anchor == 0)  # the first row compared
     if j < n and not tol.equal(a_col * complex(rhs[j]), complex(col[j]) * a_rhs):
         fail = j
@@ -320,35 +322,26 @@ def _solve(
     """Decide ``B x = b`` from the factor of ``B``: the per-state half.
 
     Takes a copy of ``b`` through the factor's interchanges and multipliers,
-    applies :func:`_cross_consistency` to the rows left live, and
+    applies the factor's cross-product check to the rows left live, and
     back-substitutes a witness -- O(n^2) where the elimination was
-    O(n^3).  Step ``(r, c)`` of the factored elimination is charged as
-    if it had run here, for ``a[j][l] -= (a[j][c] / a[r][c]) * a[r][l]``
-    over rows ``top..n-1`` and columns ``left..k``: below and right of
-    the pivot, or with ``full_block`` the whole live block including the
-    pivot row and column.  That is ``n - top`` divisions and
-    ``(n - top)(k + 1 - left)`` multiplications and as many
-    subtractions; the charge depends on ``(n, k)`` and the pivots only,
-    never on the state, and ``full_block`` changes the charge only.
+    O(n^3).  Only that arithmetic involves ``b``; the check's anchor and
+    column, the elimination's charge and the row swaps come with the
+    factor.  Each factored step is charged as if it had run here, below
+    and right of the pivot or, with ``full_block``, over the whole live
+    block including the pivot row and column (``EchelonFactor.charges``);
+    the charge depends on ``(n, k)`` and the pivots only, never on the
+    state, and ``full_block`` changes the charge only.
     """
-    ctx = ctx if ctx is not None else OpCounter()
-    start = ctx.snapshot()
-    n, k = f.rows, f.unknowns
+    div, mul = f.charges[full_block]
+    elimination = OpCounter(mul=mul, div=div, add_sub=mul)
+    if ctx is not None:
+        ctx.mul += mul
+        ctx.div += div
+        ctx.add_sub += mul
     y = f.forward(b)
-    shift = 0 if full_block else 1  # (top, left) = (r, c) + shift
-    for r, c in enumerate(f.positions):
-        height = n - r - shift
-        updated = height * (k + 1 - c - shift)
-        ctx.div += height
-        ctx.mul += updated
-        ctx.add_sub += updated
-    elimination = ctx.snapshot() - start
     fctx = OpCounter()
     t = len(f.positions)
-    live = f.last[t:]
-    member, x_last = _cross_consistency(
-        live, y[t:], _magnitudes(live) > f.threshold, tol, fctx
-    )
+    member, x_last = _cross_consistency(f.check, y[t:], tol, fctx)
     witness = _back_substitute(f, y, x_last) if member else None
     return MembershipResult(member, witness, elimination, fctx, f.row_swaps)
 
@@ -401,14 +394,17 @@ def subspace_membership(
     subspace of dimension k.
     Verdict, witness and tallies are those of :func:`membership_of` on
     the basis: an empty subspace contains only the zero vector, and a
-    one-column subspace is the O(n) :func:`range_membership`.
+    one-column subspace is the O(n) :func:`range_membership`, on the
+    column the factor has already anchored.
     """
     if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
         return membership_of(np.zeros((p.dim, 0)), psi, ctx, tol)
     f = subspace_factor(p, kind, tol)
-    if f.unknowns < 2:
-        return membership_of(f.basis.array, psi, ctx, tol)
-    return _solve(f, _rhs(p.dim, psi), ctx, tol, full_block=False)
+    if f.unknowns > 1:
+        return _solve(f, _rhs(p.dim, psi), ctx, tol, full_block=False)
+    if f.unknowns:
+        return _column_membership(f.check, _rhs(p.dim, psi), ctx, tol)
+    return membership_of(f.basis.array, psi, ctx, tol)
 
 
 def residual_oracle(

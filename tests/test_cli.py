@@ -132,7 +132,21 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
 
 
 @pytest.mark.parametrize(
-    "content", [b"[" * 100000, b"\xff\xfe{}"], ids=["deeply-nested", "not-utf8"]
+    "content",
+    [
+        b"[" * 100000,
+        b"\xff\xfe{}",
+        b'{"rows": 1, "cols": 1, "entries": 5}',
+        b'{"rows": 1e999, "cols": 1, "entries": [[1, 0]]}',
+        b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 400 + b', 0]]}',
+    ],
+    ids=[
+        "deeply-nested",
+        "not-utf8",
+        "entries-not-a-list",
+        "rows-infinite",
+        "huge-entry",
+    ],
 )
 def test_valuate_rejects_malformed_matrix_files(capsys, qubit_files, tmp_path, content):
     broken = tmp_path / "broken.json"

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propval import linalg
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
@@ -311,8 +311,29 @@ def panel_systems(draw):
     return a, ncols
 
 
+def rank_one_system():
+    """n = 3 panels + 4, rank 1: every column after the first is skipped."""
+    rng = np.random.default_rng(1)
+    n = 3 * linalg._PANEL + 4
+    u, v = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    return np.outer(u, v), n
+
+
+def pivots_inside_skipped_runs():
+    """Multiples of one column, but for a fresh direction in the middle of
+    each panel; the run between them crosses the panel boundary."""
+    rng = np.random.default_rng(2)
+    n = 40
+    u, w, z = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3))
+    a = np.outer(u, rng.normal(size=n))
+    a[:, 17], a[:, 36] = w, z
+    return a, n
+
+
 @settings(max_examples=150, deadline=None)
 @given(system=panel_systems())
+@example(system=rank_one_system())
+@example(system=pivots_inside_skipped_runs())
 def test_blocked_elimination_matches_the_unblocked_loop(system):
     a, ncols = system
     threshold = 1e-9 * linalg.max_abs(a)
@@ -438,6 +459,24 @@ def test_value_types_are_immutable():
     s = StateVector([1.0, 0.0])
     with pytest.raises(ValueError):
         s.components[0] = 2.0
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_factors_are_immutable(rank):
+    rng = np.random.default_rng(rank)
+    q, _ = np.linalg.qr(rng.normal(size=(6, rank)) + 1j * rng.normal(size=(6, rank)))
+    p = validate_projector(q @ q.conj().T)
+    assert valuate(p, StateVector(random_unit(rng, 6))).value is TruthValue.GAP
+    assert len(p._memo) == 2
+    for f in p._memo.values():
+        for array in (f.lu, f.last, f.check.col, f.basis.array):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+        with pytest.raises(AttributeError):
+            f.row_swaps = 0
+        with pytest.raises(AttributeError):
+            f.check.anchor = 0
 
 
 def count_eliminations(monkeypatch):
@@ -611,3 +650,8 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
         for tol in policies:
             assert valuate(p, psi, tol).value is TruthValue.FALSE
     assert calls == []
+    # and the racing threads' verdicts are the serial ones, bit for bit
+    for (p, psi), got in zip(cases, seen):
+        for tol in policies:
+            serial = valuate(validate_projector(p.array, tol), psi, tol)
+            assert all(v == serial for t, v, _, _ in got if t == tol)

@@ -743,3 +743,95 @@ def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
     assert fused.unknowns == alone.unknowns == count
     bare = kernel_membership_iterative(AugmentedMatrix.from_system(basis, psi))
     assert subspace_membership(p, kind, psi).member == bare.member
+
+
+# ------------------------------------------------- one factor, many states
+
+
+@st.composite
+def states_for_one_subspace(draw, m, kind):
+    """24 states for the range or kernel of ``m``: members, members moved
+    a few tolerances off at one row, generic states, and members scaled
+    by 1e-12 to 1e12."""
+    n = len(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def normal():
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    states = []
+    for _ in range(24):
+        v = normal()
+        v = m @ v if kind is BasisKind.RANGE else v - m @ v
+        v /= np.linalg.norm(v)
+        family = draw(st.sampled_from(["member", "near", "generic", "scaled"]))
+        if family == "near":
+            margin = draw(st.sampled_from([0.25, 1.0, 4.0]))
+            v[draw(st.integers(0, n - 1))] += margin * 1e-9
+        elif family == "generic":
+            v = normal() / math.sqrt(2 * n)
+        elif family == "scaled":
+            v *= draw(st.sampled_from([1e-12, 1e-6, 1e6, 1e12]))
+        states.append(StateVector(v))
+    return states
+
+
+@pytest.mark.parametrize("kind", BasisKind)
+@pytest.mark.parametrize("shape", ["rank-1", "rank-3", "nullity-1"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_one_memoised_factor_decides_many_states(kind, shape, data):
+    """Every state decided on one shared factor gets the per-row loops'
+    verdict, tallies and interchanges, and the fresh factor's witness bits."""
+    n = data.draw(st.integers(4, 40))
+    rank = {"rank-1": 1, "rank-3": 3, "nullity-1": n - 1}[shape]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    raw[0] *= data.draw(st.sampled_from([1.0, 1e-6]))  # anchors apart from pivots
+    q, _ = np.linalg.qr(raw)
+    m = q @ q.conj().T
+    p = validate_projector(m)
+    f = subspace_factor(p, kind)
+    basis = f.basis.array
+    for psi in data.draw(states_for_one_subspace(m, kind)):
+        got = subspace_membership(p, kind, psi)
+        fresh = subspace_membership(validate_projector(m), kind, psi)
+        assert (got.member, got.witness, got.row_swaps) == (
+            fresh.member, fresh.witness, fresh.row_swaps
+        )
+        assert (got.counts, got.final_check) == (fresh.counts, fresh.final_check)
+        if basis.shape[1] == 1:
+            tally = OpCounter()
+            want = reference_range_membership(basis[:, 0], psi, tally)
+            assert (got.member, got.witness) == want
+            assert got.counts == tally
+            assert (got.final_check, got.row_swaps) == (OpCounter(), 0)
+        else:
+            assert_same_decision(got, reference_membership_of(basis, psi))
+    assert subspace_factor(p, kind) is f
+
+
+def test_a_rank_one_verdict_on_its_factor_computes_no_magnitudes(monkeypatch):
+    """The column's magnitudes, threshold and anchor come with the factor:
+    a TRUE verdict on a memoised rank-1 range computes only products."""
+    proj, psi = random_instance(64, seed=8, target=TargetKind.IN_RANGE)
+    p = validate_projector(proj.array)
+    assert valuate(p, psi).value is TruthValue.TRUE
+    calls = []
+
+    def spy(module):
+        original = module._magnitudes
+
+        def counted(z):
+            calls.append(module.__name__)
+            return original(z)
+
+        monkeypatch.setattr(module, "_magnitudes", counted)
+
+    spy(membership)
+    spy(linalg)
+    assert valuate(p, psi).value is TruthValue.TRUE
+    assert subspace_membership(p, BasisKind.RANGE, psi).member
+    assert calls == []
+    range_membership(range_basis(p), psi)  # a bare column is anchored per call
+    assert calls == ["propval.linalg"]
