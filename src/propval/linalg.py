@@ -41,6 +41,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,9 +244,11 @@ def _row_echelon(
             mags = np.abs(col)
             p = int(mags.argmax())
             if not mags[p] > threshold:
-                rest = np.abs(w[r:, c + 1 : stop]).max(axis=0)
-                live = np.flatnonzero(rest > threshold)
-                c = c + 1 + int(live[0]) if live.size else stop
+                c += 1
+                if c < stop:
+                    rest = np.abs(w[r:, c:stop]).max(axis=0) > threshold
+                    j = int(rest.argmax())
+                    c = c + j if rest[j] else stop
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
@@ -272,24 +275,20 @@ def _magnitudes(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-@dataclass(frozen=True, eq=False)
-class CrossCheck:
+class CrossCheck(NamedTuple):
     """The state-independent half of the consistency check of ``col * x = b``.
 
     The system is consistent iff ``col[a] * b[j] == col[j] * b[a]`` for
     every row ``j``, anchored on the first row ``a`` where ``|col|``
     exceeds the threshold (``anchor``, ``None`` if no row does; then iff
-    ``b`` is zero).  ``col`` is read-only and ``anchor_entry`` is
-    ``complex(col[anchor])``, so a verdict computes only the products
-    that involve its ``b``.
+    ``b`` is zero).  ``anchor_entry`` is ``complex(col[anchor])``, so a
+    verdict computes only the products that involve its ``b``.  In a
+    factor, ``col`` is a read-only view of its ``last`` column.
     """
 
     col: np.ndarray
     anchor: int | None
     anchor_entry: complex
-
-    def __post_init__(self):
-        self.col.setflags(write=False)
 
 
 def _cross_check(
@@ -308,9 +307,9 @@ def _cross_check(
             _require_finite(col)
         threshold = tol.abs_eps * scale
     above = mags > threshold
-    if not above.any():
+    anchor = int(above.argmax()) if above.size else None
+    if anchor is None or not above[anchor]:
         return CrossCheck(col, None, 0j)
-    anchor = int(above.argmax())
     return CrossCheck(col, anchor, complex(col[anchor]))
 
 

@@ -787,7 +787,7 @@ def test_one_memoised_factor_decides_many_states(kind, shape, data):
     rank = {"rank-1": 1, "rank-3": 3, "nullity-1": n - 1}[shape]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     raw = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-    raw[0] *= data.draw(st.sampled_from([1.0, 1e-6]))  # anchors apart from pivots
+    raw[0] *= data.draw(st.sampled_from([1.0, 1e-6]))  # tiny: thresholds matter
     q, _ = np.linalg.qr(raw)
     m = q @ q.conj().T
     p = validate_projector(m)
