@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fixtures import TargetKind, random_instance
+from .fixtures import TargetKind, random_states
 from .numerics import (
     DEFAULT_TOLERANCE,
     OpCounter,
@@ -143,21 +143,20 @@ def benchmark_paths(
     """One sample per (n, path), ordered by n then path.
 
     Each dimension draws one random rank-1 projector and three states
-    (in range, in kernel, generic); the recorded counts are the
-    contracted tallies of the corresponding verdict path.  The first
-    draw's projector serves all three paths, so its bases are computed
-    once per dimension.  Deterministic given the seed.
+    (in range, in kernel, generic), as :func:`random_instance` would for
+    each path; the recorded counts are the contracted tallies of the
+    corresponding verdict path.  The projector is built once per
+    dimension and serves all three paths, so its bases are computed once
+    too.  Deterministic given the seed.
     """
     samples = []
+    targets = [_PATH_TARGET[path][0] for path in PathKind]
     for n in n_values:
         if n < 3:
             raise InvalidBounds(f"benchmark dimensions start at 3, got {n}")
-        projector = None
-        for path in PathKind:
+        projector, states = random_states(n, seed, targets)
+        for path, state in zip(PathKind, states):
             target, expected = _PATH_TARGET[path]
-            drawn, state = random_instance(n, seed, target)
-            if projector is None:
-                projector = drawn
             verdict = valuate(projector, state, tol)
             if verdict.value is not expected:
                 raise PropvalError(

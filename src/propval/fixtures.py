@@ -10,7 +10,7 @@ to floats at load, so the stored ground truth stays in radical form.
 :func:`random_instance` draws reproducible rank-1 instances for the
 benchmarks and property tests.  The projector stream depends only on
 ``(seed, n)``, so the three target states of one instance share their
-projector.
+projector; :func:`random_states` draws it once for several states.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "fixture_by_name",
     "qubit_fixture",
     "random_instance",
+    "random_states",
     "spin52_fixture",
 ]
 
@@ -215,22 +216,42 @@ def random_instance(
     component of a fresh draw orthogonal to it, GENERIC returns an
     independent random unit vector (a gap state with probability 1).
     """
+    projector, (state,) = random_states(n, seed, [target])
+    return projector, state
+
+
+def random_states(
+    n: int, seed: int, targets: list[TargetKind]
+) -> tuple[Projector, list[StateVector]]:
+    """One projector and a state per target, as :func:`random_instance` draws them.
+
+    ``random_states(n, seed, targets)[1][i]`` is
+    ``random_instance(n, seed, targets[i])[1]``, and the projector is
+    theirs too, but it is built once.
+    """
     if n < 2:
         raise PropvalError(f"dimension must be at least 2, got {n}")
     direction = _unit_vector(np.random.default_rng([seed, n, 0]), n)
     projector = Projector(np.outer(direction, direction.conj()), rank=1)
+    return projector, [_target_state(direction, seed, t) for t in targets]
+
+
+def _target_state(
+    direction: np.ndarray, seed: int, target: TargetKind
+) -> StateVector:
+    n = len(direction)
     rng = np.random.default_rng([seed, n, _TARGET_SALT[target]])
     if target is TargetKind.IN_RANGE:
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-        return projector, StateVector(phase * direction)
+        return StateVector(phase * direction)
     if target is TargetKind.GENERIC:
-        return projector, StateVector(_unit_vector(rng, n))
+        return StateVector(_unit_vector(rng, n))
     for _ in range(_MAX_RETRIES):
         draw = _unit_vector(rng, n)
         perp = draw - direction * np.vdot(direction, draw)
         norm = np.linalg.norm(perp)
         if norm > 1e-6:
-            return projector, StateVector(perp / norm)
+            return StateVector(perp / norm)
     raise DegenerateDraw(
         f"no usable orthogonal component after {_MAX_RETRIES} draws"
     )

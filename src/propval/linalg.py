@@ -25,8 +25,14 @@ bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
 in ``membership``.  It works in panels of columns: one rank-1 update per
 pivot inside a panel, then one matrix product for the block right of
-and below it.  One elimination of ``P`` or ``I - P`` gives both the
-basis and its factor, because a non-pivot column issues no update.
+and below it.  A pivot's multipliers are one numpy pass of Smith's
+algorithm over its column (:func:`_quotients`), the arithmetic CPython's
+``complex`` division runs, so they keep its bits; a column of at most
+``_PANEL`` entries is divided in Python.  One elimination of ``P`` or
+``I - P`` gives both the basis and its factor, because a non-pivot
+column issues no update.  Finiteness is checked on the pass that finds
+the threshold's scale: a NaN or infinite entry makes that scale
+non-finite and raises :class:`NonFiniteEntry`.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -152,7 +158,14 @@ class Projector:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Span of independent columns: an ``ambient_dim x dim`` stack (none = {0})."""
+    """Span of independent columns: an ``ambient_dim x dim`` stack (none = {0}).
+
+    ``dim`` is the column count, so a caller building a ``Subspace`` must
+    pass independent columns; the constructor does not check, since that
+    would take one elimination per basis.  :func:`range_basis`,
+    :func:`kernel_basis` and the lattice operations in ``valuation``
+    return independent columns.
+    """
 
     array: np.ndarray
 
@@ -188,6 +201,19 @@ def _require_finite(a: np.ndarray) -> None:
         raise NonFiniteEntry("matrix has a NaN or infinite entry")
 
 
+def _finite_scale(a: np.ndarray) -> float:
+    """``max_abs(a)``, raising :class:`NonFiniteEntry` on a NaN or infinite entry.
+
+    One pass: such an entry makes the maximum NaN or infinite, and only
+    then is ``a`` tested entry by entry (``abs`` of a finite entry near
+    the largest float can overflow too).
+    """
+    scale = max_abs(a)
+    if not math.isfinite(scale):
+        _require_finite(a)
+    return scale
+
+
 def _require_unit(psi: StateVector, tol: TolerancePolicy) -> None:
     """Raise :class:`NotUnitNorm` unless ``psi`` is a unit vector.
 
@@ -200,6 +226,39 @@ def _require_unit(psi: StateVector, tol: TolerancePolicy) -> None:
 
 
 _PANEL = 32  # columns eliminated per panel before the trailing block is updated
+
+
+def _quotients(z: np.ndarray, d: complex) -> None:
+    """Divide ``z`` by ``d`` in place, bit for bit as CPython's ``z[i] / d``.
+
+    numpy's complex division rounds differently, so above ``_PANEL``
+    entries this runs CPython's own algorithm (``_Py_c_quot``: Smith,
+    CACM 1962, Algorithm 116) in real ``*``, ``+`` and ``/`` on the
+    real and imaginary parts, its branch chosen once for the one
+    divisor.  At or below ``_PANEL`` entries, where numpy's fixed cost
+    per call outweighs the loop, it divides in Python.  ``d`` must be
+    finite and nonzero.
+    """
+    if len(z) <= _PANEL:
+        z[:] = [x / d for x in z.tolist()]
+        return
+    re, im = z.real, z.imag
+    if abs(d.real) >= abs(d.imag):
+        ratio = d.imag / d.real
+        denom = d.real + d.imag * ratio
+        q = im * ratio
+        q += re
+        im -= re * ratio
+    else:
+        ratio = d.real / d.imag
+        denom = d.real * ratio + d.imag
+        q = re * ratio
+        q += im
+        im *= ratio
+        im -= re
+    q /= denom
+    im /= denom
+    re[:] = q
 
 
 def _row_echelon(
@@ -217,7 +276,9 @@ def _row_echelon(
     so a basis and a factor of the same matrix pick the same pivots.  Each
     step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
     and right of the pivot, within the panel's columns, and stores the
-    multipliers below the pivot in every panel.  At the panel's end its
+    multipliers below the pivot in every panel; they are divided in place
+    by :func:`_quotients`, so each has the bits of CPython's ``complex``
+    division.  At the panel's end its
     pivot rows get the panel's earlier updates right of the panel, and
     the rows below them one product ``L21 @ U12``.  The last panel spans
     every remaining column, so a system of at most ``_PANEL`` columns
@@ -252,9 +313,8 @@ def _row_echelon(
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
-            piv = complex(col[0])  # divide in Python: numpy's division rounds differently
-            m = np.array([z / piv for z in col[1:].tolist()], dtype=complex)
-            col[1:] = m
+            m = col[1:]
+            _quotients(m, complex(col[0]))
             block = w[r + 1 :, c + 1 : end]  # a view: no copy back into w
             block -= np.multiply.outer(m, w[r, c + 1 : end])
             cols.append(c)
@@ -399,9 +459,8 @@ def _factor(
     depend on the state is computed here, once: the cross-product check
     on the live rows, the elimination's charges and the row swaps.
     """
-    _require_finite(a)
     w = np.array(a, dtype=complex)
-    threshold = tol.abs_eps * max_abs(w)
+    threshold = tol.abs_eps * _finite_scale(w)
     cols, swapped = _row_echelon(w, w.shape[1], threshold)
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
@@ -471,8 +530,7 @@ def _echelon(a: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, list[int]
     w = np.array(a, dtype=complex)
     if w.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
-    _require_finite(w)
-    return w, _row_echelon(w, w.shape[1], tol.abs_eps * max_abs(w))[0]
+    return w, _row_echelon(w, w.shape[1], tol.abs_eps * _finite_scale(w))[0]
 
 
 def null_space_basis(
@@ -521,10 +579,10 @@ def validate_projector(
     projector's range factor for ``tol``.
     """
     m = np.asarray(m, dtype=complex)
-    _require_finite(m)
+    scale = _finite_scale(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
-    bound = tol.abs_eps + tol.rel_eps * max_abs(m)
+    bound = tol.abs_eps + tol.rel_eps * scale
     if max_abs(m - m.conj().T) > bound:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     if max_abs(m @ m - m) > bound:

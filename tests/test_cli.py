@@ -118,8 +118,18 @@ def test_valuate_rejects_invalid_projector(capsys, tmp_path):
         ([[np.nan, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
         ([[np.inf, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
         ([[1.0, 0.0], [0.0, 0.0]], [[np.nan], [0.0]]),
+        ([[-np.inf, 0.0], [0.0, 0.0]], [[1.0], [0.0]]),
+        ([[1.0, complex(np.nan, 0.0)], [0.0, 0.0]], [[1.0], [0.0]]),
+        ([[1.0, 0.0], [complex(0.0, np.inf), 0.0]], [[1.0], [0.0]]),
     ],
-    ids=["nan-projector", "infinity-projector", "nan-state"],
+    ids=[
+        "nan-projector",
+        "infinity-projector",
+        "nan-state",
+        "minus-infinity-projector",
+        "complex-nan-projector",
+        "imaginary-infinity-projector",
+    ],
 )
 def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
     proj = tmp_path / "proj.json"

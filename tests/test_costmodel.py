@@ -21,7 +21,9 @@ from propval.costmodel import (
     samples_to_csv,
 )
 from propval import linalg
+from propval.fixtures import TargetKind, random_instance
 from propval.numerics import OpCounter
+from propval.valuation import valuate
 
 
 def by_path(samples, path):
@@ -36,6 +38,31 @@ def synthetic_samples(counts_for_n):
 
 
 # -------------------------------------------------------------- sampling
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+def test_benchmark_paths_draws_one_projector_per_dimension(seed, monkeypatch):
+    grid = [3, 8, 40]
+    built = []
+    post_init = linalg.Projector.__post_init__
+    monkeypatch.setattr(
+        linalg.Projector, "__post_init__", lambda p: built.append(p) or post_init(p)
+    )
+    samples = benchmark_paths(grid, seed)
+    assert [p.dim for p in built] == grid
+    monkeypatch.undo()
+    targets = {
+        PathKind.RANGE_TRUE: (TargetKind.IN_RANGE, "cost_true_path"),
+        PathKind.KERNEL_FALSE: (TargetKind.IN_KERNEL, "cost_false_path"),
+        PathKind.GAP_BOTH: (TargetKind.GENERIC, "cost_gap_path"),
+    }
+    expected = []
+    for n in grid:
+        for path, (target, cost) in targets.items():
+            projector, state = random_instance(n, seed, target)  # fresh per path
+            counts = getattr(valuate(projector, state), cost)
+            expected.append(CostSample(n, path, counts))
+    assert samples == expected
 
 
 def test_benchmark_counts_for_n6_match_the_contracts():

@@ -11,6 +11,7 @@ from propval.fixtures import (
     fixture_by_name,
     qubit_fixture,
     random_instance,
+    random_states,
     spin52_fixture,
 )
 from propval.linalg import kernel_basis, load_matrix, load_state, validate_projector
@@ -115,6 +116,15 @@ def test_targets_share_the_projector():
     ]
     assert np.array_equal(arrays[0], arrays[1])
     assert np.array_equal(arrays[0], arrays[2])
+
+
+def test_random_states_are_the_per_target_draws():
+    for n, seed in [(2, 0), (9, 4), (40, 23)]:
+        projector, states = random_states(n, seed, list(TargetKind))
+        for target, state in zip(TargetKind, states):
+            drawn, alone = random_instance(n, seed, target)
+            assert np.array_equal(drawn.array, projector.array)
+            assert np.array_equal(alone.components, state.components)
 
 
 def test_instance_states_are_unit():

@@ -346,6 +346,60 @@ def test_blocked_elimination_matches_the_unblocked_loop(system):
     assert np.abs(got - want).max() <= 1e-12 * linalg.max_abs(a)  # multipliers too
 
 
+@st.composite
+def quotient_parts(draw):
+    """A real or imaginary part: a signed zero or +-m * 10**e, |x| in [1e-300, 1e300)."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from([0.0, -0.0]))
+    m = draw(st.floats(1.0, 10.0, exclude_max=True))
+    return draw(st.sampled_from([1.0, -1.0])) * m * 10.0 ** draw(st.integers(-300, 299))
+
+
+def assert_same_bits(got, want):
+    got = np.ascontiguousarray(got, dtype=complex)
+    want = np.ascontiguousarray(want, dtype=complex)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dividends=st.lists(
+        st.builds(complex, quotient_parts(), quotient_parts()),
+        min_size=1,
+        max_size=2 * linalg._PANEL + 8,
+    ),
+    divisor=st.tuples(quotient_parts(), quotient_parts()).filter(any),
+    larger_part=st.sampled_from(["real", "imag"]),
+    strided=st.booleans(),
+)
+@example(  # over the cutoff, |d.real| == |d.imag|: the real branch; the
+    # other one would give -0.0 for the real part of (2.5+2.5j) / (1-1j)
+    dividends=[complex(2.5, 2.5), complex(-0.0, 1e-300)] * (linalg._PANEL // 2 + 1),
+    divisor=(1.0, -1.0),
+    larger_part="real",
+    strided=True,
+)
+@example(  # the quotient overflows to inf, as CPython's does
+    dividends=[complex(1e300, -0.0)] * (linalg._PANEL + 1),
+    divisor=(0.0, 1e-300),
+    larger_part="imag",
+    strided=False,
+)
+def test_quotients_match_cpython_division_bit_for_bit(
+    dividends, divisor, larger_part, strided
+):
+    big, small = sorted(divisor, key=abs, reverse=True)
+    d = complex(big, small) if larger_part == "real" else complex(small, big)
+    want = [z / d for z in dividends]
+    z = np.array(dividends, dtype=complex)
+    if strided:  # a column of a C-order work array, as _row_echelon passes it
+        z = np.repeat(z[:, None], 3, axis=1)[:, 1]
+    overflows = any(math.isinf(q.real) or math.isinf(q.imag) for q in want)
+    with np.errstate(over="ignore" if overflows else "warn"):
+        linalg._quotients(z, d)
+    assert_same_bits(z, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=32),
@@ -407,13 +461,39 @@ def test_null_space_treats_a_skipped_entry_as_zero():
     assert np.array_equal(null_space_basis(a), expected)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0), complex(0, np.inf)]
+)
 def test_rank_decisions_reject_non_finite_entries(bad):
     a = np.array([[bad, 1.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteEntry):
         matrix_rank(a)
     with pytest.raises(NonFiniteEntry):
         null_space_basis(a)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf)]
+)
+def test_validate_projector_rejects_non_finite_entries_before_comparing(
+    bad, monkeypatch
+):
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 2] = bad  # and not Hermitian: the finiteness check must come first
+    scanned = []
+    real_max_abs = linalg.max_abs
+    monkeypatch.setattr(
+        linalg, "max_abs", lambda a: scanned.append(a) or real_max_abs(a)
+    )
+    with pytest.raises(NonFiniteEntry):
+        validate_projector(m)
+    assert all(a is m for a in scanned)  # no difference formed, no product
+
+
+def test_a_finite_scale_may_overflow_without_a_non_finite_entry():
+    a = np.full((2, 2), 1.5e308 + 1.5e308j)
+    assert linalg.max_abs(a) == math.inf  # abs overflows
+    assert linalg._finite_scale(a) == math.inf  # but no entry is NaN or inf
 
 
 def test_null_space_basis_rejects_a_one_dimensional_array():

@@ -449,7 +449,9 @@ def test_both_formulations_match_the_oracle_on_any_shape(system):
         assert residual < 1e-7
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(0, math.inf)]
+)
 @pytest.mark.parametrize("where", ["column", "rhs"])
 def test_non_finite_systems_are_rejected(bad, where):
     cols = np.eye(3, 2, dtype=complex)

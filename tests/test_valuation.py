@@ -12,6 +12,7 @@ from propval.linalg import (
     NotUnitNorm,
     StateVector,
     kernel_basis,
+    matrix_rank,
     projector_from_state,
     range_basis,
     validate_projector,
@@ -230,6 +231,25 @@ def test_lattice_laws_on_random_pairs():
         assert span_equal(join(s, t), join(t, s))
         assert span_equal(meet(s, join(s, t)), s)  # absorption
         assert span_equal(join(s, meet(s, t)), s)
+
+
+def test_lattice_and_basis_outputs_have_independent_columns():
+    # Subspace.dim is the column count; meet, join and the projector bases
+    # must hand back independent columns for it to be the dimension.
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        shared = random_subspace(rng, n, int(rng.integers(1, n + 1))).array
+        s = Subspace(np.hstack([shared, random_subspace(rng, n, 1).array]))
+        t = Subspace(np.hstack([shared, shared[:, :1] * 2j]))  # dependent columns
+        for out in (meet(s, t), join(s, t), meet(t, t), join(t, Subspace.zero(n))):
+            assert matrix_rank(out.array) == out.dim
+        rank = int(rng.integers(1, n))
+        q = random_subspace(rng, n, rank).array
+        p = validate_projector(q @ q.conj().T)
+        for basis in (range_basis(p), kernel_basis(p)):
+            assert matrix_rank(basis.array) == basis.dim
+        assert (range_basis(p).dim, kernel_basis(p).dim) == (rank, n - rank)
 
 
 def test_lattice_associativity():
