@@ -299,12 +299,11 @@ def conjecture1_report(
     samples: list[CostSample],
     model: ModelKind,
     eq_: float | None = None,
-    band: float = DEFAULT_SLOPE_BAND,
 ) -> Conjecture1Report:
     """Equal-growth verdict for the per-path costs under a machine model.
 
     Satisfied iff the fitted log-log slopes of all three paths agree
-    pairwise within ``band``.
+    pairwise within ``DEFAULT_SLOPE_BAND``.
     """
     slopes: dict[PathKind, float] = {}
     r2: dict[PathKind, float] = {}
@@ -321,8 +320,8 @@ def conjecture1_report(
         slopes[path] = fit.slope
         r2[path] = fit.r_squared
     spread = max(slopes.values()) - min(slopes.values())
-    verdict = "satisfied" if spread <= band else "violated"
-    return Conjecture1Report(model, eq_, slopes, r2, band, verdict)
+    verdict = "satisfied" if spread <= DEFAULT_SLOPE_BAND else "violated"
+    return Conjecture1Report(model, eq_, slopes, r2, DEFAULT_SLOPE_BAND, verdict)
 
 
 def doubling_grid(min_n: int, max_n: int) -> list[int]:

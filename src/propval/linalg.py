@@ -392,8 +392,8 @@ class EchelonFactor:
     * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
       the one pivot threshold;
     * ``check`` -- the cross-product check on the rows ``last[t:]`` left
-      live, anchored above ``threshold``; a projector subspace of one
-      unknown is anchored above its column's own scale, as
+      live, anchored above ``threshold``, or above its column's own
+      scale when there is one unknown, as
       :func:`~propval.membership.range_membership` anchors it;
     * ``charges`` -- the (divisions, multiplications) each solve charges
       for the elimination (:func:`_charges`), the first pair below and
@@ -420,10 +420,6 @@ class EchelonFactor:
     def __post_init__(self):
         self.lu.setflags(write=False)
         self.last.setflags(write=False)
-
-    def forward(self, b: np.ndarray) -> np.ndarray:
-        """A fresh copy of ``b`` taken through the ``t`` elimination steps."""
-        return _forward(self.lu, self.swapped, b)
 
 
 def _forward(lu: np.ndarray, swapped, b: np.ndarray) -> np.ndarray:
@@ -457,7 +453,8 @@ def _factor(
     interchange is undone, and its column is forward-solved from ``a``
     like a right-hand side.  Everything a solve needs that does not
     depend on the state is computed here, once: the cross-product check
-    on the live rows, the elimination's charges and the row swaps.
+    on the live rows, the elimination's charges and the row swaps.  With
+    one unknown the check anchors on its column's own ``hypot`` scale.
     """
     w = np.array(a, dtype=complex)
     threshold = tol.abs_eps * _finite_scale(w)
@@ -472,7 +469,7 @@ def _factor(
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
     last = _forward(lu, swapped[:t], column)
     last.setflags(write=False)  # before the check takes its view
-    own_scale = kind is not None and len(unknowns) == 1
+    own_scale = len(unknowns) == 1
     return EchelonFactor(
         lu,
         last,
@@ -606,18 +603,19 @@ def subspace_factor(
     One elimination of ``P`` (range) or ``I - P`` (kernel); its pivot
     columns are the subspace's basis and the system's unknowns, so a
     state's membership then costs one O(n k) solve against it, for a
-    subspace of dimension k.
+    subspace of dimension k.  Where the rank says the subspace is {0}
+    (0 for the range, ``n`` for the kernel) the factor has no unknowns
+    and an ``n x 0`` basis.  The rank decides, not pivots: ``I - P`` of
+    a full-rank ``P`` is noise, and the relative threshold finds pivots.
     """
-    if kind is BasisKind.RANGE and p.rank == 0:
-        raise ZeroProjector("range of the zero projector is {0}")
-    if kind is BasisKind.KERNEL and p.rank == p.dim:
-        raise FullRankProjector("kernel of a full-rank projector is {0}")
     value = p._memo.get((kind, tol))
     if value is None:
         with _FACTOR_BUILD:
             value = p._memo.get((kind, tol))
             if value is None:
                 a = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
+                if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
+                    a = a[:, :0]  # the subspace is {0}: nothing to eliminate
                 value = p._memo[kind, tol] = _factor(a, tol, kind)
     return value
 
@@ -626,14 +624,20 @@ def range_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Subspace:
     """Independent columns of the projector matrix, lowest index first."""
-    return subspace_factor(p, BasisKind.RANGE, tol).basis
+    basis = subspace_factor(p, BasisKind.RANGE, tol).basis
+    if not basis.dim:
+        raise ZeroProjector("range of the zero projector is {0}")
+    return basis
 
 
 def kernel_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Subspace:
     """Independent columns of (I - M), lowest index first."""
-    return subspace_factor(p, BasisKind.KERNEL, tol).basis
+    basis = subspace_factor(p, BasisKind.KERNEL, tol).basis
+    if not basis.dim:
+        raise FullRankProjector("kernel of a full-rank projector is {0}")
+    return basis
 
 
 def decompose(
@@ -666,8 +670,14 @@ def _json_field(d: dict, name: str, convert):
         raise MalformedMatrixFile(f"missing or invalid field {name!r}: {exc}") from exc
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # 2.5, "2" and true are not JSON integers
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json_dict(d: dict) -> np.ndarray:
-    rows, cols = _json_field(d, "rows", int), _json_field(d, "cols", int)
+    rows, cols = _json_field(d, "rows", _json_int), _json_field(d, "cols", _json_int)
     count = _json_field(d, "entries", len)
     if rows < 0 or cols < 0 or count != rows * cols:
         raise MalformedMatrixFile(f"expected {rows * cols} entries, got {count}")

@@ -8,24 +8,32 @@ right-hand side), then a per-state *solve* that takes the right-hand
 side through the factor's interchanges and multipliers, applies one
 cross-product consistency check to the rows left live, and
 back-substitutes a witness.  The factor costs O(n^3), the solve O(n^2).
-Deciders:
+One span decider, ``_span_membership``, reads the span's width off the
+factor: with no unknowns the state must be zero, with one the factor's
+anchored column decides alone, with more the factor is solved.  Deciders:
 
 * :func:`subspace_membership` -- the range or kernel system of a
   projector, one decider for both.  Its factor is memoised on the
   projector (:func:`~propval.linalg.subspace_factor`, whose pivot
-  columns are the subspace's basis), so the elimination runs once per
-  projector, subspace and tolerance policy and every state pays only
-  the solve.  The factor also keeps the state-independent half of the
-  cross-product check (the live column, its anchor row and the anchor's
-  entry), the elimination's charge and the row swaps, so a solve does
-  only the arithmetic that involves its state.  An empty subspace
-  contains only the zero vector, and a one-column subspace is decided
-  as :func:`range_membership` decides it, on the factor's anchored
-  column.
+  columns are the subspace's basis; an empty subspace has an empty
+  factor), so the elimination runs once per projector, subspace and
+  tolerance policy and every state pays only the solve.  The factor
+  also keeps the state-independent half of the cross-product check (the
+  live column, its anchor row and the anchor's entry), the
+  elimination's charge and the row swaps, so a solve does only the
+  arithmetic that involves its state.
+* :func:`membership_of` -- any column stack, factored per call, and
+  :func:`range_membership`, the one-column case.  It has no column to
+  eliminate, so the consistency check decides on every row in O(n) and
+  is the whole tally: a membership verdict costs exactly ``2(n-1)``
+  multiplications and ``n-1`` comparisons, and a rejection is charged
+  up to the first failed comparison.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
-  -- the same factor and solve on a bare :class:`AugmentedMatrix`; the
-  two differ only in what each step is charged.  The iterative form is
-  charged for the rows below the pivot and the columns right of it,
+  -- the same factor and solve on a bare :class:`AugmentedMatrix`, for
+  every width: the solve keeps its own tallies, so a one-unknown check
+  is reported as ``final_check``.  The two differ only in what each
+  step is charged.  The iterative form is charged for the rows below
+  the pivot and the columns right of it,
   ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a nondegenerate system
   with ``n-1`` unknowns that is exactly ``n(n-1)/2 - 1`` divisions and
   ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.  The
@@ -33,11 +41,6 @@ Deciders:
   also charged for the pivot row and column, O(n) divisions and O(n^2)
   multiplications/subtractions per step.  Verdict and witness are
   identical in both forms on every input; only the tallies differ.
-* :func:`range_membership` -- the single-column system.  It has no
-  column to eliminate, so the consistency check decides on every row
-  in O(n) and is the whole tally: a membership verdict costs exactly
-  ``2(n-1)`` multiplications and ``n-1`` comparisons, and a rejection
-  is charged up to the first failed comparison.
 * :func:`residual_oracle` -- least-squares residual test, used by the
   test suite as an uncounted second opinion.
 
@@ -74,14 +77,13 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     BasisKind,
-    CrossCheck,
     EchelonFactor,
     Projector,
     StateVector,
     Subspace,
     subspace_factor,
 )
-from .linalg import _cross_check, _factor, _magnitudes, _require_finite
+from .linalg import _factor, _forward, _magnitudes, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -154,15 +156,14 @@ def range_membership(
 ) -> MembershipResult:
     """Decide solvability of the one-unknown system ``column * x = psi``.
 
-    The one-unknown case of the elimination path: there is no column to
-    eliminate, so the cross-product condition of :func:`_cross_consistency`
-    decides on every row, ``column[a] * psi[j] == column[j] * psi[a]``,
-    anchored on the first entry above ``abs_eps * max|column|``.  That
-    check is the whole tally, reported as ``counts``: ``2(n-1)``
-    multiplications and ``n-1`` comparisons for a member, two and one
-    per comparison made on a rejection.  The column's half of the check
-    (:func:`~propval.linalg._cross_check`) is built per call here; a
-    projector's one-unknown factor keeps it.
+    :func:`membership_of` on exactly one column.  There is no column to
+    eliminate, so the cross-product condition of
+    :func:`_cross_consistency` decides on every row,
+    ``column[a] * psi[j] == column[j] * psi[a]``, anchored on the first
+    entry above ``abs_eps * max|column|``.  That check is the whole
+    tally, reported as ``counts``: ``2(n-1)`` multiplications and
+    ``n-1`` comparisons for a member, two and one per comparison made on
+    a rejection.  A numerically zero column raises :class:`ZeroColumn`.
     """
     arr = r.array if isinstance(r, Subspace) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
@@ -171,20 +172,27 @@ def range_membership(
         raise DimensionMismatch(
             f"range check expects exactly one column, got {arr.shape[1]}"
         )
-    b = _rhs(arr.shape[0], psi)
-    return _column_membership(_cross_check(arr[:, 0], tol), b, ctx, tol)
+    return membership_of(arr, psi, ctx, tol)
 
 
-def _column_membership(
-    check: CrossCheck, b: np.ndarray, ctx: OpCounter | None, tol: TolerancePolicy
+def _span_membership(
+    f: EchelonFactor, b: np.ndarray, ctx: OpCounter | None, tol: TolerancePolicy
 ) -> MembershipResult:
-    """:func:`range_membership` on a column already anchored."""
-    # With no entry above the anchor threshold the check would accept
-    # any zero right-hand side; a basis column must not be zero.
-    if check.anchor is None:
+    """Is ``b`` in the span of ``f``'s unknowns?  Decided by their number.
+
+    None: ``b`` must be zero; witness ``[]``, no charge.  One: the
+    anchored column's check is the whole tally, and a column without an
+    anchor raises :class:`ZeroColumn`.  More: :func:`_solve`.
+    """
+    if f.unknowns > 1:
+        return _solve(f, b, ctx, tol, full_block=False)
+    if not f.unknowns:
+        member = _first_nonzero(b, tol) is None
+        return MembershipResult(member, [] if member else None, OpCounter())
+    if f.check.anchor is None:  # the check would accept any zero b
         raise ZeroColumn("basis column is numerically zero")
     tally = OpCounter()
-    member, x = _cross_consistency(check, b, tol, tally)
+    member, x = _cross_consistency(f, b, tol, tally)
     if ctx is not None:
         ctx.mul += tally.mul
         ctx.cmp += tally.cmp
@@ -200,7 +208,7 @@ def _rhs(rows: int, psi: StateVector) -> np.ndarray:
 
 
 def _cross_consistency(
-    check: CrossCheck,
+    f: EchelonFactor,
     rhs: np.ndarray,
     tol: TolerancePolicy,
     fctx: OpCounter,
@@ -208,8 +216,8 @@ def _cross_consistency(
     """Consistency of the one-unknown system ``col * x = rhs``.
 
     After elimination the live rows carry a single unknown column (the
-    last one) plus the right-hand side.  ``check`` holds that column and
-    its anchor row ``a``, the first where ``|col|`` exceeds the
+    last one) plus the right-hand side.  ``f.check`` holds that column
+    and its anchor row ``a``, the first where ``|col|`` exceeds the
     threshold.  With an anchor the system is consistent iff
     ``col[a]*rhs[j] == col[j]*rhs[a]`` within ``tol`` for all other rows;
     with none, iff every right-hand side is zero.  The tally is that of
@@ -225,7 +233,7 @@ def _cross_consistency(
     every small system.  Returns the verdict and the unknown's value,
     ``rhs[a] / col[a]`` (0 without an anchor).
     """
-    col, anchor = check.col, check.anchor
+    col, anchor, a_col = f.check
     n = col.shape[0]
     if not n:  # a wide system can leave no live row: nothing to compare
         return True, 0j
@@ -233,7 +241,7 @@ def _cross_consistency(
         fail = _first_nonzero(rhs, tol)
         fctx.cmp += n if fail is None else fail + 1
         return (True, 0j) if fail is None else (False, None)
-    a_col, a_rhs = check.anchor_entry, complex(rhs[anchor])
+    a_rhs = complex(rhs[anchor])
     j = int(anchor == 0)  # the first row compared
     if j < n and not tol.equal(a_col * complex(rhs[j]), complex(col[j]) * a_rhs):
         fail = j
@@ -338,10 +346,10 @@ def _solve(
         ctx.mul += mul
         ctx.div += div
         ctx.add_sub += mul
-    y = f.forward(b)
+    y = _forward(f.lu, f.swapped, b)
     fctx = OpCounter()
     t = len(f.positions)
-    member, x_last = _cross_consistency(f.check, y[t:], tol, fctx)
+    member, x_last = _cross_consistency(f, y[t:], tol, fctx)
     witness = _back_substitute(f, y, x_last) if member else None
     return MembershipResult(member, witness, elimination, fctx, f.row_swaps)
 
@@ -390,21 +398,11 @@ def subspace_membership(
     Solves against ``p``'s memoised :func:`~propval.linalg.subspace_factor`:
     the first request per subspace and tolerance policy pays the one
     O(n^3) elimination of ``P`` or ``I - P``, which also picks the
-    basis, and every state pays only the O(n k) :func:`_solve` for a
-    subspace of dimension k.
-    Verdict, witness and tallies are those of :func:`membership_of` on
-    the basis: an empty subspace contains only the zero vector, and a
-    one-column subspace is the O(n) :func:`range_membership`, on the
-    column the factor has already anchored.
+    basis, and every state pays only the O(n k) solve for a subspace of
+    dimension k.  Verdict, witness and tallies are those of
+    :func:`membership_of` on the basis.
     """
-    if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
-        return membership_of(np.zeros((p.dim, 0)), psi, ctx, tol)
-    f = subspace_factor(p, kind, tol)
-    if f.unknowns > 1:
-        return _solve(f, _rhs(p.dim, psi), ctx, tol, full_block=False)
-    if f.unknowns:
-        return _column_membership(f.check, _rhs(p.dim, psi), ctx, tol)
-    return membership_of(f.basis.array, psi, ctx, tol)
+    return _span_membership(subspace_factor(p, kind, tol), _rhs(p.dim, psi), ctx, tol)
 
 
 def residual_oracle(
@@ -433,19 +431,13 @@ def membership_of(
 ) -> MembershipResult:
     """Does psi lie in the span of the given columns?
 
-    Dispatch by width: an empty span contains only the zero vector, a
-    single column is the O(n) range check, anything wider is factored
-    and solved as :func:`kernel_membership_iterative` does, without
-    building an augmented system.
+    Factored as :func:`kernel_membership_iterative` factors the
+    columns, without an augmented system, then decided by width: an
+    empty span holds only the zero vector, one column is the O(n) range
+    check, anything wider is solved.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
         raise DimensionMismatch("expected a 2-d column stack")
-    k = columns.shape[1]
-    if k == 0:
-        member = _first_nonzero(_rhs(columns.shape[0], psi), tol) is None
-        return MembershipResult(member, [] if member else None, OpCounter())
-    if k == 1:
-        return range_membership(columns, psi, ctx, tol)
     b = _rhs(columns.shape[0], psi)
-    return _solve(_factor(columns, tol), b, ctx, tol, full_block=False)
+    return _span_membership(_factor(columns, tol), b, ctx, tol)

@@ -153,13 +153,6 @@ def valuate_ql(
     return TruthVerdict(value, result.counts, OpCounter(), None, result.witness)
 
 
-def _subspace(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
-    """``p``'s range or kernel, from its memoised factor; {0} when empty."""
-    if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
-        return Subspace.zero(p.dim)
-    return subspace_factor(p, kind, tol).basis
-
-
 def _require_same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
@@ -248,9 +241,9 @@ def demo_nondistributivity(
     if not subspace_membership(q, BasisKind.RANGE, phi, tol=tol).member:
         raise PhiNotInRange("phi must lie in the range of the first projector")
 
-    q_range = _subspace(q, BasisKind.RANGE, tol)
-    p_range = _subspace(p, BasisKind.RANGE, tol)
-    p_kernel = _subspace(p, BasisKind.KERNEL, tol)
+    q_range = subspace_factor(q, BasisKind.RANGE, tol).basis
+    p_range = subspace_factor(p, BasisKind.RANGE, tol).basis
+    p_kernel = subspace_factor(p, BasisKind.KERNEL, tol).basis
     lhs = meet(q_range, join(p_range, p_kernel, tol), tol)
     with_p = meet(q_range, p_range, tol)
     with_complement = meet(q_range, p_kernel, tol)

@@ -149,6 +149,9 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
         b'{"rows": 1, "cols": 1, "entries": 5}',
         b'{"rows": 1e999, "cols": 1, "entries": [[1, 0]]}',
         b'{"rows": 1, "cols": 1, "entries": [[1' + b"0" * 400 + b', 0]]}',
+        b'{"rows": 2.5, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+        b'{"rows": "2", "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+        b'{"rows": 2, "cols": true, "entries": [[1, 0], [0, 0]]}',
     ],
     ids=[
         "deeply-nested",
@@ -156,6 +159,9 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
         "entries-not-a-list",
         "rows-infinite",
         "huge-entry",
+        "rows-fractional",
+        "rows-string",
+        "cols-boolean",
     ],
 )
 def test_valuate_rejects_malformed_matrix_files(capsys, qubit_files, tmp_path, content):
@@ -398,6 +404,27 @@ def test_importing_the_cli_builds_no_parser():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["0", "0"]
+
+
+def test_the_cli_runs_on_numpy_alone():
+    # numpy is the one declared runtime dependency; the test tools are
+    # installed beside it, so only a fresh process shows a stray import.
+    probe = (
+        "import sys\n"
+        "import propval\n"
+        "from propval import cli\n"
+        "code = cli.main(['bench', '--grid', '4,8,16,32'])\n"
+        "extra = {'scipy', 'hypothesis', 'pytest'} & set(sys.modules)\n"
+        "print(code, sorted(extra), file=sys.stderr)\n"
+    )
+    src = str(Path(propval.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split("\n")[-2] == "0 []"
 
 
 def test_the_tolerance_variable_is_read_on_every_call(

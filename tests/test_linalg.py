@@ -572,6 +572,24 @@ def count_eliminations(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+def test_the_empty_kernel_is_factored_without_elimination(noise, monkeypatch):
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    p = validate_projector(np.eye(4) + noise * (h + h.conj().T))
+    assert p.rank == 4
+    calls = count_eliminations(monkeypatch)
+    f = subspace_factor(p, BasisKind.KERNEL)
+    # The rank decides: I - P is zero or noise, and its 4 columns are not
+    # eliminated, where the relative pivot threshold would find pivots.
+    assert calls == [0]
+    assert f.unknowns == 0 and f.basis.array.shape == (4, 0)
+    assert subspace_factor(p, BasisKind.KERNEL) is f
+    assert calls == [0]
+    with pytest.raises(FullRankProjector):
+        kernel_basis(p)
+
+
 def test_bases_are_computed_once_per_policy(monkeypatch):
     calls = count_eliminations(monkeypatch)
     drawn, _ = random_instance(8, 3, TargetKind.IN_RANGE)

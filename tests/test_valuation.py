@@ -17,6 +17,7 @@ from propval.linalg import (
     range_basis,
     validate_projector,
 )
+from propval.numerics import OpCounter
 from propval.valuation import (
     CommutingOperators,
     PhiNotInRange,
@@ -119,6 +120,72 @@ def test_valuate_general_rank_projector():
     assert valuate(p, plane).value is TruthValue.TRUE
     assert valuate(p, third).value is TruthValue.FALSE
     assert valuate(p, tilted).value is TruthValue.GAP
+
+
+# ------------------------------------------------- degenerate projectors
+
+NO_OPS = OpCounter()
+FULL_SPACE_OPS = OpCounter(mul=20, div=6, add_sub=20)  # n = 4, k = 4 unknowns
+E0 = np.eye(4)[0]
+V = np.array([1.0, 1j, -1.0, 0.5]) / math.sqrt(3.25)
+
+
+def hermitian_noise(scale):
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return scale * (h + h.conj().T)
+
+
+def assert_verdict(got, value, true, false, gap, witness):
+    assert (got.value, got.cost_true_path, got.cost_false_path) == (value, true, false)
+    assert got.cost_gap_path == gap
+    if witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness == pytest.approx(list(witness), abs=1e-11)
+
+
+@pytest.mark.parametrize("state", [E0, V], ids=["e0", "v"])
+def test_the_zero_projector_verdicts(state):
+    p, psi = validate_projector(np.zeros((4, 4))), StateVector(state)
+    assert p.rank == 0
+    false = TruthValue.FALSE
+    assert_verdict(valuate(p, psi), false, NO_OPS, FULL_SPACE_OPS, None, state)
+    assert_verdict(valuate_ql(p, psi), false, NO_OPS, NO_OPS, None, None)
+    assert_verdict(
+        valuate_ql(p, psi, gap_to_true=True), false, NO_OPS, FULL_SPACE_OPS, None, state
+    )
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+@pytest.mark.parametrize("state", [E0, V], ids=["e0", "v"])
+def test_the_identity_and_near_identity_verdicts(state, noise):
+    p = validate_projector(np.eye(4) + hermitian_noise(noise))
+    psi = StateVector(state)
+    assert p.rank == 4
+    true = TruthValue.TRUE
+    assert_verdict(valuate(p, psi), true, FULL_SPACE_OPS, NO_OPS, None, state)
+    assert_verdict(valuate_ql(p, psi), true, FULL_SPACE_OPS, NO_OPS, None, state)
+    # The kernel of a full-rank P is {0}, even where I - P is noise.
+    assert_verdict(
+        valuate_ql(p, psi, gap_to_true=True), true, NO_OPS, NO_OPS, None, None
+    )
+
+
+def test_the_near_rank_one_verdicts():
+    p = validate_projector(np.outer(V, V.conj()) + hermitian_noise(1e-12))
+    assert p.rank == 1
+    kernel = OpCounter(mul=13, div=5, add_sub=13)  # n = 4, k = 3 unknowns
+    e0, v = StateVector(E0), StateVector(V)
+    rejected, accepted = OpCounter(mul=2, cmp=1), OpCounter(mul=6, cmp=3)
+    gap, false, true = TruthValue.GAP, TruthValue.FALSE, TruthValue.TRUE
+    assert_verdict(valuate(p, e0), gap, rejected, kernel, rejected + kernel, None)
+    assert_verdict(valuate_ql(p, e0), false, rejected, NO_OPS, None, None)
+    assert_verdict(valuate_ql(p, e0, gap_to_true=True), true, NO_OPS, kernel, None, None)
+    witness = [math.sqrt(3.25)]  # v[a] / P[a, 0] on the anchor a = 0
+    assert_verdict(valuate(p, v), true, accepted, NO_OPS, None, witness)
+    assert_verdict(valuate_ql(p, v), true, accepted, NO_OPS, None, witness)
+    assert_verdict(valuate_ql(p, v, gap_to_true=True), true, NO_OPS, kernel, None, None)
 
 
 # ----------------------------------------------------------- valuate_ql
