@@ -112,18 +112,14 @@ def cmd_valuate(args) -> int:
 
 
 def _parse_grid(args) -> list[int]:
-    if args.grid != "double":
-        try:
-            grid = sorted({int(part) for part in args.grid.split(",")})
-        except ValueError:
-            raise costmodel.InvalidBounds(
-                f"grid must be 'double' or comma-separated dimensions, "
-                f"got {args.grid!r}"
-            ) from None
-        if not grid or grid[0] < 3:
-            raise costmodel.InvalidBounds("grid dimensions start at 3")
-        return grid
-    return costmodel.doubling_grid(args.min_n, args.max_n)
+    if args.grid == "double":
+        return costmodel.doubling_grid(args.min_n, args.max_n)
+    try:
+        return sorted({int(part) for part in args.grid.split(",")})
+    except ValueError:
+        raise costmodel.InvalidBounds(
+            f"grid must be 'double' or comma-separated dimensions, got {args.grid!r}"
+        ) from None
 
 
 def cmd_bench(args) -> int:

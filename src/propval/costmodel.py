@@ -196,15 +196,20 @@ def _loglog_fit(ns: list[float], values: list[float]) -> GrowthFit:
     return GrowthFit(float(slope), float(intercept), r_squared)
 
 
+def _path_fit(samples: list[CostSample], path: PathKind, cost) -> GrowthFit:
+    """Log-log fit of ``cost(sample)`` against n over ``path``'s samples."""
+    picked = [s for s in samples if s.path is path]
+    dims = len({s.n for s in picked})
+    if dims < 4:
+        raise InsufficientSamples(
+            f"need at least 4 distinct dimensions for {path.value}, got {dims}"
+        )
+    return _loglog_fit([s.n for s in picked], [cost(s) for s in picked])
+
+
 def fit_growth(samples: list[CostSample], path: PathKind) -> GrowthFit:
     """Log-log least-squares slope of total operations against n."""
-    picked = [(s.n, s.counts.total) for s in samples if s.path is path]
-    if len({n for n, _ in picked}) < 4:
-        raise InsufficientSamples(
-            f"need at least 4 distinct dimensions for {path.value}, "
-            f"got {len({n for n, _ in picked})}"
-        )
-    return _loglog_fit([n for n, _ in picked], [t for _, t in picked])
+    return _path_fit(samples, path, lambda s: s.counts.total)
 
 
 def _check_bounds(t1: float, tinf: float, processors: int) -> None:
@@ -308,15 +313,7 @@ def conjecture1_report(
     slopes: dict[PathKind, float] = {}
     r2: dict[PathKind, float] = {}
     for path in PathKind:
-        picked = [s for s in samples if s.path is path]
-        if len({s.n for s in picked}) < 4:
-            raise InsufficientSamples(
-                f"need at least 4 distinct dimensions for {path.value}"
-            )
-        fit = _loglog_fit(
-            [s.n for s in picked],
-            [_model_cost(s, model, eq_) for s in picked],
-        )
+        fit = _path_fit(samples, path, lambda s: _model_cost(s, model, eq_))
         slopes[path] = fit.slope
         r2[path] = fit.r_squared
     spread = max(slopes.values()) - min(slopes.values())

@@ -47,7 +47,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from itertools import chain
 
 import numpy as np
 
@@ -335,44 +335,6 @@ def _magnitudes(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-class CrossCheck(NamedTuple):
-    """The state-independent half of the consistency check of ``col * x = b``.
-
-    The system is consistent iff ``col[a] * b[j] == col[j] * b[a]`` for
-    every row ``j``, anchored on the first row ``a`` where ``|col|``
-    exceeds the threshold (``anchor``, ``None`` if no row does; then iff
-    ``b`` is zero).  ``anchor_entry`` is ``complex(col[anchor])``, so a
-    verdict computes only the products that involve its ``b``.  In a
-    factor, ``col`` is a read-only view of its ``last`` column.
-    """
-
-    col: np.ndarray
-    anchor: int | None
-    anchor_entry: complex
-
-
-def _cross_check(
-    col: np.ndarray, tol: TolerancePolicy, threshold: float | None = None
-) -> CrossCheck:
-    """Anchor ``col`` for :class:`CrossCheck`, in one ``hypot`` pass.
-
-    The anchor threshold defaults to ``abs_eps * max|col|``, the
-    one-unknown system's own; that pass also finds a NaN or infinite
-    entry (:class:`NonFiniteEntry`).
-    """
-    mags = _magnitudes(col)
-    if threshold is None:
-        scale = mags.max(initial=0.0)  # NaN or inf if an entry is
-        if not math.isfinite(scale):
-            _require_finite(col)
-        threshold = tol.abs_eps * scale
-    above = mags > threshold
-    anchor = int(above.argmax()) if above.size else None
-    if anchor is None or not above[anchor]:
-        return CrossCheck(col, None, 0j)
-    return CrossCheck(col, anchor, complex(col[anchor]))
-
-
 @dataclass(frozen=True, eq=False)  # shared by identity, like the memo holding it
 class EchelonFactor:
     """The right-hand-side-independent half of deciding ``B x = b``.
@@ -391,10 +353,16 @@ class EchelonFactor:
     * ``last`` -- the last unknown's column after those ``t`` steps;
     * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
       the one pivot threshold;
-    * ``check`` -- the cross-product check on the rows ``last[t:]`` left
-      live, anchored above ``threshold``, or above its column's own
-      scale when there is one unknown, as
-      :func:`~propval.membership.range_membership` anchors it;
+    * ``anchor`` -- the first of the rows ``last[t:]`` left live whose
+      magnitude exceeds ``threshold``, or ``abs_eps`` times the column's
+      own largest magnitude when there is one unknown, as
+      :func:`~propval.membership.range_membership` anchors it; ``None``
+      if no row does.  The live system ``last[t:] * x = b`` is
+      consistent iff ``last[t + a] * b[j] == last[t + j] * b[a]`` for
+      every row ``j``, or, without an anchor, iff ``b`` is zero;
+    * ``anchor_entry`` -- ``complex(last[t + anchor])`` (``0j`` without
+      an anchor), so a verdict computes only the products that involve
+      its ``b``;
     * ``charges`` -- the (divisions, multiplications) each solve charges
       for the elimination (:func:`_charges`), the first pair below and
       right of each pivot, the second over the whole live block;
@@ -412,7 +380,8 @@ class EchelonFactor:
     positions: tuple[int, ...]
     unknowns: int
     threshold: float
-    check: CrossCheck
+    anchor: int | None
+    anchor_entry: complex
     charges: tuple[tuple[int, int], tuple[int, int]]
     row_swaps: int
     basis: Subspace | None = None
@@ -452,13 +421,13 @@ def _factor(
     unknowns before the last: if the last unknown was itself a pivot, its
     interchange is undone, and its column is forward-solved from ``a``
     like a right-hand side.  Everything a solve needs that does not
-    depend on the state is computed here, once: the cross-product check
-    on the live rows, the elimination's charges and the row swaps.  With
-    one unknown the check anchors on its column's own ``hypot`` scale.
+    depend on the state is computed here, once: the anchor of the live
+    rows' cross-product check, the elimination's charges and the row
+    swaps.  With one unknown the anchor threshold is the column's own
+    ``hypot`` scale; that column is a column of ``a``, whose finiteness
+    :func:`_echelon` has checked.
     """
-    w = np.array(a, dtype=complex)
-    threshold = tol.abs_eps * _finite_scale(w)
-    cols, swapped = _row_echelon(w, w.shape[1], threshold)
+    w, cols, swapped, threshold = _echelon(a, tol)
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
     lu = w.T[cols[:t]].T  # n x t, each eliminated column contiguous
@@ -468,8 +437,10 @@ def _factor(
     positions = tuple(position[c] for c in cols[:t])
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
     last = _forward(lu, swapped[:t], column)
-    last.setflags(write=False)  # before the check takes its view
+    mags = _magnitudes(last[t:])
     own_scale = len(unknowns) == 1
+    above = mags > (tol.abs_eps * mags.max(initial=0.0) if own_scale else threshold)
+    anchor = int(above.argmax()) if above.any() else None
     return EchelonFactor(
         lu,
         last,
@@ -477,7 +448,8 @@ def _factor(
         positions,
         len(unknowns),
         threshold,
-        _cross_check(last[t:], tol, None if own_scale else threshold),
+        anchor,
+        0j if anchor is None else complex(last[t + anchor]),
         _charges(len(w), len(unknowns), positions),
         sum(p != r for r, p in enumerate(swapped[:t])),
         None if kind is None else Subspace(a[:, cols]),
@@ -522,12 +494,20 @@ def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     return len(independent_columns(a, tol))
 
 
-def _echelon(a: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, list[int]]:
-    """A checked copy of ``a`` in row echelon form, and its pivot columns."""
+def _echelon(
+    a: np.ndarray, tol: TolerancePolicy
+) -> tuple[np.ndarray, list[int], list[int], float]:
+    """A checked copy of ``a`` in row echelon form (:func:`_row_echelon`).
+
+    The copy must be 2-d and finite (:class:`NonFiniteEntry`).  Returns
+    it with its pivot columns, the row swapped into row ``r`` at pivot
+    ``r``, and the pivot threshold ``abs_eps * max|a|``.
+    """
     w = np.array(a, dtype=complex)
     if w.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
-    return w, _row_echelon(w, w.shape[1], tol.abs_eps * _finite_scale(w))[0]
+    threshold = tol.abs_eps * _finite_scale(w)
+    return w, *_row_echelon(w, w.shape[1], threshold), threshold
 
 
 def null_space_basis(
@@ -542,7 +522,7 @@ def null_space_basis(
     the echelon form; a free column's entries left of a row's pivot are
     sub-threshold candidates the elimination skipped, taken as 0.
     """
-    w, cols = _echelon(a, tol)
+    w, cols, _, _ = _echelon(a, tol)
     n = w.shape[1]
     pivots = set(cols)
     free = [c for c in range(n) if c not in pivots]
@@ -683,6 +663,8 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
         raise MalformedMatrixFile(f"expected {rows * cols} entries, got {count}")
     try:
         flat = [complex(re, im) for re, im in d["entries"]]
+        if bool in set(map(type, chain.from_iterable(d["entries"]))):
+            raise TypeError("true and false are not numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedMatrixFile(
             "field 'entries' must hold [re, im] pairs of floats"

@@ -18,10 +18,10 @@ anchored column decides alone, with more the factor is solved.  Deciders:
   columns are the subspace's basis; an empty subspace has an empty
   factor), so the elimination runs once per projector, subspace and
   tolerance policy and every state pays only the solve.  The factor
-  also keeps the state-independent half of the cross-product check (the
-  live column, its anchor row and the anchor's entry), the
-  elimination's charge and the row swaps, so a solve does only the
-  arithmetic that involves its state.
+  also keeps the state-independent half of the cross-product check (its
+  last column, whose live rows the check runs on, the anchor row and
+  the anchor's entry), the elimination's charge and the row swaps, so a
+  solve does only the arithmetic that involves its state.
 * :func:`membership_of` -- any column stack, factored per call, and
   :func:`range_membership`, the one-column case.  It has no column to
   eliminate, so the consistency check decides on every row in O(n) and
@@ -55,10 +55,12 @@ it.  On the kernel systems those final-check operations are tallied in
 a separate counter on the result, not in the elimination counter,
 because the closed-form totals above cover the elimination loop only.
 
-Every decider charges its :class:`OpCounter` directly: elimination the
-closed-form amounts of its steps (summed once, when the factor is
-built), the cross-product check two multiplications and one comparison
-per comparison up to and including the first that fails, although the
+Each step returns its tally, and each public decider adds its result's
+``counts`` to the :class:`OpCounter` passed in, in one place
+(``_charged``).  The tallies are the closed-form amounts of the
+elimination's steps (summed once, when the factor is built) and, for
+the cross-product check, two multiplications and one comparison per
+comparison up to and including the first that fails, although the
 numpy pass decides them all.  The elimination is charged to every
 solve, as if it ran there: the tally is the paper's cost of deciding the
 system, which a memoised factor saves in wall time but not in
@@ -175,8 +177,15 @@ def range_membership(
     return membership_of(arr, psi, ctx, tol)
 
 
+def _charged(ctx: OpCounter | None, result: MembershipResult) -> MembershipResult:
+    """``result``, its ``counts`` added to ``ctx`` unless that is None."""
+    if ctx is not None:
+        ctx += result.counts
+    return result
+
+
 def _span_membership(
-    f: EchelonFactor, b: np.ndarray, ctx: OpCounter | None, tol: TolerancePolicy
+    f: EchelonFactor, b: np.ndarray, tol: TolerancePolicy
 ) -> MembershipResult:
     """Is ``b`` in the span of ``f``'s unknowns?  Decided by their number.
 
@@ -185,17 +194,13 @@ def _span_membership(
     anchor raises :class:`ZeroColumn`.  More: :func:`_solve`.
     """
     if f.unknowns > 1:
-        return _solve(f, b, ctx, tol, full_block=False)
+        return _solve(f, b, tol, full_block=False)
     if not f.unknowns:
         member = _first_nonzero(b, tol) is None
         return MembershipResult(member, [] if member else None, OpCounter())
-    if f.check.anchor is None:  # the check would accept any zero b
+    if f.anchor is None:  # the check would accept any zero b
         raise ZeroColumn("basis column is numerically zero")
-    tally = OpCounter()
-    member, x = _cross_consistency(f, b, tol, tally)
-    if ctx is not None:
-        ctx.mul += tally.mul
-        ctx.cmp += tally.cmp
+    member, x, tally = _cross_consistency(f, b, tol)
     return MembershipResult(member, [x] if member else None, tally)
 
 
@@ -208,39 +213,38 @@ def _rhs(rows: int, psi: StateVector) -> np.ndarray:
 
 
 def _cross_consistency(
-    f: EchelonFactor,
-    rhs: np.ndarray,
-    tol: TolerancePolicy,
-    fctx: OpCounter,
-) -> tuple[bool, complex | None]:
+    f: EchelonFactor, rhs: np.ndarray, tol: TolerancePolicy
+) -> tuple[bool, complex | None, OpCounter]:
     """Consistency of the one-unknown system ``col * x = rhs``.
 
-    After elimination the live rows carry a single unknown column (the
-    last one) plus the right-hand side.  ``f.check`` holds that column
-    and its anchor row ``a``, the first where ``|col|`` exceeds the
-    threshold.  With an anchor the system is consistent iff
-    ``col[a]*rhs[j] == col[j]*rhs[a]`` within ``tol`` for all other rows;
-    with none, iff every right-hand side is zero.  The tally is that of
-    the loop that stops at the first failing row: 2 multiplications and
-    1 comparison per comparison up to and including it.  For the nondegenerate case of
-    two live rows this is the trailing 2x2 cross condition: 2
-    multiplications, 1 comparison.
+    After elimination the live rows carry a single unknown column, the
+    factor's ``last`` column below its ``t`` eliminated rows, plus the
+    right-hand side ``rhs`` on those rows.  The factor holds that
+    column's anchor row ``a``, the first where ``|col|`` exceeds the
+    anchor threshold, and ``col[a]``.  With an anchor the system is
+    consistent iff ``col[a]*rhs[j] == col[j]*rhs[a]`` within ``tol`` for
+    all other rows; with none, iff every right-hand side is zero.  The
+    tally is that of the loop that stops at the first failing row: 2
+    multiplications and 1 comparison per comparison up to and including
+    it.  For the nondegenerate case of two live rows this is the
+    trailing 2x2 cross condition: 2 multiplications, 1 comparison.
 
     The first comparison runs on Python ``complex`` values; it alone
     decides that 2x2 check and most rejections.  Any further rows are
     decided together in one numpy pass (:func:`_first_cross_failure`),
     whose fixed cost of some 20 numpy calls would otherwise be paid by
-    every small system.  Returns the verdict and the unknown's value,
-    ``rhs[a] / col[a]`` (0 without an anchor).
+    every small system.  Returns the verdict, the unknown's value
+    ``rhs[a] / col[a]`` (0 without an anchor; None on a rejection) and
+    the tally.
     """
-    col, anchor, a_col = f.check
+    col, anchor, a_col = f.last[len(f.positions) :], f.anchor, f.anchor_entry
     n = col.shape[0]
     if not n:  # a wide system can leave no live row: nothing to compare
-        return True, 0j
+        return True, 0j, OpCounter()
     if anchor is None:
         fail = _first_nonzero(rhs, tol)
-        fctx.cmp += n if fail is None else fail + 1
-        return (True, 0j) if fail is None else (False, None)
+        tally = OpCounter(cmp=n if fail is None else fail + 1)
+        return (True, 0j, tally) if fail is None else (False, None, tally)
     a_rhs = complex(rhs[anchor])
     j = int(anchor == 0)  # the first row compared
     if j < n and not tol.equal(a_col * complex(rhs[j]), complex(col[j]) * a_rhs):
@@ -250,9 +254,8 @@ def _cross_consistency(
     else:
         fail = _first_cross_failure(col, rhs, anchor, tol)
     made = n - 1 if fail is None else fail + 1 - (anchor < fail)
-    fctx.mul += 2 * made
-    fctx.cmp += made
-    return (True, a_rhs / a_col) if fail is None else (False, None)
+    tally = OpCounter(mul=2 * made, cmp=made)
+    return (True, a_rhs / a_col, tally) if fail is None else (False, None, tally)
 
 
 def _first_cross_failure(
@@ -321,11 +324,7 @@ def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[c
 
 
 def _solve(
-    f: EchelonFactor,
-    b: np.ndarray,
-    ctx: OpCounter | None,
-    tol: TolerancePolicy,
-    full_block: bool,
+    f: EchelonFactor, b: np.ndarray, tol: TolerancePolicy, full_block: bool
 ) -> MembershipResult:
     """Decide ``B x = b`` from the factor of ``B``: the per-state half.
 
@@ -342,16 +341,10 @@ def _solve(
     """
     div, mul = f.charges[full_block]
     elimination = OpCounter(mul=mul, div=div, add_sub=mul)
-    if ctx is not None:
-        ctx.mul += mul
-        ctx.div += div
-        ctx.add_sub += mul
     y = _forward(f.lu, f.swapped, b)
-    fctx = OpCounter()
-    t = len(f.positions)
-    member, x_last = _cross_consistency(f, y[t:], tol, fctx)
+    member, x_last, check = _cross_consistency(f, y[len(f.positions) :], tol)
     witness = _back_substitute(f, y, x_last) if member else None
-    return MembershipResult(member, witness, elimination, fctx, f.row_swaps)
+    return MembershipResult(member, witness, elimination, check, f.row_swaps)
 
 
 def kernel_membership_iterative(
@@ -366,7 +359,7 @@ def kernel_membership_iterative(
     and as many subtractions.
     """
     f = _factor(aug.body[:, :-1], tol)
-    return _solve(f, aug.body[:, -1], ctx, tol, full_block=False)
+    return _charged(ctx, _solve(f, aug.body[:, -1], tol, full_block=False))
 
 
 def kernel_membership_matrix(
@@ -383,7 +376,7 @@ def kernel_membership_matrix(
     equal bit for bit; only the tallies differ.
     """
     f = _factor(aug.body[:, :-1], tol)
-    return _solve(f, aug.body[:, -1], ctx, tol, full_block=True)
+    return _charged(ctx, _solve(f, aug.body[:, -1], tol, full_block=True))
 
 
 def subspace_membership(
@@ -402,7 +395,8 @@ def subspace_membership(
     dimension k.  Verdict, witness and tallies are those of
     :func:`membership_of` on the basis.
     """
-    return _span_membership(subspace_factor(p, kind, tol), _rhs(p.dim, psi), ctx, tol)
+    f = subspace_factor(p, kind, tol)
+    return _charged(ctx, _span_membership(f, _rhs(p.dim, psi), tol))
 
 
 def residual_oracle(
@@ -440,4 +434,4 @@ def membership_of(
     if columns.ndim != 2:
         raise DimensionMismatch("expected a 2-d column stack")
     b = _rhs(columns.shape[0], psi)
-    return _span_membership(_factor(columns, tol), b, ctx, tol)
+    return _charged(ctx, _span_membership(_factor(columns, tol), b, tol))

@@ -4,10 +4,10 @@ Every algorithm in this package charges one unit per complex
 multiplication, division, addition/subtraction, or comparison.  Counts
 accumulate in an :class:`OpCounter` passed around as an explicit
 argument; there is no process-global counting state, so concurrent runs
-with independent counters never interfere.  The deciders increment
-the counter fields directly, by a closed-form amount per elimination
-step (run as numpy rank-1 updates within a panel of columns and one
-matrix product per panel) or per comparison.  A system's comparisons
+with independent counters never interfere.  Each decider adds the
+tally of its call to the counter once: a closed-form amount per
+elimination step (run as numpy rank-1 updates within a panel of columns
+and one matrix product per panel) or per comparison.  A system's comparisons
 run on ``complex`` values or in one numpy pass that repeats CPython's
 ``complex`` arithmetic, and are charged up to the first that fails, as
 a loop stopping there would be.  Passing ``None`` as the counter
@@ -59,6 +59,13 @@ class OpCounter:
             self.add_sub + other.add_sub,
             self.cmp + other.cmp,
         )
+
+    def __iadd__(self, other: "OpCounter") -> "OpCounter":
+        self.mul += other.mul
+        self.div += other.div
+        self.add_sub += other.add_sub
+        self.cmp += other.cmp
+        return self
 
     def __sub__(self, other: "OpCounter") -> "OpCounter":
         return OpCounter(

@@ -152,6 +152,8 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
         b'{"rows": 2.5, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
         b'{"rows": "2", "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
         b'{"rows": 2, "cols": true, "entries": [[1, 0], [0, 0]]}',
+        b'{"rows": 2, "cols": 2, "entries": '
+        b"[[true, false], [false, false], [false, false], [false, false]]}",
     ],
     ids=[
         "deeply-nested",
@@ -162,6 +164,7 @@ def test_valuate_rejects_non_finite_entries(capsys, tmp_path, projector, state):
         "rows-fractional",
         "rows-string",
         "cols-boolean",
+        "entries-boolean",
     ],
 )
 def test_valuate_rejects_malformed_matrix_files(capsys, qubit_files, tmp_path, content):

@@ -549,14 +549,14 @@ def test_factors_are_immutable(rank):
     assert valuate(p, StateVector(random_unit(rng, 6))).value is TruthValue.GAP
     assert len(p._memo) == 2
     for f in p._memo.values():
-        for array in (f.lu, f.last, f.check.col, f.basis.array):
+        for array in (f.lu, f.last, f.basis.array):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0
         with pytest.raises(AttributeError):
             f.row_swaps = 0
         with pytest.raises(AttributeError):
-            f.check.anchor = 0
+            f.anchor = 0
 
 
 def count_eliminations(monkeypatch):

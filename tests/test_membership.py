@@ -302,19 +302,29 @@ def test_counts_are_this_calls_tally_while_ctx_accumulates():
     proj, psi = random_instance(6, seed=4, target=TargetKind.GENERIC)
     rcols, kcols = range_basis(proj).array, kernel_basis(proj).array
     aug = AugmentedMatrix.from_system(kcols, psi)
-    deciders = [
-        lambda ctx: range_membership(rcols, psi, ctx),
-        lambda ctx: kernel_membership_iterative(aug, ctx),
-        lambda ctx: kernel_membership_matrix(aug, ctx),
-        lambda ctx: membership_of(rcols, psi, ctx),
-        lambda ctx: membership_of(kcols, psi, ctx),
+    unit = StateVector(rcols[:, 0] / np.linalg.norm(rcols[:, 0]))
+    empty, zero = np.zeros((6, 0)), StateVector(np.zeros(6))
+    deciders = [  # (decider, member, charged); psi lies in neither subspace
+        (lambda ctx: range_membership(rcols, psi, ctx), False, True),
+        (lambda ctx: kernel_membership_iterative(aug, ctx), False, True),
+        (lambda ctx: kernel_membership_matrix(aug, ctx), False, True),
+        (lambda ctx: membership_of(rcols, psi, ctx), False, True),
+        (lambda ctx: membership_of(kcols, psi, ctx), False, True),
+        (lambda ctx: subspace_membership(proj, BasisKind.RANGE, psi, ctx), False, True),
+        (lambda ctx: subspace_membership(proj, BasisKind.KERNEL, psi, ctx), False, True),
+        (lambda ctx: subspace_membership(proj, BasisKind.RANGE, unit, ctx), True, True),
+        (lambda ctx: membership_of(empty, zero, ctx), True, False),
+        (lambda ctx: membership_of(empty, psi, ctx), False, False),
     ]
-    for decide in deciders:
+    assert (kcols.shape[1], rcols.shape[1]) == (5, 1)
+    for decide, member, charged in deciders:
         tally = decide(None).counts
-        assert tally.total > 0
+        assert (tally.total > 0) is charged
         ctx = OpCounter(mul=7, div=5, add_sub=3, cmp=2)
         before = ctx.snapshot()
-        assert decide(ctx).counts == tally
+        result = decide(ctx)
+        assert result.member is member
+        assert result.counts == tally
         assert ctx == before + tally
 
 
