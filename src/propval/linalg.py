@@ -122,7 +122,9 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
+        # numpy.linalg.norm's own formula for a complex vector, without its wrapper
+        v = self.components
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
     def is_unit(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
         return abs(self.norm - 1.0) <= tol.abs_eps + tol.rel_eps
@@ -363,6 +365,9 @@ class EchelonFactor:
     * ``anchor_entry`` -- ``complex(last[t + anchor])`` (``0j`` without
       an anchor), so a verdict computes only the products that involve
       its ``b``;
+    * ``live_scale`` -- the largest magnitude of the live rows
+      ``last[t:]``; times a bound on ``max|b|`` it bounds every product
+      of the check;
     * ``charges`` -- the (divisions, multiplications) each solve charges
       for the elimination (:func:`_charges`), the first pair below and
       right of each pivot, the second over the whole live block;
@@ -382,6 +387,7 @@ class EchelonFactor:
     threshold: float
     anchor: int | None
     anchor_entry: complex
+    live_scale: float
     charges: tuple[tuple[int, int], tuple[int, int]]
     row_swaps: int
     basis: Subspace | None = None
@@ -422,8 +428,9 @@ def _factor(
     interchange is undone, and its column is forward-solved from ``a``
     like a right-hand side.  Everything a solve needs that does not
     depend on the state is computed here, once: the anchor of the live
-    rows' cross-product check, the elimination's charges and the row
-    swaps.  With one unknown the anchor threshold is the column's own
+    rows' cross-product check and their largest magnitude, the
+    elimination's charges and the row swaps.  With one unknown the
+    anchor threshold is that largest magnitude, the column's own
     ``hypot`` scale; that column is a column of ``a``, whose finiteness
     :func:`_echelon` has checked.
     """
@@ -438,8 +445,8 @@ def _factor(
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
     last = _forward(lu, swapped[:t], column)
     mags = _magnitudes(last[t:])
-    own_scale = len(unknowns) == 1
-    above = mags > (tol.abs_eps * mags.max(initial=0.0) if own_scale else threshold)
+    live_scale = float(mags.max(initial=0.0))
+    above = mags > (tol.abs_eps * live_scale if len(unknowns) == 1 else threshold)
     anchor = int(above.argmax()) if above.any() else None
     return EchelonFactor(
         lu,
@@ -450,6 +457,7 @@ def _factor(
         threshold,
         anchor,
         0j if anchor is None else complex(last[t + anchor]),
+        live_scale,
         _charges(len(w), len(unknowns), positions),
         sum(p != r for r, p in enumerate(swapped[:t])),
         None if kind is None else Subspace(a[:, cols]),

@@ -68,10 +68,26 @@ operations.  A result's ``counts`` is the tally of that call alone; the
 counter passed in accumulates across calls.  Witness extraction
 (back-substitution, or the single anchor division of the range check)
 is a convenience output and is not counted.
+
+Each state is checked once, by the entry point that receives it.  The
+public deciders check its dimension and that every entry is finite
+(the bare forms through :class:`AugmentedMatrix`).
+``valuation.valuate`` and ``valuate_ql`` check its dimension and unit
+norm, once: a norm within tolerance of 1 is finite, so every entry is
+finite and at most ``1 + abs_eps + rel_eps``.  They decide on the
+components through ``_subspace_membership``, the decider behind
+:func:`subspace_membership`'s own checks.  Either way the check leaves
+a bound on the state's largest magnitude, and the cross-product check's
+numpy pass switches numpy's error state only when that bound times the
+factor's ``live_scale`` does not rule out overflow.  The bound serves
+the one-unknown check only: in a solve the eliminated rows can grow the
+state's entries, and the switch stays.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +101,7 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _forward, _magnitudes, _require_finite
+from .linalg import _factor, _finite_scale, _forward, _magnitudes, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -185,13 +201,16 @@ def _charged(ctx: OpCounter | None, result: MembershipResult) -> MembershipResul
 
 
 def _span_membership(
-    f: EchelonFactor, b: np.ndarray, tol: TolerancePolicy
+    f: EchelonFactor, b: np.ndarray, tol: TolerancePolicy, size: float
 ) -> MembershipResult:
     """Is ``b`` in the span of ``f``'s unknowns?  Decided by their number.
 
-    None: ``b`` must be zero; witness ``[]``, no charge.  One: the
-    anchored column's check is the whole tally, and a column without an
-    anchor raises :class:`ZeroColumn`.  More: :func:`_solve`.
+    ``b`` is checked already: as many finite entries as ``f`` has rows,
+    none larger in magnitude than ``size``.  None: ``b`` must be zero;
+    witness ``[]``, no charge.  One: the anchored column's check is the
+    whole tally, with no eliminated row, so ``size`` bounds its products;
+    a column without an anchor raises :class:`ZeroColumn`.  More:
+    :func:`_solve`.
     """
     if f.unknowns > 1:
         return _solve(f, b, tol, full_block=False)
@@ -200,20 +219,22 @@ def _span_membership(
         return MembershipResult(member, [] if member else None, OpCounter())
     if f.anchor is None:  # the check would accept any zero b
         raise ZeroColumn("basis column is numerically zero")
-    member, x, tally = _cross_consistency(f, b, tol)
+    member, x, tally = _cross_consistency(f, b, tol, size)
     return MembershipResult(member, [x] if member else None, tally)
 
 
-def _rhs(rows: int, psi: StateVector) -> np.ndarray:
-    """The state's components, checked against a system of ``rows`` rows."""
+def _rhs(rows: int, psi: StateVector) -> tuple[np.ndarray, float]:
+    """The state's components, checked against a system of ``rows`` rows.
+
+    Returns them with their largest magnitude, from the finiteness pass.
+    """
     if rows != psi.dim:
         raise DimensionMismatch(f"matrix has {rows} rows, rhs has {psi.dim}")
-    _require_finite(psi.components)
-    return psi.components
+    return psi.components, _finite_scale(psi.components)
 
 
 def _cross_consistency(
-    f: EchelonFactor, rhs: np.ndarray, tol: TolerancePolicy
+    f: EchelonFactor, rhs: np.ndarray, tol: TolerancePolicy, size: float
 ) -> tuple[bool, complex | None, OpCounter]:
     """Consistency of the one-unknown system ``col * x = rhs``.
 
@@ -233,7 +254,9 @@ def _cross_consistency(
     decides that 2x2 check and most rejections.  Any further rows are
     decided together in one numpy pass (:func:`_first_cross_failure`),
     whose fixed cost of some 20 numpy calls would otherwise be paid by
-    every small system.  Returns the verdict, the unknown's value
+    every small system.  ``size`` bounds ``max|rhs|`` (``math.inf`` if
+    nothing does), so ``f.live_scale * size`` bounds that pass's
+    products.  Returns the verdict, the unknown's value
     ``rhs[a] / col[a]`` (0 without an anchor; None on a rejection) and
     the tally.
     """
@@ -252,14 +275,25 @@ def _cross_consistency(
     elif n <= 2:
         fail = None
     else:
-        fail = _first_cross_failure(col, rhs, anchor, tol)
+        fail = _first_cross_failure(col, rhs, anchor, tol, f.live_scale * size)
     made = n - 1 if fail is None else fail + 1 - (anchor < fail)
     tally = OpCounter(mul=2 * made, cmp=made)
     return (True, a_rhs / a_col, tally) if fail is None else (False, None, tally)
 
 
+# Where max|col| * max|rhs| * (1 + rel_eps) + abs_eps stays below this, every
+# product in _first_cross_failure is at most B = max|col| * max|rhs|, every
+# sum or difference of two at most 4B, every magnitude at most 6B and the
+# tolerance bound at most 3 (rel_eps B) + abs_eps: all below 2**1023.
+_FINITE_PRODUCTS = 2.0**1020
+
+
 def _first_cross_failure(
-    col: np.ndarray, rhs: np.ndarray, anchor: int, tol: TolerancePolicy
+    col: np.ndarray,
+    rhs: np.ndarray,
+    anchor: int,
+    tol: TolerancePolicy,
+    bound: float = math.inf,
 ) -> int | None:
     """The first row ``j`` where ``tol.equal(col[a]*rhs[j], col[j]*rhs[a])`` fails.
 
@@ -268,12 +302,19 @@ def _first_cross_failure(
     products by CPython's formula on real and imaginary parts (stacked,
     so one 2 x n pass computes them), magnitudes by ``hypot``.  numpy's
     complex ``*`` and ``abs`` round differently.  Products beyond the
-    float range become inf or NaN as in CPython, without a warning.  A
-    difference within ``abs_eps`` passes whatever the products' size, so
-    their magnitudes are computed only if some row is further apart.
-    Returns None if every row passes; the anchor row is not compared.
+    float range become inf or NaN as in CPython, without a warning:
+    numpy's error state is switched for the pass unless ``bound``, an
+    upper bound on ``max|col| * max|rhs|``, proves every value in it
+    finite.  A difference within ``abs_eps`` passes whatever the
+    products' size, so their magnitudes are computed only if some row
+    is further apart.  Returns None if every row passes; the anchor row
+    is not compared.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    if bound * (1 + tol.rel_eps) + tol.abs_eps < _FINITE_PRODUCTS:
+        state = contextlib.nullcontext()
+    else:
+        state = np.errstate(over="ignore", invalid="ignore")
+    with state:
         x = np.concatenate((rhs, col)).reshape(2, -1)
         s = x[::-1, anchor, None]  # col[a] scales rhs, rhs[a] scales col
         re = s.real * x.real - s.imag * x.imag
@@ -337,12 +378,15 @@ def _solve(
     and right of the pivot or, with ``full_block``, over the whole live
     block including the pivot row and column (``EchelonFactor.charges``);
     the charge depends on ``(n, k)`` and the pivots only, never on the
-    state, and ``full_block`` changes the charge only.
+    state, and ``full_block`` changes the charge only.  Nothing bounds
+    the live rows of ``b``: the eliminated rows can grow its entries.
     """
     div, mul = f.charges[full_block]
     elimination = OpCounter(mul=mul, div=div, add_sub=mul)
     y = _forward(f.lu, f.swapped, b)
-    member, x_last, check = _cross_consistency(f, y[len(f.positions) :], tol)
+    member, x_last, check = _cross_consistency(
+        f, y[len(f.positions) :], tol, math.inf
+    )
     witness = _back_substitute(f, y, x_last) if member else None
     return MembershipResult(member, witness, elimination, check, f.row_swaps)
 
@@ -395,8 +439,20 @@ def subspace_membership(
     dimension k.  Verdict, witness and tallies are those of
     :func:`membership_of` on the basis.
     """
-    f = subspace_factor(p, kind, tol)
-    return _charged(ctx, _span_membership(f, _rhs(p.dim, psi), tol))
+    b, size = _rhs(p.dim, psi)
+    return _charged(ctx, _subspace_membership(p, kind, b, tol, size))
+
+
+def _subspace_membership(
+    p: Projector, kind: BasisKind, b: np.ndarray, tol: TolerancePolicy, size: float
+) -> MembershipResult:
+    """:func:`subspace_membership` of components already checked.
+
+    ``b`` holds ``p.dim`` finite entries, none larger in magnitude than
+    ``size``; the caller has made sure of both.  Nothing is charged to a
+    counter: the tally is the result's ``counts``.
+    """
+    return _span_membership(subspace_factor(p, kind, tol), b, tol, size)
 
 
 def residual_oracle(
@@ -433,5 +489,5 @@ def membership_of(
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
         raise DimensionMismatch("expected a 2-d column stack")
-    b = _rhs(columns.shape[0], psi)
-    return _charged(ctx, _span_membership(_factor(columns, tol), b, tol))
+    b, size = _rhs(columns.shape[0], psi)
+    return _charged(ctx, _span_membership(_factor(columns, tol), b, tol, size))

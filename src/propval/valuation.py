@@ -5,10 +5,12 @@ membership: ``TRUE`` if the state lies in the projector's range,
 ``FALSE`` if in its kernel, and ``GAP`` when in neither (the ranges and
 kernels of a projector split the space, so TRUE and FALSE exclude each
 other).  Each verdict carries the operation tallies of the membership
-checks that ran.  Both systems are decided by the one decider
+checks that ran.  Both systems are decided by the one decider behind
 :func:`~propval.membership.subspace_membership`, against the factor
 each projector keeps per subspace, so a verdict after the first on a
-projector costs a solve, never an elimination.
+projector costs a solve, never an elimination.  The state is checked
+once per verdict, for its dimension and unit norm, and the decider
+runs on its components without checking them again.
 
 :func:`valuate_ql` is the two-valued variant that collapses the gap
 into FALSE by deciding on the range system alone (both outcomes then
@@ -49,7 +51,7 @@ from .linalg import (
     subspace_factor,
 )
 from .linalg import _require_unit
-from .membership import membership_of, subspace_membership
+from .membership import _subspace_membership, membership_of, subspace_membership
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -104,25 +106,35 @@ class TruthVerdict:
     witness: list[complex] | None
 
 
-def _check_state(p: Projector, psi: StateVector, tol: TolerancePolicy) -> None:
+def _unit_state(
+    p: Projector, psi: StateVector, tol: TolerancePolicy
+) -> tuple[np.ndarray, float]:
+    """``psi``'s components, checked once for every decision on ``p``.
+
+    The state must have ``p``'s dimension and unit norm.  A norm within
+    tolerance of 1 is finite, so every component is finite and at most
+    ``1 + abs_eps + rel_eps`` in magnitude; that bound is returned with
+    the components.
+    """
     if psi.dim != p.dim:
         raise DimensionMismatch(
             f"state dim {psi.dim} does not match projector dim {p.dim}"
         )
     _require_unit(psi, tol)
+    return psi.components, 1.0 + tol.abs_eps + tol.rel_eps
 
 
 def valuate(
     p: Projector, psi: StateVector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> TruthVerdict:
     """Three-valued verdict: range member, else kernel member, else gap."""
-    _check_state(p, psi, tol)
-    range_result = subspace_membership(p, BasisKind.RANGE, psi, tol=tol)
+    b, size = _unit_state(p, psi, tol)
+    range_result = _subspace_membership(p, BasisKind.RANGE, b, tol, size)
     decisive, kernel_counts = range_result, OpCounter()
     if range_result.member:
         value = TruthValue.TRUE
     else:
-        decisive = subspace_membership(p, BasisKind.KERNEL, psi, tol=tol)
+        decisive = _subspace_membership(p, BasisKind.KERNEL, b, tol, size)
         value = TruthValue.FALSE if decisive.member else TruthValue.GAP
         kernel_counts = decisive.counts
     gap = range_result.counts + kernel_counts if value is TruthValue.GAP else None
@@ -143,9 +155,9 @@ def valuate_ql(
     FALSE).  With ``gap_to_true`` the kernel system decides instead:
     FALSE iff it is consistent (gap collapses into TRUE).
     """
-    _check_state(p, psi, tol)
+    b, size = _unit_state(p, psi, tol)
     kind = BasisKind.KERNEL if gap_to_true else BasisKind.RANGE
-    result = subspace_membership(p, kind, psi, tol=tol)
+    result = _subspace_membership(p, kind, b, tol, size)
     if gap_to_true:
         value = TruthValue.FALSE if result.member else TruthValue.TRUE
         return TruthVerdict(value, OpCounter(), result.counts, None, result.witness)

@@ -30,7 +30,7 @@ from propval.membership import (
     subspace_membership,
 )
 from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
-from propval.valuation import Subspace, TruthValue, valuate
+from propval.valuation import Subspace, TruthValue, valuate, valuate_ql
 
 S2 = 1 / math.sqrt(2)
 
@@ -478,6 +478,14 @@ def test_non_finite_systems_are_rejected(bad, where):
     if where == "rhs":
         with pytest.raises(NonFiniteEntry):
             membership_of(cols[:, :0], psi)  # the empty span
+        # The projector deciders check the state themselves: valuate checks
+        # it once and decides on its components without these checks.
+        p = validate_projector(np.diag([1.0, 1.0, 0.0]))
+        for kind in BasisKind:
+            with pytest.raises(NonFiniteEntry):
+                subspace_membership(p, kind, psi)
+            with pytest.raises(DimensionMismatch):
+                subspace_membership(p, kind, StateVector(rhs[:2]))
     for decide in (kernel_membership_iterative, kernel_membership_matrix):
         with pytest.raises(NonFiniteEntry):
             decide(AugmentedMatrix.from_system(cols, psi))
@@ -847,3 +855,67 @@ def test_a_rank_one_verdict_on_its_factor_computes_no_magnitudes(monkeypatch):
     assert calls == []
     range_membership(range_basis(p), psi)  # a bare column is anchored per call
     assert calls == ["propval.linalg"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e301, 1e308])
+def test_the_error_state_is_switched_unless_the_bound_proves_products_finite(scale):
+    """The cross check leaves numpy's error state alone only where
+    ``max|col| * max|state|`` proves its products finite.  At scale 1 it
+    does for every state below; at 1e301 for unit states only; at 1e308
+    for none.  States with entries of 1e12 overflow the products at the
+    two large scales, which must raise no warning (tier 1 turns a
+    RuntimeWarning into an error).  valuate and valuate_ql, which decide
+    on the state they checked, give subspace_membership's verdict, tally
+    and witness, and that is the per-row loop's."""
+    rng = np.random.default_rng(12)
+    n = 8
+    d = rng.normal(size=n) + 1j * rng.normal(size=n)
+    d /= np.linalg.norm(d)
+    p = linalg.Projector(scale * np.outer(d, d.conj()), rank=1)  # not validated
+    column = subspace_factor(p, BasisKind.RANGE).basis.array[:, 0]
+    for _ in range(20):
+        member = StateVector(np.exp(1j * rng.uniform(0, 2 * math.pi)) * d)
+        off = rng.normal(size=n) + 1j * rng.normal(size=n)
+        off[:2] = d[:2]  # the anchor row and the first row compared agree
+        off /= np.linalg.norm(off)
+        big = off.copy()
+        big[2:] *= 1e12  # decided in the numpy pass
+        off, big = StateVector(off), StateVector(big)
+        true = valuate(p, member)
+        assert true.value is TruthValue.TRUE
+        for psi, verdict in ((member, true), (off, valuate_ql(p, off)), (big, None)):
+            got = subspace_membership(p, BasisKind.RANGE, psi)
+            tally = OpCounter()
+            assert (got.member, got.witness) == reference_range_membership(
+                column, psi, tally
+            )
+            assert got.counts == tally
+            if verdict is not None:
+                value = TruthValue.TRUE if got.member else TruthValue.FALSE
+                assert verdict.value is value
+                assert verdict.cost_true_path == got.counts
+                assert verdict.witness == got.witness
+
+
+def test_eliminated_rows_keep_the_error_state_switched():
+    """A solve keeps numpy's error state switched for its cross check:
+    forward elimination can grow the state's entries past any bound taken
+    before it.  Wilkinson's growth matrix (multipliers -1) doubles the
+    state at each of its four steps, so the live rows carry 16 where the
+    state held 1.  Their cross products, about 2**1023.5, differ by more
+    than the float range, although ``max|col| * max|state|``, about
+    2**1019.5, would prove them finite."""
+    big = 2.0**1019.5
+    n, t = 7, 4
+    columns = np.zeros((n, t + 1), dtype=complex)
+    for c in range(t):
+        columns[c, c], columns[c + 1 :, c] = big, -big
+    columns[t:, t] = [big, big, -big]
+    assert linalg._factor(columns, DEFAULT_TOLERANCE).positions == tuple(range(t))
+    psi = StateVector(np.ones(n))
+    got = membership_of(columns, psi)
+    want = kernel_membership_iterative(AugmentedMatrix.from_system(columns, psi))
+    assert not got.member
+    assert (got.member, got.witness, got.counts, got.final_check) == (
+        want.member, want.witness, want.counts, want.final_check
+    )
