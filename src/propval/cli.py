@@ -75,9 +75,12 @@ def _nine_digits(x: float) -> float:
 
 
 def _json_scalar(z: complex, tol: TolerancePolicy):
+    """9 significant digits; a part within ``abs_eps`` of 0 is rounding noise:
+    a real part prints as ``0.0``, an imaginary part is left out."""
+    re = _nine_digits(z.real) if abs(z.real) > tol.abs_eps else 0.0
     if abs(z.imag) <= tol.abs_eps:
-        return _nine_digits(z.real)
-    return [_nine_digits(z.real), _nine_digits(z.imag)]
+        return re
+    return [re, _nine_digits(z.imag)]
 
 
 def _emit(report: dict) -> None:

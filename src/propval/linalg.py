@@ -25,14 +25,15 @@ bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
 in ``membership``.  It works in panels of columns: one rank-1 update per
 pivot inside a panel, then one matrix product for the block right of
-and below it.  A pivot's multipliers are one numpy pass of Smith's
-algorithm over its column (:func:`_quotients`), the arithmetic CPython's
-``complex`` division runs, so they keep its bits; a column of at most
-``_PANEL`` entries is divided in Python.  One elimination of ``P`` or
-``I - P`` gives both the basis and its factor, because a non-pivot
-column issues no update.  Finiteness is checked on the pass that finds
-the threshold's scale: a NaN or infinite entry makes that scale
-non-finite and raises :class:`NonFiniteEntry`.
+and below it.  A pivot's multipliers are one numpy division of its
+column.  One elimination of ``P`` or ``I - P`` gives both the basis and
+its factor, because a non-pivot column issues no update.  Under the
+package's numerical contract (:mod:`~propval.numerics`) the pivots,
+ranks and row swaps are results, while the factor's entries hold only
+to rounding: how numpy rounds a step is not part of the contract.
+Finiteness is checked on the pass that finds the threshold's scale: a
+NaN or infinite entry makes that scale non-finite and raises
+:class:`NonFiniteEntry`.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -230,39 +231,6 @@ def _require_unit(psi: StateVector, tol: TolerancePolicy) -> None:
 _PANEL = 32  # columns eliminated per panel before the trailing block is updated
 
 
-def _quotients(z: np.ndarray, d: complex) -> None:
-    """Divide ``z`` by ``d`` in place, bit for bit as CPython's ``z[i] / d``.
-
-    numpy's complex division rounds differently, so above ``_PANEL``
-    entries this runs CPython's own algorithm (``_Py_c_quot``: Smith,
-    CACM 1962, Algorithm 116) in real ``*``, ``+`` and ``/`` on the
-    real and imaginary parts, its branch chosen once for the one
-    divisor.  At or below ``_PANEL`` entries, where numpy's fixed cost
-    per call outweighs the loop, it divides in Python.  ``d`` must be
-    finite and nonzero.
-    """
-    if len(z) <= _PANEL:
-        z[:] = [x / d for x in z.tolist()]
-        return
-    re, im = z.real, z.imag
-    if abs(d.real) >= abs(d.imag):
-        ratio = d.imag / d.real
-        denom = d.real + d.imag * ratio
-        q = im * ratio
-        q += re
-        im -= re * ratio
-    else:
-        ratio = d.real / d.imag
-        denom = d.real * ratio + d.imag
-        q = re * ratio
-        q += im
-        im *= ratio
-        im -= re
-    q /= denom
-    im /= denom
-    re[:] = q
-
-
 def _row_echelon(
     w: np.ndarray, ncols: int, threshold: float
 ) -> tuple[list[int], list[int]]:
@@ -278,9 +246,7 @@ def _row_echelon(
     so a basis and a factor of the same matrix pick the same pivots.  Each
     step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
     and right of the pivot, within the panel's columns, and stores the
-    multipliers below the pivot in every panel; they are divided in place
-    by :func:`_quotients`, so each has the bits of CPython's ``complex``
-    division.  At the panel's end its
+    multipliers below the pivot in every panel.  At the panel's end its
     pivot rows get the panel's earlier updates right of the panel, and
     the rows below them one product ``L21 @ U12``.  The last panel spans
     every remaining column, so a system of at most ``_PANEL`` columns
@@ -316,7 +282,7 @@ def _row_echelon(
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
             m = col[1:]
-            _quotients(m, complex(col[0]))
+            m /= col[0]
             block = w[r + 1 :, c + 1 : end]  # a view: no copy back into w
             block -= np.multiply.outer(m, w[r, c + 1 : end])
             cols.append(c)
@@ -330,11 +296,6 @@ def _row_echelon(
             w[i, end:] -= w[i, pcols[: i - r0]] @ w[r0:i, end:]
         w[r1:, end:] -= w[r1:, pcols] @ w[r0:r1, end:]
     return cols, swapped
-
-
-def _magnitudes(z: np.ndarray) -> np.ndarray:
-    """``abs`` of every entry as CPython computes it: ``hypot(re, im)``."""
-    return np.hypot(z.real, z.imag)
 
 
 @dataclass(frozen=True, eq=False)  # shared by identity, like the memo holding it
@@ -430,8 +391,8 @@ def _factor(
     depend on the state is computed here, once: the anchor of the live
     rows' cross-product check and their largest magnitude, the
     elimination's charges and the row swaps.  With one unknown the
-    anchor threshold is that largest magnitude, the column's own
-    ``hypot`` scale; that column is a column of ``a``, whose finiteness
+    anchor threshold is ``abs_eps`` times that largest magnitude, the
+    column's own scale; that column is a column of ``a``, whose finiteness
     :func:`_echelon` has checked.
     """
     w, cols, swapped, threshold = _echelon(a, tol)
@@ -444,7 +405,7 @@ def _factor(
     positions = tuple(position[c] for c in cols[:t])
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
     last = _forward(lu, swapped[:t], column)
-    mags = _magnitudes(last[t:])
+    mags = np.abs(last[t:])
     live_scale = float(mags.max(initial=0.0))
     above = mags > (tol.abs_eps * live_scale if len(unknowns) == 1 else threshold)
     anchor = int(above.argmax()) if above.any() else None

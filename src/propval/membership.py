@@ -48,10 +48,11 @@ Consistency of the eliminated system is decided by a cross-product
 condition on the remaining rows (for the nondegenerate ``n-1`` unknown
 case, one comparison on the trailing 2x2 block costing 2
 multiplications).  The first comparison runs on Python ``complex``
-values and every further one in a single numpy pass that repeats
-CPython's complex arithmetic, so each is decided bit for bit as a loop
-of :meth:`~propval.numerics.TolerancePolicy.equal` calls would decide
-it.  On the kernel systems those final-check operations are tallied in
+values and every further one in a single numpy pass, each against the
+bound of :meth:`~propval.numerics.TolerancePolicy.equal`.  Verdicts,
+tallies and row swaps are exact and witnesses hold to a normwise
+backward error, as the numerical contract in :mod:`~propval.numerics`
+states.  On the kernel systems those final-check operations are tallied in
 a separate counter on the result, not in the elimination counter,
 because the closed-form totals above cover the elimination loop only.
 
@@ -101,7 +102,7 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _magnitudes, _require_finite
+from .linalg import _factor, _finite_scale, _forward, _require_finite
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -253,7 +254,7 @@ def _cross_consistency(
     The first comparison runs on Python ``complex`` values; it alone
     decides that 2x2 check and most rejections.  Any further rows are
     decided together in one numpy pass (:func:`_first_cross_failure`),
-    whose fixed cost of some 20 numpy calls would otherwise be paid by
+    whose fixed cost of some ten numpy calls would otherwise be paid by
     every small system.  ``size`` bounds ``max|rhs|`` (``math.inf`` if
     nothing does), so ``f.live_scale * size`` bounds that pass's
     products.  Returns the verdict, the unknown's value
@@ -282,9 +283,11 @@ def _cross_consistency(
 
 
 # Where max|col| * max|rhs| * (1 + rel_eps) + abs_eps stays below this, every
-# product in _first_cross_failure is at most B = max|col| * max|rhs|, every
-# sum or difference of two at most 4B, every magnitude at most 6B and the
-# tolerance bound at most 3 (rel_eps B) + abs_eps: all below 2**1023.
+# value in _first_cross_failure is finite.  With B = max|col| * max|rhs|, each
+# real product in numpy's complex product is at most B and so is each part
+# of the product (|a.re b.re| + |a.im b.im| <= |a||b|), so each part of a
+# difference is at most 2B, its magnitude at most 3B, and the tolerance bound
+# at most rel_eps B + abs_eps: all below 2**1023, rounding included.
 _FINITE_PRODUCTS = 2.0**1020
 
 
@@ -297,43 +300,47 @@ def _first_cross_failure(
 ) -> int | None:
     """The first row ``j`` where ``tol.equal(col[a]*rhs[j], col[j]*rhs[a])`` fails.
 
-    Every row is decided in one numpy pass, bit for bit as
-    :meth:`TolerancePolicy.equal` decides it on ``complex`` values: both
-    products by CPython's formula on real and imaginary parts (stacked,
-    so one 2 x n pass computes them), magnitudes by ``hypot``.  numpy's
-    complex ``*`` and ``abs`` round differently.  Products beyond the
-    float range become inf or NaN as in CPython, without a warning:
-    numpy's error state is switched for the pass unless ``bound``, an
-    upper bound on ``max|col| * max|rhs|``, proves every value in it
-    finite.  A difference within ``abs_eps`` passes whatever the
-    products' size, so their magnitudes are computed only if some row
-    is further apart.  Returns None if every row passes; the anchor row
-    is not compared.
+    Every row is decided in one numpy pass: the products ``col[a]*rhs``
+    and ``rhs[a]*col`` by numpy's complex ``*``, magnitudes by
+    ``np.abs``, and the bound of :meth:`TolerancePolicy.equal`.  A
+    product may round differently from a ``complex`` one, so a row
+    within rounding of its bound may be decided either way; the
+    numerical contract (:mod:`~propval.numerics`) makes the verdict
+    exact only away from the bound.  Products beyond the float range
+    become inf or NaN without a warning: numpy's error state is switched
+    for the pass unless ``bound``, an upper bound on
+    ``max|col| * max|rhs|``, proves every value in it finite.  A
+    difference within ``abs_eps`` passes whatever the products' size, so
+    their magnitudes are computed only if some row is further apart.
+    Returns None if every row passes; the anchor row is not compared.
     """
     if bound * (1 + tol.rel_eps) + tol.abs_eps < _FINITE_PRODUCTS:
         state = contextlib.nullcontext()
     else:
         state = np.errstate(over="ignore", invalid="ignore")
     with state:
-        x = np.concatenate((rhs, col)).reshape(2, -1)
-        s = x[::-1, anchor, None]  # col[a] scales rhs, rhs[a] scales col
-        re = s.real * x.real - s.imag * x.imag
-        im = s.real * x.imag + s.imag * x.real
-        dist = np.hypot(re[0] - re[1], im[0] - im[1])
+        p, q = col[anchor] * rhs, rhs[anchor] * col
+        dist = np.abs(p - q)
         ok = dist <= tol.abs_eps
         ok[anchor] = True
         fail = _first_false(ok)
         if fail is not None:
-            ok = dist <= tol.abs_eps + tol.rel_eps * np.hypot(re, im).max(axis=0)
+            size = np.maximum(np.abs(p), np.abs(q))
+            ok = dist <= tol.abs_eps + tol.rel_eps * size
             ok[anchor] = True
             fail = _first_false(ok)
     return fail
 
 
 def _first_nonzero(rhs: np.ndarray, tol: TolerancePolicy) -> int | None:
-    """The first entry of ``rhs`` that ``tol.equal`` tells apart from zero."""
-    size = _magnitudes(rhs)
-    return _first_false(size <= tol.abs_eps + tol.rel_eps * size)
+    """The first entry of ``rhs`` that ``tol.equal`` tells apart from zero.
+
+    ``rel_eps`` times a magnitude may pass the float range; the bound
+    is then inf, as on ``complex`` values, and raises no warning.
+    """
+    size = np.abs(rhs)
+    with np.errstate(over="ignore"):
+        return _first_false(size <= tol.abs_eps + tol.rel_eps * size)
 
 
 def _first_false(ok: np.ndarray) -> int | None:
@@ -345,11 +352,9 @@ def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[c
     """Solve the eliminated rows upward, one column of U at a time.
 
     ``x[c] = y[i] / U[i, c]``, then ``y[:i] -= U[:i, c] * x[c]``; free
-    unknowns are 0.  The column sweep, not a dot product of each row
-    with the solved tail, is what keeps one-panel witnesses at the bits
-    the row-by-row loop gave (the spin52 witness in
-    ``tests/golden_cli.json``): a row dot product sums in another order
-    and moves its first entry from -8.02e-16 to -7.45e-16.
+    unknowns are 0.  The witness meets the numerical contract's normwise
+    backward error (:mod:`~propval.numerics`); its bits depend on the
+    order of the updates and are not part of the contract.
     """
     x = [0j] * f.unknowns
     x[-1] = x_last
@@ -357,7 +362,7 @@ def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[c
     if x_last != 0:
         y[:t] -= f.last[:t] * x_last
     for i in range(t - 1, -1, -1):
-        xi = complex(y[i]) / complex(f.lu[i, i])  # Python division, as in the loop
+        xi = complex(y[i]) / complex(f.lu[i, i])  # scalars: cheaper in Python
         x[f.positions[i]] = xi
         if xi != 0:
             y[:i] -= f.lu[:i, i] * xi

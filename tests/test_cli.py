@@ -1,7 +1,6 @@
 """Command-line surface: verdicts, benchmarks, cost profiles, demos."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -39,12 +38,11 @@ def qubit_files(tmp_path):
     return {p.stem.replace("qubit_", ""): str(p) for p in paths}
 
 
-# Exact stdout of commands on the exported fixtures.  Every system these
-# commands eliminate fits in one elimination panel, so the bytes,
-# roundoff-level witness components included, must not change with how
-# larger systems are blocked.  The default ``bench`` prints tallies and
-# slopes only: every range-path tally and gap-path early exit from n = 8
-# to 256.
+# Exact stdout of commands on the exported fixtures.  Witness parts are
+# printed to 9 digits and a part within ``abs_eps`` of 0 as 0, so the bytes
+# carry the fixtures' exact witnesses, not roundoff.  The default ``bench``
+# prints tallies and slopes only: every range-path tally and gap-path early
+# exit from n = 8 to 256.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
@@ -69,9 +67,8 @@ def test_valuate_spin52_fixture_files(capsys, spin52_files):
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "false"
-    witness = report["witness"]
-    assert len(witness) == 5
-    assert abs(witness[1] + math.sqrt(2)) < 1e-6
+    exact = fixture_by_name("spin52").expected_witness["psi"]
+    assert report["witness"] == [float(f"{z.real:.9g}") for z in exact]
     assert report["counts"]["kernel_path"]["div"] == 14
     assert report["counts"]["gap_total"] is None
 

@@ -263,8 +263,8 @@ def unblocked_row_echelon(w, ncols, threshold):
     """Reference: one rank-1 update of the whole trailing block per pivot.
 
     ``linalg._row_echelon`` must choose the same pivots and interchanges
-    and reach the same echelon rows, multipliers stored below each
-    pivot; it blocks the updates into panels.
+    and reach the same echelon rows to rounding, multipliers stored below
+    each pivot; it blocks the updates into panels and divides in numpy.
     """
     cols, swapped = [], []
     for c in range(ncols):
@@ -335,69 +335,18 @@ def pivots_inside_skipped_runs():
 @example(system=rank_one_system())
 @example(system=pivots_inside_skipped_runs())
 def test_blocked_elimination_matches_the_unblocked_loop(system):
+    """Pivots and interchanges exactly; every entry, multipliers included,
+    within ``c n u`` of the larger of ``max|a|`` and ``max|U|`` (the pivot
+    growth), n the larger dimension and u the unit roundoff.  The largest
+    ratio seen over 6000 drawn systems was under 17."""
     a, ncols = system
     threshold = 1e-9 * linalg.max_abs(a)
     got, want = a.copy(), a.copy()
     cols, swapped = linalg._row_echelon(got, ncols, threshold)
     assert (cols, swapped) == unblocked_row_echelon(want, ncols, threshold)
-    if ncols <= linalg._PANEL:
-        assert np.array_equal(got, want)
-        return
-    assert np.abs(got - want).max() <= 1e-12 * linalg.max_abs(a)  # multipliers too
-
-
-@st.composite
-def quotient_parts(draw):
-    """A real or imaginary part: a signed zero or +-m * 10**e, |x| in [1e-300, 1e300)."""
-    if draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from([0.0, -0.0]))
-    m = draw(st.floats(1.0, 10.0, exclude_max=True))
-    return draw(st.sampled_from([1.0, -1.0])) * m * 10.0 ** draw(st.integers(-300, 299))
-
-
-def assert_same_bits(got, want):
-    got = np.ascontiguousarray(got, dtype=complex)
-    want = np.ascontiguousarray(want, dtype=complex)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    dividends=st.lists(
-        st.builds(complex, quotient_parts(), quotient_parts()),
-        min_size=1,
-        max_size=2 * linalg._PANEL + 8,
-    ),
-    divisor=st.tuples(quotient_parts(), quotient_parts()).filter(any),
-    larger_part=st.sampled_from(["real", "imag"]),
-    strided=st.booleans(),
-)
-@example(  # over the cutoff, |d.real| == |d.imag|: the real branch; the
-    # other one would give -0.0 for the real part of (2.5+2.5j) / (1-1j)
-    dividends=[complex(2.5, 2.5), complex(-0.0, 1e-300)] * (linalg._PANEL // 2 + 1),
-    divisor=(1.0, -1.0),
-    larger_part="real",
-    strided=True,
-)
-@example(  # the quotient overflows to inf, as CPython's does
-    dividends=[complex(1e300, -0.0)] * (linalg._PANEL + 1),
-    divisor=(0.0, 1e-300),
-    larger_part="imag",
-    strided=False,
-)
-def test_quotients_match_cpython_division_bit_for_bit(
-    dividends, divisor, larger_part, strided
-):
-    big, small = sorted(divisor, key=abs, reverse=True)
-    d = complex(big, small) if larger_part == "real" else complex(small, big)
-    want = [z / d for z in dividends]
-    z = np.array(dividends, dtype=complex)
-    if strided:  # a column of a C-order work array, as _row_echelon passes it
-        z = np.repeat(z[:, None], 3, axis=1)[:, 1]
-    overflows = any(math.isinf(q.real) or math.isinf(q.imag) for q in want)
-    with np.errstate(over="ignore" if overflows else "warn"):
-        linalg._quotients(z, d)
-    assert_same_bits(z, want)
+    c, u = 64, 2.0**-53
+    scale = max(linalg.max_abs(a), linalg.max_abs(want))
+    assert np.abs(got - want).max() <= c * max(a.shape) * u * scale
 
 
 @settings(max_examples=100, deadline=None)
