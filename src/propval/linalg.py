@@ -23,11 +23,17 @@ first, so repeated runs pick the same vectors.  That loop,
 :func:`_row_echelon`, is the package's one elimination core: it picks
 bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
-in ``membership``.  It works in panels of columns: one rank-1 update per
-pivot inside a panel, then one matrix product for the block right of
-and below it.  A pivot's multipliers are one numpy division of its
-column.  One elimination of ``P`` or ``I - P`` gives both the basis and
-its factor, because a non-pivot column issues no update.  Under the
+in ``membership``.  It works in panels of ``_PANEL`` columns, left-looking
+(Crout) inside a panel: a column receives the panel's earlier pivots in
+one matrix-vector product, and a pivot row is finished across the whole
+matrix in one vector-matrix product; at the panel's end one matrix
+product updates the block below and right of it.  A pivot's multipliers
+are one numpy division of its column.  One elimination of ``P`` or
+``I - P`` gives both the basis and its factor, because a non-pivot
+column makes no update.  The triangular solves against the echelon
+form, for null spaces and for witnesses, run by blocks of the same
+width: one LAPACK solve of a diagonal block and one product for the
+rows beyond it (:func:`_forward`, :func:`_upper_solve`).  Under the
 package's numerical contract (:mod:`~propval.numerics`) the pivots,
 ranks and row swaps are results, while the factor's entries hold only
 to rounding: how numpy rounds a step is not part of the contract.
@@ -228,73 +234,84 @@ def _require_unit(psi: StateVector, tol: TolerancePolicy) -> None:
         raise NotUnitNorm(f"state norm {psi.norm} deviates from 1")
 
 
-_PANEL = 32  # columns eliminated per panel before the trailing block is updated
+_PANEL = 32  # columns per elimination panel, rows per block of a triangular solve
+
+
+def _consecutive(cols: list[int]) -> slice | list[int]:
+    """Increasing ``cols`` as a slice when consecutive, so ``w[:, cols]`` is a view."""
+    if cols and cols[-1] - cols[0] != len(cols) - 1:
+        return cols
+    return slice(cols[0], cols[-1] + 1) if cols else slice(0)
 
 
 def _row_echelon(
     w: np.ndarray, ncols: int, threshold: float
 ) -> tuple[list[int], list[int]]:
-    """Right-looking blocked Gaussian elimination of the first ``ncols`` columns.
+    """Blocked Gaussian elimination of the first ``ncols`` columns, Crout in each panel.
 
     Works in place on ``w`` (Golub & Van Loan, *Matrix Computations*,
-    3.4), ``_PANEL`` columns at a time.  Pivot ``r`` is the first entry
-    of largest magnitude in column ``c`` at or below row ``r``; a column
-    whose candidates all sit at or below ``threshold`` is skipped.
-    Nothing changes between pivots, so one pass over the rest of the
-    panel finds the next column that is not, and skips the run.  Every
-    caller passes ``abs_eps * max|entry|`` of the matrix it eliminates,
-    so a basis and a factor of the same matrix pick the same pivots.  Each
-    step subtracts ``outer(w[r+1:, c] / w[r, c], w[r, c+1:end])`` below
-    and right of the pivot, within the panel's columns, and stores the
-    multipliers below the pivot in every panel.  At the panel's end its
-    pivot rows get the panel's earlier updates right of the panel, and
-    the rows below them one product ``L21 @ U12``.  The last panel spans
-    every remaining column, so a system of at most ``_PANEL`` columns
-    runs exactly the unblocked loop.  Row interchanges move whole rows,
-    stored multipliers included, so on return ``w`` holds U on and above
-    each pivot and the multipliers below it in the final row order
-    (LAPACK's ``getrf`` layout).  Returns the pivot columns (pivot ``r``
-    in row ``r`` of ``w``) and, per pivot, the row swapped into row
-    ``r`` at its step (``r`` itself when none was).
+    3.2.11 and 3.4), ``_PANEL`` columns at a time.  Inside a panel it is
+    left-looking: column ``c`` first receives the panel's earlier pivots
+    in one product, ``w[r:, c] -= L[r:, pivots] @ U[pivots, c]``.  Pivot
+    ``r`` is then the first entry of largest magnitude in column ``c`` at
+    or below row ``r``; a column whose candidates all sit at or below
+    ``threshold`` is skipped.  No pivot is taken between the skipped
+    columns, so one product brings the rest of the panel up to date,
+    one pass over it finds the next column that is not skipped, and the
+    skipped run is written back.  Every caller passes ``abs_eps *
+    max|entry|`` of the matrix it eliminates, so a basis and a factor of
+    the same matrix pick the same pivots.  After its interchange the
+    pivot column is divided by the pivot, giving the multipliers below
+    it, and the pivot row is finished right of the pivot across the
+    whole of ``w`` in one product with the panel's earlier pivot rows.
+    At the panel's end the rows below its pivots get one product
+    ``L21 @ U12`` over every column right of the panel.  Row interchanges
+    move whole rows, stored multipliers included, so on return ``w``
+    holds U on and above each pivot and the multipliers below it in the
+    final row order (LAPACK's ``getrf`` layout); a skipped column holds
+    what the pivots left of it made of it.  Returns the pivot columns
+    (pivot ``r`` in row ``r`` of ``w``) and, per pivot, the row swapped
+    into row ``r`` at its step (``r`` itself when none was).
     """
     cols: list[int] = []
     swapped: list[int] = []
     for c0 in range(0, ncols, _PANEL):
-        last = ncols - c0 <= _PANEL
-        end = w.shape[1] if last else c0 + _PANEL
         r0 = len(cols)
         stop = min(c0 + _PANEL, ncols)
+        pivots = None  # the panel's pivot columns so far
         c = c0
-        while c < stop:
+        while c < stop and len(cols) < w.shape[0]:
             r = len(cols)
-            if r == w.shape[0]:
-                break
             col = w[r:, c]
+            if pivots is not None:
+                col -= w[r:, pivots] @ w[r0:r, c]
             mags = np.abs(col)
             p = int(mags.argmax())
             if not mags[p] > threshold:
                 c += 1
                 if c < stop:
-                    rest = np.abs(w[r:, c:stop]).max(axis=0) > threshold
-                    j = int(rest.argmax())
-                    c = c + j if rest[j] else stop
+                    rest = w[r:, c:stop]
+                    if pivots is not None:
+                        rest = rest - w[r:, pivots] @ w[r0:r, c:stop]
+                    live = np.abs(rest).max(axis=0) > threshold
+                    j = int(live.argmax())
+                    if not live[j]:
+                        j = stop - c
+                    w[r:, c : c + j] = rest[:, :j]
+                    c += j
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
-            m = col[1:]
-            m /= col[0]
-            block = w[r + 1 :, c + 1 : end]  # a view: no copy back into w
-            block -= np.multiply.outer(m, w[r, c + 1 : end])
+            col[1:] /= col[0]
+            if pivots is not None:
+                w[r, c + 1 :] -= w[r, pivots] @ w[r0:r, c + 1 :]
             cols.append(c)
             swapped.append(r + p)
+            pivots = _consecutive(cols[r0:])
             c += 1
-        r1 = len(cols)
-        if last or r1 == r0:
-            continue
-        pcols = cols[r0:]
-        for i in range(r0 + 1, r1):
-            w[i, end:] -= w[i, pcols[: i - r0]] @ w[r0:i, end:]
-        w[r1:, end:] -= w[r1:, pcols] @ w[r0:r1, end:]
+        if pivots is not None and stop < w.shape[1]:
+            r1 = len(cols)
+            w[r1:, stop:] -= w[r1:, pivots] @ w[r0:r1, stop:]
     return cols, swapped
 
 
@@ -311,7 +328,8 @@ class EchelonFactor:
     * ``lu`` -- n x t, the ``t`` eliminated unknowns: U on and above the
       diagonal, the multipliers below it, rows in the order left after
       the ``t`` interchanges;
-    * ``swapped`` -- the row swapped into row ``r`` at step ``r``;
+    * ``perm`` -- the ``t`` interchanges as one permutation: row ``i``
+      after them is row ``perm[i]`` before;
     * ``positions`` -- the unknown eliminated at step ``r``;
     * ``last`` -- the last unknown's column after those ``t`` steps;
     * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
@@ -342,7 +360,7 @@ class EchelonFactor:
 
     lu: np.ndarray
     last: np.ndarray
-    swapped: tuple[int, ...]
+    perm: np.ndarray
     positions: tuple[int, ...]
     unknowns: int
     threshold: float
@@ -354,24 +372,57 @@ class EchelonFactor:
     basis: Subspace | None = None
 
     def __post_init__(self):
-        self.lu.setflags(write=False)
-        self.last.setflags(write=False)
+        for array in (self.lu, self.last, self.perm):
+            array.setflags(write=False)
 
 
-def _forward(lu: np.ndarray, swapped, b: np.ndarray) -> np.ndarray:
-    """``b`` through the steps of ``lu``: interchanges, then the multipliers.
+# A diagonal block's strict lower triangle, and the identity that fills the
+# rest of a unit lower block.
+_BELOW = np.tri(_PANEL, k=-1, dtype=bool)
+_EYE = np.eye(_PANEL, dtype=complex)
 
-    Column by column in the loop's order, so on a one-panel system each
-    entry sees the same operations as in :func:`_row_echelon` itself.  A
-    step never swaps a row above it, so applying every interchange first
-    is the same arithmetic.
+
+def _forward(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b`` through the steps of ``lu``: its interchanges, then its multipliers.
+
+    A step never swaps a row above it, so applying every interchange
+    first, as the one permutation ``perm`` (``EchelonFactor.perm``), is
+    the same arithmetic.  The multipliers are applied by blocks of ``_PANEL``
+    steps: one solve with the block's unit lower triangle (LAPACK
+    ``gesv``, backward stable; a width-1 block needs none), then one
+    product for the rows below the block.  No triangular inverse is
+    formed: for multipliers of magnitude at most 1 its norm can reach
+    ``2**(_PANEL - 1)``.
     """
-    y = np.array(b, dtype=complex)
-    for r, p in enumerate(swapped):
-        if p != r:
-            y[r], y[p] = y[p], y[r]
-    for r in range(len(swapped)):
-        y[r + 1 :] -= lu[r + 1 :, r] * y[r]
+    y = np.asarray(b, dtype=complex)[perm]
+    t = lu.shape[1]
+    for i0 in range(0, t, _PANEL):
+        i1 = min(i0 + _PANEL, t)
+        k = i1 - i0
+        if k > 1:
+            unit = np.where(_BELOW[:k, :k], lu[i0:i1, i0:i1], _EYE[:k, :k])
+            y[i0:i1] = np.linalg.solve(unit, y[i0:i1])
+        y[i1:] -= lu[i1:, i0:i1] @ y[i0:i1]
+    return y
+
+
+def _upper_solve(u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve ``U x = y`` in place of ``y``, U the upper triangle of square ``u``.
+
+    ``y`` is one right-hand side or a column stack of them.  By blocks
+    of ``_PANEL`` rows from the bottom: one solve with the diagonal
+    block's upper triangle (LAPACK ``gesv``; a width-1 block is one
+    division), then one product for the rows above the block.
+    """
+    for i0 in reversed(range(0, len(u), _PANEL)):
+        i1 = min(i0 + _PANEL, len(u))
+        k = i1 - i0
+        if k > 1:
+            upper = np.where(_BELOW[:k, :k], 0, u[i0:i1, i0:i1])
+            y[i0:i1] = np.linalg.solve(upper, y[i0:i1])
+        else:
+            y[i0] /= u[i0, i0]
+        y[:i0] -= u[:i0, i0:i1] @ y[i0:i1]
     return y
 
 
@@ -390,21 +441,25 @@ def _factor(
     like a right-hand side.  Everything a solve needs that does not
     depend on the state is computed here, once: the anchor of the live
     rows' cross-product check and their largest magnitude, the
-    elimination's charges and the row swaps.  With one unknown the
-    anchor threshold is ``abs_eps`` times that largest magnitude, the
-    column's own scale; that column is a column of ``a``, whose finiteness
-    :func:`_echelon` has checked.
+    elimination's charges, the interchanges as one permutation and the
+    row swaps.  With one unknown the anchor threshold is ``abs_eps``
+    times that largest magnitude, the column's own scale; that column is
+    a column of ``a``, whose finiteness :func:`_echelon` has checked.
     """
     w, cols, swapped, threshold = _echelon(a, tol)
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
-    lu = w.T[cols[:t]].T  # n x t, each eliminated column contiguous
+    lu = w.T[cols[:t]].T  # n x t, a copy: a view would keep all of w
     if t < len(cols) and swapped[t] != t:
         lu[[t, swapped[t]]] = lu[[swapped[t], t]]
     position = {c: i for i, c in enumerate(unknowns)}
     positions = tuple(position[c] for c in cols[:t])
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
-    last = _forward(lu, swapped[:t], column)
+    perm = list(range(len(w)))
+    for r, p in enumerate(swapped[:t]):
+        perm[r], perm[p] = perm[p], perm[r]
+    perm = np.array(perm)
+    last = _forward(lu, perm, column)
     mags = np.abs(last[t:])
     live_scale = float(mags.max(initial=0.0))
     above = mags > (tol.abs_eps * live_scale if len(unknowns) == 1 else threshold)
@@ -412,7 +467,7 @@ def _factor(
     return EchelonFactor(
         lu,
         last,
-        tuple(swapped[:t]),
+        perm,
         positions,
         len(unknowns),
         threshold,
@@ -421,7 +476,7 @@ def _factor(
         live_scale,
         _charges(len(w), len(unknowns), positions),
         sum(p != r for r, p in enumerate(swapped[:t])),
-        None if kind is None else Subspace(a[:, cols]),
+        None if kind is None else Subspace(a[:, _consecutive(cols)]),
     )
 
 
@@ -486,10 +541,11 @@ def null_space_basis(
 
     From the row echelon form :func:`independent_columns` computes: the
     vector of free column ``c`` is 1 at ``c``, 0 at the other free
-    columns, and solves ``U x = 0`` for the pivot entries by
-    back-substitution, all free columns at once.  U is the pivot rows of
-    the echelon form; a free column's entries left of a row's pivot are
-    sub-threshold candidates the elimination skipped, taken as 0.
+    columns, and solves ``U x = 0`` for the pivot entries by blocked
+    back-substitution (:func:`_upper_solve`), all free columns at once.
+    U is the pivot rows of the echelon form; a free column's entries
+    left of a row's pivot are sub-threshold candidates the elimination
+    skipped, taken as 0.
     """
     w, cols, _, _ = _echelon(a, tol)
     n = w.shape[1]
@@ -500,10 +556,7 @@ def null_space_basis(
     if free:
         x = -w[: len(cols), free]
         x[np.greater.outer(cols, free)] = 0
-        for i in range(len(cols) - 1, -1, -1):
-            x[i] /= w[i, cols[i]]
-            x[:i] -= np.multiply.outer(w[:i, cols[i]], x[i])
-        basis[cols] = x
+        basis[cols] = _upper_solve(w[: len(cols), cols], x)
     return basis
 
 

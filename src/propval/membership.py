@@ -102,7 +102,7 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _require_finite
+from .linalg import _factor, _finite_scale, _forward, _require_finite, _upper_solve
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -349,23 +349,22 @@ def _first_false(ok: np.ndarray) -> int | None:
 
 
 def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[complex]:
-    """Solve the eliminated rows upward, one column of U at a time.
+    """Solve the eliminated rows for the pivot unknowns; free unknowns are 0.
 
-    ``x[c] = y[i] / U[i, c]``, then ``y[:i] -= U[:i, c] * x[c]``; free
-    unknowns are 0.  The witness meets the numerical contract's normwise
-    backward error (:mod:`~propval.numerics`); its bits depend on the
-    order of the updates and are not part of the contract.
+    The last unknown's share is taken off first, then U is solved by
+    blocks (:func:`~propval.linalg._upper_solve`).  The witness meets the
+    numerical contract's normwise backward error
+    (:mod:`~propval.numerics`); its bits depend on how the solve is
+    blocked and are not part of the contract.
     """
+    t = len(f.positions)
+    z = y[:t]
+    if x_last != 0:
+        z -= f.last[:t] * x_last
     x = [0j] * f.unknowns
     x[-1] = x_last
-    t = len(f.positions)
-    if x_last != 0:
-        y[:t] -= f.last[:t] * x_last
-    for i in range(t - 1, -1, -1):
-        xi = complex(y[i]) / complex(f.lu[i, i])  # scalars: cheaper in Python
-        x[f.positions[i]] = xi
-        if xi != 0:
-            y[:i] -= f.lu[:i, i] * xi
+    for position, xi in zip(f.positions, _upper_solve(f.lu[:t], z).tolist()):
+        x[position] = xi
     return x
 
 
@@ -388,7 +387,7 @@ def _solve(
     """
     div, mul = f.charges[full_block]
     elimination = OpCounter(mul=mul, div=div, add_sub=mul)
-    y = _forward(f.lu, f.swapped, b)
+    y = _forward(f.lu, f.perm, b)
     member, x_last, check = _cross_consistency(
         f, y[len(f.positions) :], tol, math.inf
     )

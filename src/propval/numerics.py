@@ -6,10 +6,11 @@ accumulate in an :class:`OpCounter` passed around as an explicit
 argument; there is no process-global counting state, so concurrent runs
 with independent counters never interfere.  Each decider adds the
 tally of its call to the counter once: a closed-form amount per
-elimination step (run as numpy rank-1 updates within a panel of columns
-and one matrix product per panel) or per comparison.  A system's
-comparisons run on ``complex`` values or in one numpy pass, and are
-charged up to the first that fails, as a loop stopping there would be.
+elimination step (run as numpy matrix-vector products within a panel
+of columns and one matrix product per panel) or per comparison.  A
+system's comparisons run on ``complex`` values or in one numpy pass,
+and are charged up to the first that fails, as a loop stopping there
+would be.
 Passing ``None`` as the counter disables counting without changing any
 numeric result.
 

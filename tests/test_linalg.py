@@ -387,6 +387,8 @@ def test_gepp_counts_the_hard_matrix_as_full_rank(n):
     r=st.integers(min_value=0, max_value=12),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(m=100, n=100, r=70, seed=1)  # U solved in three blocks
+@example(m=40, n=100, r=40, seed=2)  # two blocks, 60 free columns
 def test_null_space_of_a_rank_r_product(m, n, r, seed):
     r = min(r, m, n)
     rng = np.random.default_rng(seed)

@@ -784,11 +784,128 @@ def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
     if np.abs(factored).max() > np.abs(basis).max():
         assert fused.threshold > alone.threshold
     assert fused.positions == alone.positions == tuple(range(fused.unknowns - 1))
-    assert fused.swapped == alone.swapped
+    assert np.array_equal(fused.perm, alone.perm)
     count = p.rank if kind is BasisKind.RANGE else p.nullity
     assert fused.unknowns == alone.unknowns == count
     bare = kernel_membership_iterative(AugmentedMatrix.from_system(basis, psi))
     assert subspace_membership(p, kind, psi).member == bare.member
+
+
+# ------------------------------------------ blocked solves against the loops
+
+
+def columnwise_forward(f, b):
+    """Reference: ``b`` through the factor's steps one column at a time.
+
+    The per-column loop ``linalg._forward`` ran before it was blocked by
+    panels: the interchanges, then ``y[r+1:] -= L[r+1:, r] * y[r]`` per
+    step; kept as the reference the blocked forward must match.
+    """
+    y = np.array(b, dtype=complex)[f.perm]
+    for r in range(f.lu.shape[1]):
+        y[r + 1 :] -= f.lu[r + 1 :, r] * y[r]
+    return y
+
+
+def columnwise_back_substitute(f, y, x_last):
+    """Reference: U solved upward one column at a time, as
+    ``membership._back_substitute`` did before it was blocked."""
+    x = [0j] * f.unknowns
+    x[-1] = x_last
+    t = len(f.positions)
+    y = y[:t] - f.last[:t] * x_last
+    for i in range(t - 1, -1, -1):
+        xi = complex(y[i]) / complex(f.lu[i, i])
+        x[f.positions[i]] = xi
+        y[:i] -= f.lu[:i, i] * xi
+    return x
+
+
+def columnwise_solve(f, b, full_block):
+    """``membership._solve`` over the per-column loops."""
+    div, mul = f.charges[full_block]
+    y = columnwise_forward(f, b)
+    t = len(f.positions)
+    member, x_last, check = membership._cross_consistency(
+        f, y[t:], DEFAULT_TOLERANCE, math.inf
+    )
+    witness = columnwise_back_substitute(f, y, x_last) if member else None
+    elimination = OpCounter(mul=mul, div=div, add_sub=mul)
+    return MembershipResult(member, witness, elimination, check, f.row_swaps)
+
+
+@st.composite
+def spans_over_panels(draw):
+    """Independent columns, up to four panels and one more, with zero and
+    scaled-duplicate columns planted among them, so that the factor skips
+    pivot columns; a leading zero column gives ``t = 0``.  The state is in
+    the span, moved off it at one row by a quarter or four tolerances (a
+    row the elimination leaves as it is would put a move of one tolerance
+    within rounding of the bound), or generic."""
+    panel = linalg._PANEL
+    rank = draw(st.one_of(st.integers(1, 3), st.integers(panel - 1, 4 * panel + 1)))
+    n = rank + draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    columns = list(normal(n, rank).T)
+    for _ in range(draw(st.integers(0, 4))):
+        j = draw(st.integers(0, len(columns)))
+        scale = draw(st.sampled_from([0.0, 2.0, -0.5j, 1e-3]))
+        columns.insert(j, scale * columns[max(j - 1, 0)])
+    if len(columns) == 1 or rank == 1 and draw(st.booleans()):
+        columns.insert(0, np.zeros(n))  # no pivot before the last unknown
+    b = np.stack(columns, axis=1)
+    family = draw(st.sampled_from(["span", "near", "generic"]))
+    v = b @ normal(b.shape[1]) if family != "generic" else normal(n)
+    v /= np.linalg.norm(v)
+    if family == "near":
+        v[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.25, 4.0])) * 1e-9
+        v /= np.linalg.norm(v)
+    return b, StateVector(v), family
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=spans_over_panels())
+def test_blocked_solves_match_the_columnwise_loops(case):
+    """Verdict, tallies and interchanges exactly; a witness of a state in
+    the span within the numerical contract's normwise backward error."""
+    b, psi, family = case
+    f = linalg._factor(b, DEFAULT_TOLERANCE)
+    y = psi.components
+    got = membership_of(b, psi)
+    want = columnwise_solve(f, y, full_block=False)
+    assert (got.member, got.counts, got.final_check, got.row_swaps) == (
+        want.member, want.counts, want.final_check, want.row_swaps
+    )
+    aug = AugmentedMatrix.from_system(b, psi)
+    matrix = kernel_membership_matrix(aug)
+    block = columnwise_solve(f, y, full_block=True)
+    assert (matrix.member, matrix.counts, matrix.final_check) == (
+        block.member, block.counts, block.final_check
+    )
+    if family == "span":
+        assert got.member
+        x = np.array(got.witness)
+        residual = np.linalg.norm(b @ x - y)
+        scale = np.linalg.norm(b, 2) * np.linalg.norm(x) + np.linalg.norm(y)
+        assert residual <= 16 * len(b) * 2.0**-53 * scale
+
+
+def test_blocked_forward_matches_the_columnwise_loop_on_every_width():
+    """Factors of 0 to 4 panels of eliminated unknowns and one more: the
+    blocked forward is the per-column loop's to rounding."""
+    rng = np.random.default_rng(18)
+    for t in (0, 1, 2, 31, 32, 33, 64, 65, 127, 128, 129):
+        b = rng.normal(size=(t + 3, t + 1)) + 1j * rng.normal(size=(t + 3, t + 1))
+        f = linalg._factor(b, DEFAULT_TOLERANCE)
+        assert len(f.positions) == t
+        v = rng.normal(size=t + 3) + 1j * rng.normal(size=t + 3)
+        want = columnwise_forward(f, v)
+        got = linalg._forward(f.lu, f.perm, v)
+        assert np.abs(got - want).max() <= 64 * len(v) * 2.0**-53 * np.abs(want).max()
 
 
 # ------------------------------------------------- one factor, many states
