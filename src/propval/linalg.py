@@ -173,7 +173,8 @@ class Subspace:
     pass independent columns; the constructor does not check, since that
     would take one elimination per basis.  :func:`range_basis`,
     :func:`kernel_basis` and the lattice operations in ``valuation``
-    return independent columns.
+    return independent columns.  :meth:`zero` is {0}; the whole space is
+    ``Subspace(np.eye(n))``.
     """
 
     array: np.ndarray
@@ -188,10 +189,6 @@ class Subspace:
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(np.zeros((ambient_dim, 0), dtype=complex))
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.eye(ambient_dim, dtype=complex))
-
     @property
     def ambient_dim(self) -> int:
         return self.array.shape[0]
@@ -203,6 +200,12 @@ class Subspace:
 
 def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def _require_dim(got: int, want: int, what: str) -> None:
+    """Raise :class:`DimensionMismatch` unless the two sizes agree."""
+    if got != want:
+        raise DimensionMismatch(f"{what} differ: {got} vs {want}")
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -330,13 +333,13 @@ class EchelonFactor:
       the ``t`` interchanges;
     * ``perm`` -- the ``t`` interchanges as one permutation: row ``i``
       after them is row ``perm[i]`` before;
-    * ``positions`` -- the unknown eliminated at step ``r``;
+    * ``positions`` -- the unknown eliminated at step ``r``: ``r`` itself
+      when the unknowns are a projector's pivot columns;
     * ``last`` -- the last unknown's column after those ``t`` steps;
-    * ``threshold`` -- ``abs_eps * max|entry|`` of the factored matrix,
-      the one pivot threshold;
     * ``anchor`` -- the first of the rows ``last[t:]`` left live whose
-      magnitude exceeds ``threshold``, or ``abs_eps`` times the column's
-      own largest magnitude when there is one unknown, as
+      magnitude exceeds the one pivot threshold, ``abs_eps`` times the
+      factored matrix's largest magnitude, or ``abs_eps`` times the
+      column's own largest magnitude when there is one unknown, as
       :func:`~propval.membership.range_membership` anchors it; ``None``
       if no row does.  The live system ``last[t:] * x = b`` is
       consistent iff ``last[t + a] * b[j] == last[t + j] * b[a]`` for
@@ -363,7 +366,6 @@ class EchelonFactor:
     perm: np.ndarray
     positions: tuple[int, ...]
     unknowns: int
-    threshold: float
     anchor: int | None
     anchor_entry: complex
     live_scale: float
@@ -452,8 +454,7 @@ def _factor(
     lu = w.T[cols[:t]].T  # n x t, a copy: a view would keep all of w
     if t < len(cols) and swapped[t] != t:
         lu[[t, swapped[t]]] = lu[[swapped[t], t]]
-    position = {c: i for i, c in enumerate(unknowns)}
-    positions = tuple(position[c] for c in cols[:t])
+    positions = tuple(range(t)) if kind is not None else tuple(cols[:t])
     column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
     perm = list(range(len(w)))
     for r, p in enumerate(swapped[:t]):
@@ -470,7 +471,6 @@ def _factor(
         perm,
         positions,
         len(unknowns),
-        threshold,
         anchor,
         0j if anchor is None else complex(last[t + anchor]),
         live_scale,
@@ -646,10 +646,7 @@ def decompose(
     psi: StateVector, p: Projector
 ) -> tuple[StateVector, StateVector]:
     """Split a vector into its range and kernel components (Pv, v - Pv)."""
-    if psi.dim != p.dim:
-        raise DimensionMismatch(
-            f"state dim {psi.dim} does not match projector dim {p.dim}"
-        )
+    _require_dim(psi.dim, p.dim, "state and projector dims")
     v = psi.components
     in_range = p.array @ v
     return StateVector(in_range), StateVector(v - in_range)

@@ -76,13 +76,13 @@ public deciders check its dimension and that every entry is finite
 ``valuation.valuate`` and ``valuate_ql`` check its dimension and unit
 norm, once: a norm within tolerance of 1 is finite, so every entry is
 finite and at most ``1 + abs_eps + rel_eps``.  They decide on the
-components through ``_subspace_membership``, the decider behind
-:func:`subspace_membership`'s own checks.  Either way the check leaves
-a bound on the state's largest magnitude, and the cross-product check's
-numpy pass switches numpy's error state only when that bound times the
-factor's ``live_scale`` does not rule out overflow.  The bound serves
-the one-unknown check only: in a solve the eliminated rows can grow the
-state's entries, and the switch stays.
+components with ``_span_membership`` on the projector's factor, as
+:func:`subspace_membership` does after its own checks.  Either way the
+check leaves a bound on the state's largest magnitude, and the
+cross-product check's numpy pass switches numpy's error state only when
+that bound times the factor's ``live_scale`` does not rule out
+overflow.  The bound serves the one-unknown check only: in a solve the
+eliminated rows can grow the state's entries, and the switch stays.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _require_finite, _upper_solve
+from .linalg import _factor, _finite_scale, _forward, _require_dim, _require_finite
+from .linalg import _upper_solve
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -142,10 +143,7 @@ class AugmentedMatrix:
     @classmethod
     def from_system(cls, columns: np.ndarray, rhs: StateVector) -> "AugmentedMatrix":
         columns = np.asarray(columns, dtype=complex)
-        if columns.shape[0] != rhs.dim:
-            raise DimensionMismatch(
-                f"matrix has {columns.shape[0]} rows, rhs has {rhs.dim}"
-            )
+        _require_dim(rhs.dim, columns.shape[0], "rhs and matrix rows")
         return cls(np.hstack([columns, rhs.components.reshape(-1, 1)]))
 
     @property
@@ -229,8 +227,7 @@ def _rhs(rows: int, psi: StateVector) -> tuple[np.ndarray, float]:
 
     Returns them with their largest magnitude, from the finiteness pass.
     """
-    if rows != psi.dim:
-        raise DimensionMismatch(f"matrix has {rows} rows, rhs has {psi.dim}")
+    _require_dim(psi.dim, rows, "rhs and matrix rows")
     return psi.components, _finite_scale(psi.components)
 
 
@@ -444,19 +441,7 @@ def subspace_membership(
     :func:`membership_of` on the basis.
     """
     b, size = _rhs(p.dim, psi)
-    return _charged(ctx, _subspace_membership(p, kind, b, tol, size))
-
-
-def _subspace_membership(
-    p: Projector, kind: BasisKind, b: np.ndarray, tol: TolerancePolicy, size: float
-) -> MembershipResult:
-    """:func:`subspace_membership` of components already checked.
-
-    ``b`` holds ``p.dim`` finite entries, none larger in magnitude than
-    ``size``; the caller has made sure of both.  Nothing is charged to a
-    counter: the tally is the result's ``counts``.
-    """
-    return _span_membership(subspace_factor(p, kind, tol), b, tol, size)
+    return _charged(ctx, _span_membership(subspace_factor(p, kind, tol), b, tol, size))
 
 
 def residual_oracle(
@@ -468,8 +453,7 @@ def residual_oracle(
     """
     a = np.asarray(a, dtype=complex)
     b = psi.components
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"matrix has {a.shape[0]} rows, rhs has {b.shape[0]}")
+    _require_dim(psi.dim, a.shape[0], "rhs and matrix rows")
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ x - b))
     member = residual < oracle_tol

@@ -41,7 +41,6 @@ import numpy as np
 
 from .linalg import (
     BasisKind,
-    DimensionMismatch,
     Projector,
     StateVector,
     Subspace,
@@ -50,8 +49,8 @@ from .linalg import (
     null_space_basis,
     subspace_factor,
 )
-from .linalg import _require_unit
-from .membership import _subspace_membership, membership_of, subspace_membership
+from .linalg import _require_dim, _require_unit
+from .membership import _span_membership, membership_of, subspace_membership
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -116,10 +115,7 @@ def _unit_state(
     ``1 + abs_eps + rel_eps`` in magnitude; that bound is returned with
     the components.
     """
-    if psi.dim != p.dim:
-        raise DimensionMismatch(
-            f"state dim {psi.dim} does not match projector dim {p.dim}"
-        )
+    _require_dim(psi.dim, p.dim, "state and projector dims")
     _require_unit(psi, tol)
     return psi.components, 1.0 + tol.abs_eps + tol.rel_eps
 
@@ -129,12 +125,14 @@ def valuate(
 ) -> TruthVerdict:
     """Three-valued verdict: range member, else kernel member, else gap."""
     b, size = _unit_state(p, psi, tol)
-    range_result = _subspace_membership(p, BasisKind.RANGE, b, tol, size)
+    range_factor = subspace_factor(p, BasisKind.RANGE, tol)
+    range_result = _span_membership(range_factor, b, tol, size)
     decisive, kernel_counts = range_result, OpCounter()
     if range_result.member:
         value = TruthValue.TRUE
     else:
-        decisive = _subspace_membership(p, BasisKind.KERNEL, b, tol, size)
+        kernel_factor = subspace_factor(p, BasisKind.KERNEL, tol)
+        decisive = _span_membership(kernel_factor, b, tol, size)
         value = TruthValue.FALSE if decisive.member else TruthValue.GAP
         kernel_counts = decisive.counts
     gap = range_result.counts + kernel_counts if value is TruthValue.GAP else None
@@ -157,19 +155,12 @@ def valuate_ql(
     """
     b, size = _unit_state(p, psi, tol)
     kind = BasisKind.KERNEL if gap_to_true else BasisKind.RANGE
-    result = _subspace_membership(p, kind, b, tol, size)
+    result = _span_membership(subspace_factor(p, kind, tol), b, tol, size)
     if gap_to_true:
         value = TruthValue.FALSE if result.member else TruthValue.TRUE
         return TruthVerdict(value, OpCounter(), result.counts, None, result.witness)
     value = TruthValue.TRUE if result.member else TruthValue.FALSE
     return TruthVerdict(value, result.counts, OpCounter(), None, result.witness)
-
-
-def _require_same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
 
 
 def meet(
@@ -181,7 +172,7 @@ def meet(
     vectors u, v, i.e. iff (u, -v) lies in the null space of the stacked
     matrix [A | -B]; the intersection is then spanned by the A u.
     """
-    _require_same_ambient(a, b)
+    _require_dim(a.ambient_dim, b.ambient_dim, "ambient dims")
     pairs = null_space_basis(np.hstack([a.array, -b.array]), tol)
     vectors = a.array @ pairs[: a.dim, :]
     return Subspace(vectors[:, independent_columns(vectors, tol)])
@@ -191,7 +182,7 @@ def join(
     a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Subspace:
     """Span of the union: stack the bases, drop dependent columns."""
-    _require_same_ambient(a, b)
+    _require_dim(a.ambient_dim, b.ambient_dim, "ambient dims")
     stacked = np.hstack([a.array, b.array])
     return Subspace(stacked[:, independent_columns(stacked, tol)])
 
@@ -200,7 +191,7 @@ def span_equal(
     a: Subspace, b: Subspace, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> bool:
     """Span equality by rank: rank(A) == rank(B) == rank([A B])."""
-    _require_same_ambient(a, b)
+    _require_dim(a.ambient_dim, b.ambient_dim, "ambient dims")
     ra, rb = matrix_rank(a.array, tol), matrix_rank(b.array, tol)
     if ra != rb:
         return False
@@ -238,10 +229,8 @@ def demo_nondistributivity(
     of Q.  The left side then contains phi while both conjuncts on the
     right are the zero subspace.
     """
-    if q.dim != p.dim:
-        raise DimensionMismatch(f"projector dims differ: {q.dim} vs {p.dim}")
-    if phi.dim != q.dim:
-        raise DimensionMismatch(f"state dim {phi.dim} does not match {q.dim}")
+    _require_dim(q.dim, p.dim, "projector dims")
+    _require_dim(phi.dim, q.dim, "state and projector dims")
     commutator_norm = float(
         np.linalg.norm(q.array @ p.array - p.array @ q.array)
     )

@@ -109,6 +109,16 @@ def test_valuate_rejects_invalid_projector(capsys, tmp_path):
     assert "NotIdempotent" in err
 
 
+def test_valuate_rejects_a_state_of_another_dimension(capsys, tmp_path):
+    proj = tmp_path / "proj.json"
+    state = tmp_path / "state.json"
+    save_matrix(proj, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    save_matrix(state, np.array([[1.0], [0.0], [0.0]]))
+    code, out, err = run(capsys, "valuate", str(proj), str(state))
+    assert code == 2 and out == ""
+    assert "DimensionMismatch" in err
+
+
 @pytest.mark.parametrize(
     "projector, state",
     [

@@ -782,7 +782,8 @@ def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
     alone = linalg._factor(basis, DEFAULT_TOLERANCE)
     factored = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
     if np.abs(factored).max() > np.abs(basis).max():
-        assert fused.threshold > alone.threshold
+        fused_threshold = linalg._echelon(factored, DEFAULT_TOLERANCE)[3]
+        assert fused_threshold > linalg._echelon(basis, DEFAULT_TOLERANCE)[3]
     assert fused.positions == alone.positions == tuple(range(fused.unknowns - 1))
     assert np.array_equal(fused.perm, alone.perm)
     count = p.rank if kind is BasisKind.RANGE else p.nullity

@@ -1,21 +1,31 @@
 """Truth assignment, the gap-collapse variants, and lattice semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from propval.fixtures import TargetKind, qubit_fixture, random_instance, spin52_fixture
 from propval.linalg import (
+    BasisKind,
     DimensionMismatch,
     NonFiniteEntry,
     NotUnitNorm,
     StateVector,
+    decompose,
     kernel_basis,
     matrix_rank,
     projector_from_state,
     range_basis,
     validate_projector,
+)
+from propval.membership import (
+    AugmentedMatrix,
+    membership_of,
+    range_membership,
+    residual_oracle,
+    subspace_membership,
 )
 from propval.numerics import OpCounter
 from propval.valuation import (
@@ -248,7 +258,7 @@ def test_meet_idempotent_and_identity():
     rng = np.random.default_rng(31)
     s = random_subspace(rng, 5, 2)
     assert span_equal(meet(s, s), s)
-    assert span_equal(meet(s, Subspace.full(5)), s)
+    assert span_equal(meet(s, Subspace(np.eye(5))), s)
 
 
 def test_join_of_range_and_kernel_is_everything():
@@ -257,7 +267,7 @@ def test_join_of_range_and_kernel_is_everything():
     p = projector_from_state(StateVector(v / np.linalg.norm(v)))
     joined = join(range_basis(p), kernel_basis(p))
     assert joined.dim == 6
-    assert span_equal(joined, Subspace.full(6))
+    assert span_equal(joined, Subspace(np.eye(6)))
 
 
 def test_join_with_zero_and_distinct_lines():
@@ -332,7 +342,44 @@ def test_lattice_associativity():
 
 def test_lattice_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        meet(Subspace.full(2), Subspace.full(3))
+        meet(Subspace(np.eye(2)), Subspace(np.eye(3)))
+
+
+# Every call that compares two sizes, on a size-2 operand and a size-3 one.
+_QUBIT = qubit_fixture()
+_P2, _Y_PLUS = _QUBIT.projector, _QUBIT.states["y_plus"]
+_S3 = StateVector([1.0, 0.0, 0.0])
+_B2, _E2, _E3 = np.array([[1.0], [0.0]]), Subspace(np.eye(2)), Subspace(np.eye(3))
+SIZE_CHECKS = {
+    "valuate": lambda: valuate(_P2, _S3),
+    "valuate_ql": lambda: valuate_ql(_P2, _S3),
+    "valuate_ql-gap-to-true": lambda: valuate_ql(_P2, _S3, gap_to_true=True),
+    "subspace_membership-range": lambda: subspace_membership(
+        _P2, BasisKind.RANGE, _S3
+    ),
+    "subspace_membership-kernel": lambda: subspace_membership(
+        _P2, BasisKind.KERNEL, _S3
+    ),
+    "membership_of": lambda: membership_of(_B2, _S3),
+    "range_membership": lambda: range_membership(_B2, _S3),
+    "from_system": lambda: AugmentedMatrix.from_system(_B2, _S3),
+    "residual_oracle": lambda: residual_oracle(_B2, _S3),
+    "decompose": lambda: decompose(_S3, _P2),
+    "meet": lambda: meet(_E2, _E3),
+    "join": lambda: join(_E2, _E3),
+    "span_equal": lambda: span_equal(_E2, _E3),
+    "demo-projectors": lambda: demo_nondistributivity(
+        _P2, z_up_projector(3), _Y_PLUS
+    ),
+    "demo-state": lambda: demo_nondistributivity(_P2, z_up_projector(), _S3),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_CHECKS.values(), ids=SIZE_CHECKS.keys())
+def test_every_size_check_raises_with_both_sizes(call):
+    with pytest.raises(DimensionMismatch) as raised:
+        call()
+    assert {"2", "3"} <= set(re.findall(r"\d+", str(raised.value)))
 
 
 # ------------------------------------------------- nondistributivity demo
