@@ -37,6 +37,7 @@ from .linalg import (
     StateVector,
     load_matrix,
     load_state,
+    projector_from_state,
     range_basis,
     validate_projector,
 )
@@ -179,13 +180,10 @@ def cmd_demo_nondistributivity(args) -> int:
     tol = _tolerance(args)
     fixture = fixtures.fixture_by_name(args.fixture)
     q = fixture.projector
-    n = q.dim
     if args.p_from_q:
         p = q
     else:
-        basis_state = np.zeros(n, dtype=complex)
-        basis_state[0] = 1.0
-        p = validate_projector(np.outer(basis_state, basis_state.conj()), tol)
+        p = projector_from_state(StateVector(np.eye(q.dim)[0]), tol)
     phi = _range_state(fixture, tol)
     report = demo_nondistributivity(q, p, phi, tol)
     _emit(
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nd = demo_sub.add_parser(
         "nondistributivity", help="distributive-law counterexample"
     )
-    p_nd.add_argument("--fixture", choices=["qubit", "spin52"], default="qubit")
+    p_nd.add_argument("--fixture", choices=list(fixtures._FIXTURES), default="qubit")
     p_nd.add_argument(
         "--p-from-q",
         action="store_true",
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixtures", help="fixture utilities")
     fix_sub = p_fix.add_subparsers(dest="fixtures_command", required=True)
     p_exp = fix_sub.add_parser("export", help="write fixture files")
-    p_exp.add_argument("name", choices=["qubit", "spin52"])
+    p_exp.add_argument("name", choices=list(fixtures._FIXTURES))
     p_exp.add_argument("--dir", default=".")
     p_exp.set_defaults(func=cmd_fixtures_export)
 

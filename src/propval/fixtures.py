@@ -25,6 +25,7 @@ import numpy as np
 from .linalg import (
     Projector,
     StateVector,
+    projector_from_state,
     save_matrix,
     validate_projector,
 )
@@ -232,7 +233,7 @@ def random_states(
     if n < 2:
         raise PropvalError(f"dimension must be at least 2, got {n}")
     direction = _unit_vector(np.random.default_rng([seed, n, 0]), n)
-    projector = Projector(np.outer(direction, direction.conj()), rank=1)
+    projector = projector_from_state(StateVector(direction))
     return projector, [_target_state(direction, seed, t) for t in targets]
 
 

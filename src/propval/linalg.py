@@ -141,9 +141,11 @@ class StateVector:
 class Projector:
     """Validated Hermitian idempotent matrix with its precomputed rank.
 
-    Construct through :func:`validate_projector` or
-    :func:`projector_from_state`; the constructor itself performs no
-    checks.  :func:`subspace_factor` factors the range or kernel system
+    Built one way per source: a matrix from outside the package through
+    :func:`validate_projector`, a rank-1 projector the package builds
+    from a unit state through :func:`projector_from_state`.  The
+    constructor itself performs no checks, and no module but this one
+    calls it.  :func:`subspace_factor` factors the range or kernel system
     once per tolerance policy and keeps the factor on the instance
     (:func:`validate_projector` seeds the range factor); the memo is
     write-once, holds read-only values, and takes no part in equality.
@@ -173,7 +175,9 @@ class Subspace:
     pass independent columns; the constructor does not check, since that
     would take one elimination per basis.  :func:`range_basis`,
     :func:`kernel_basis` and the lattice operations in ``valuation``
-    return independent columns.  :meth:`zero` is {0}; the whole space is
+    return independent columns; outside this module a projector's basis
+    is read through those two functions, never off its factor.  {0} is
+    ``Subspace(np.zeros((n, 0)))`` and the whole space
     ``Subspace(np.eye(n))``.
     """
 
@@ -184,10 +188,6 @@ class Subspace:
         if arr.ndim != 2:
             raise DimensionMismatch("subspace basis must be a 2-d column stack")
         _freeze(self, "array", arr)
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=complex))
 
     @property
     def ambient_dim(self) -> int:

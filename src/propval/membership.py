@@ -77,12 +77,15 @@ public deciders check its dimension and that every entry is finite
 norm, once: a norm within tolerance of 1 is finite, so every entry is
 finite and at most ``1 + abs_eps + rel_eps``.  They decide on the
 components with ``_span_membership`` on the projector's factor, as
-:func:`subspace_membership` does after its own checks.  Either way the
-check leaves a bound on the state's largest magnitude, and the
-cross-product check's numpy pass switches numpy's error state only when
-that bound times the factor's ``live_scale`` does not rule out
-overflow.  The bound serves the one-unknown check only: in a solve the
-eliminated rows can grow the state's entries, and the switch stays.
+:func:`subspace_membership` does after its own checks.
+``valuation.demo_nondistributivity`` checks its state's dimension and
+finiteness once, as the public deciders do, and decides it the same
+way on every factor it needs.  Every such check leaves a bound on the
+state's largest magnitude, and the cross-product check's numpy pass
+switches numpy's error state only when that bound times the factor's
+``live_scale`` does not rule out overflow.  The bound serves the
+one-unknown check only: in a solve the eliminated rows can grow the
+state's entries, and the switch stays.
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _require_dim, _require_finite
-from .linalg import _upper_solve
+from .linalg import _factor, _finite_scale, _forward, _freeze, _require_dim
+from .linalg import _require_finite, _upper_solve
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -137,8 +140,7 @@ class AugmentedMatrix:
                 "right-hand side"
             )
         _require_finite(arr)
-        object.__setattr__(self, "body", arr)
-        arr.setflags(write=False)
+        _freeze(self, "body", arr)
 
     @classmethod
     def from_system(cls, columns: np.ndarray, rhs: StateVector) -> "AugmentedMatrix":

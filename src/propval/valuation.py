@@ -45,12 +45,14 @@ from .linalg import (
     StateVector,
     Subspace,
     independent_columns,
+    kernel_basis,
     matrix_rank,
     null_space_basis,
+    range_basis,
     subspace_factor,
 )
-from .linalg import _require_dim, _require_unit
-from .membership import _span_membership, membership_of, subspace_membership
+from .linalg import _factor, _finite_scale, _require_dim, _require_unit
+from .membership import _span_membership
 from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
 
 __all__ = [
@@ -227,10 +229,13 @@ def demo_nondistributivity(
 
     Requires noncommuting projectors and a state phi inside the range
     of Q.  The left side then contains phi while both conjuncts on the
-    right are the zero subspace.
+    right are the zero subspace.  phi is checked once, here, for its
+    dimension and finiteness; every membership below decides on its
+    components with ``_span_membership``, as :func:`valuate` does.
     """
     _require_dim(q.dim, p.dim, "projector dims")
     _require_dim(phi.dim, q.dim, "state and projector dims")
+    b, size = phi.components, _finite_scale(phi.components)
     commutator_norm = float(
         np.linalg.norm(q.array @ p.array - p.array @ q.array)
     )
@@ -239,19 +244,20 @@ def demo_nondistributivity(
             f"commutator norm {commutator_norm:.3e} is below "
             f"{COMMUTATOR_TOLERANCE:.1e}"
         )
-    if not subspace_membership(q, BasisKind.RANGE, phi, tol=tol).member:
+    q_factor = subspace_factor(q, BasisKind.RANGE, tol)
+    if not _span_membership(q_factor, b, tol, size).member:
         raise PhiNotInRange("phi must lie in the range of the first projector")
 
-    q_range = subspace_factor(q, BasisKind.RANGE, tol).basis
-    p_range = subspace_factor(p, BasisKind.RANGE, tol).basis
-    p_kernel = subspace_factor(p, BasisKind.KERNEL, tol).basis
+    q_range = range_basis(q, tol)
+    p_range = range_basis(p, tol)
+    p_kernel = kernel_basis(p, tol)
     lhs = meet(q_range, join(p_range, p_kernel, tol), tol)
     with_p = meet(q_range, p_range, tol)
     with_complement = meet(q_range, p_kernel, tol)
     rhs = join(with_p, with_complement, tol)
 
     def verdict(s: Subspace) -> TruthValue:
-        member = membership_of(s.array, phi, tol=tol).member
+        member = _span_membership(_factor(s.array, tol), b, tol, size).member
         return TruthValue.TRUE if member else TruthValue.FALSE
 
     return NondistributivityReport(

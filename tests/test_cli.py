@@ -91,6 +91,22 @@ def test_valuate_identity_projector(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "true"
 
 
+def test_valuate_prints_a_complex_witness_entry_as_a_pair(capsys, tmp_path):
+    """P = |v><v| with v = (1, i)/sqrt2 and psi = e^{0.7i} v: the witness
+    sqrt2 e^{0.7i} has both parts beyond ``abs_eps`` and prints as
+    ``[re, im]``."""
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    proj, state = tmp_path / "proj.json", tmp_path / "state.json"
+    save_matrix(proj, np.outer(v, v.conj()))
+    save_matrix(state, (np.exp(0.7j) * v).reshape(-1, 1))
+    code, out, _ = run(capsys, "valuate", str(proj), str(state))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "true"
+    z = np.sqrt(2) * np.exp(0.7j)
+    assert report["witness"] == [[float(f"{z.real:.9g}"), float(f"{z.imag:.9g}")]]
+
+
 def test_valuate_ql_flags(capsys, qubit_files):
     args = [qubit_files["projector"], qubit_files["state_z_up"]]
     code, out, _ = run(capsys, "valuate", *args, "--ql")
@@ -237,6 +253,9 @@ def test_bench_rejects_bad_grid(capsys):
     code, _, err = run(capsys, "bench", "--grid", "1,2")
     assert code == 2
     assert "InvalidBounds" in err
+    code, out, err = run(capsys, "bench", "--grid", "8,x")
+    assert code == 2 and out == ""
+    assert "InvalidBounds" in err and "'8,x'" in err
     code, _, err = run(capsys, "bench", "--min-n", "64", "--max-n", "8")
     assert code == 2
 
@@ -282,6 +301,8 @@ def test_cost_quantum_clamped(capsys):
         ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "nan"],
         ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "inf"],
         ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "0"],
+        ["--t1", "0.5", "--tinf", "0.5", "--p", "1"],
+        ["--t1", "5", "--tinf", "1", "--q", "2"],
     ],
     ids=[
         "inverted",
@@ -292,6 +313,8 @@ def test_cost_quantum_clamped(capsys):
         "nan-efficiency",
         "infinite-efficiency",
         "zero-efficiency",
+        "below-one",
+        "q-without-eq",
     ],
 )
 def test_cost_rejects_invalid_bounds(capsys, bounds):
@@ -299,6 +322,15 @@ def test_cost_rejects_invalid_bounds(capsys, bounds):
     assert code == 2
     assert out == ""
     assert "InvalidBounds" in err
+
+
+def test_bench_rejects_a_tolerance_that_misjudges_its_instances(capsys):
+    """At abs_eps 0.8 an n = 8 kernel state passes the range check; the
+    benchmark refuses the verdict instead of tallying it."""
+    code, out, err = run(capsys, "bench", "--grid", "8,16,32,64", "--tolerance", "0.8")
+    assert code == 2 and out == ""
+    assert "PropvalError: instance (n=8," in err
+    assert "in_kernel) produced true, expected false" in err
 
 
 def test_cost_requires_exactly_one_processor_kind(capsys):

@@ -1,6 +1,7 @@
 """Range and kernel solvability deciders and their counting contracts."""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -595,16 +596,51 @@ def test_a_zero_check_whose_relative_bound_overflows_raises_no_warning():
     assert subspace_membership(p, BasisKind.RANGE, psi, tol=tol).member is want
 
 
+def test_a_one_dimensional_stack_is_rejected():
+    """A column stack, a system and a span are 2-d; a flat vector is not."""
+    psi = StateVector(np.array([1.0, 0.0, 0.0]))
+    for build in (
+        lambda: Subspace(np.zeros(3)),
+        lambda: AugmentedMatrix(np.zeros((3, 1))),
+        lambda: membership_of(np.zeros(3), psi),
+    ):
+        with pytest.raises(DimensionMismatch):
+            build()
+
+
 def test_the_empty_span_checks_the_state_dimension():
     zero = membership_of(np.zeros((3, 0)), StateVector(np.zeros(3)))
     assert zero.member and zero.counts == OpCounter()
     with pytest.raises(DimensionMismatch):
         membership_of(np.zeros((3, 0)), StateVector(np.zeros(5)))
     with pytest.raises(DimensionMismatch):
-        membership_of(Subspace.zero(3).array, StateVector(np.zeros(4)))
+        membership_of(Subspace(np.zeros((3, 0))).array, StateVector(np.zeros(4)))
 
 
 # ------------------------------------------------- factor against the loop
+
+
+# The numerical contract's constant times the unit roundoff (numerics): two
+# roundings of one decision may differ by 16 n u times the magnitudes compared.
+CONTRACT_UNIT = 16 * 2.0**-53
+
+
+@dataclass
+class ReferenceDecision(MembershipResult):
+    """:func:`reference_eliminate`'s result and how closely to match it.
+
+    ``near_bound`` says some comparison the reference made, up to and
+    including the one that decided, sits within the rounding band of its
+    bound: ``16 n u`` times the magnitudes it compares.  Another rounding
+    of the same system may decide that comparison the other way.
+    ``system`` is the columns and right-hand side decided, and
+    ``accepted`` the norm of the live residual the check accepts: per
+    live row, its bound plus its band over the anchor entry.
+    """
+
+    near_bound: bool = False
+    system: tuple = ()
+    accepted: float = 0.0
 
 
 def reference_eliminate(aug, ctx, tol, full_block):
@@ -614,7 +650,8 @@ def reference_eliminate(aug, ctx, tol, full_block):
     but the last through ``linalg._row_echelon`` with the state appended,
     then the cross check on the live rows and a row-by-row
     back-substitution; kept as the reference the factored path must
-    match: verdict, tallies and interchanges exactly, witness to rounding.
+    match: verdict, tallies and interchanges exactly, witness to rounding,
+    unless a deciding comparison sits within rounding of its bound.
     """
     elimination = OpCounter()
     n, k = aug.rows, aug.unknowns
@@ -631,26 +668,35 @@ def reference_eliminate(aug, ctx, tol, full_block):
     ctx += elimination
     fctx = OpCounter()
     live = work[len(cols) :].tolist()
+    # the largest magnitude the last unknown's column and the state reach
+    col_scale, rhs_scale = (
+        max(linalg.max_abs(aug.body[:, j]), linalg.max_abs(work[:, j]))
+        for j in (k - 1, k)
+    )
     anchor = next((row for row in live if abs(row[k - 1]) > threshold), None)
-    member = True
     if anchor is None:
-        for row in live:
-            fctx.cmp += 1
-            if not tol.equal(row[k], 0.0):
-                member = False
-                break
+        pairs = [(row[k], 0.0) for row in live]
+        band, divisor = CONTRACT_UNIT * n * rhs_scale, 1.0
     else:
-        for row in live:
-            if row is anchor:
-                continue
-            fctx.mul += 2
+        pairs = [
+            (anchor[k - 1] * row[k], row[k - 1] * anchor[k])
+            for row in live
+            if row is not anchor
+        ]
+        band, divisor = CONTRACT_UNIT * n * col_scale * rhs_scale, abs(anchor[k - 1])
+    member, near_bound, accepted = True, False, 0.0
+    for a, b in pairs:
+        bound = tol.abs_eps + tol.rel_eps * max(abs(a), abs(b))
+        accepted += ((bound + band) / divisor) ** 2
+        if member:
+            fctx.mul += 0 if anchor is None else 2
             fctx.cmp += 1
-            if not tol.equal(anchor[k - 1] * row[k], row[k - 1] * anchor[k]):
-                member = False
-                break
+            near_bound |= abs(abs(a - b) - bound) <= band
+            member = tol.equal(a, b)
     swaps = sum(p != r for r, p in enumerate(swapped))
+    extra = (near_bound, (aug.body[:, :k], aug.body[:, k]), math.sqrt(accepted))
     if not member:
-        return MembershipResult(False, None, elimination, fctx, swaps)
+        return ReferenceDecision(False, None, elimination, fctx, swaps, None, *extra)
     x = [0j] * k
     if anchor is not None:
         x[k - 1] = anchor[k] / anchor[k - 1]
@@ -660,7 +706,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
             if x[c2] != 0:
                 acc -= row[c2] * x[c2]
         x[c] = acc / row[c]
-    return MembershipResult(True, x, elimination, fctx, swaps)
+    return ReferenceDecision(True, x, elimination, fctx, swaps, None, *extra)
 
 
 def reference_membership_of(cols, psi, tol=DEFAULT_TOLERANCE):
@@ -669,15 +715,36 @@ def reference_membership_of(cols, psi, tol=DEFAULT_TOLERANCE):
         AugmentedMatrix.from_system(cols, psi), OpCounter(), tol, False
     )
     if cols.shape[1] == 1:  # the range check reports its cross check as counts
-        return MembershipResult(result.member, result.witness, result.final_check)
+        return replace(result, counts=result.final_check, final_check=OpCounter())
     return result
 
 
+def assert_meets_the_contract(want, witness):
+    """``witness`` solves ``want``'s system to the numerical contract's
+    normwise backward error, plus the live residual the check accepts."""
+    b, rhs = want.system
+    x = np.array(witness)
+    residual = np.linalg.norm(b @ x - rhs)
+    scale = np.linalg.norm(b, 2) * np.linalg.norm(x) + np.linalg.norm(rhs)
+    assert residual <= CONTRACT_UNIT * len(b) * scale + want.accepted
+
+
 def assert_same_decision(got, want):
+    """Verdict, tallies and interchanges exactly, and the witness to
+    rounding; where a deciding comparison sits within rounding of its
+    bound (``want.near_bound``), either verdict, with each member's
+    witness within the numerical contract."""
+    assert got.row_swaps == want.row_swaps
+    if want.near_bound:
+        for result in (got, want):
+            if result.member:
+                assert_meets_the_contract(want, result.witness)
+            else:
+                assert result.witness is None
+        return
     assert got.member == want.member
     assert got.counts == want.counts
     assert got.final_check == want.final_check
-    assert got.row_swaps == want.row_swaps
     if want.member:
         w, g = np.array(want.witness), np.array(got.witness)
         assert g.shape == w.shape

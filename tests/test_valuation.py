@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from propval import linalg, membership, valuation
 from propval.fixtures import TargetKind, qubit_fixture, random_instance, spin52_fixture
 from propval.linalg import (
     BasisKind,
@@ -273,7 +274,7 @@ def test_join_of_range_and_kernel_is_everything():
 def test_join_with_zero_and_distinct_lines():
     rng = np.random.default_rng(33)
     s = random_subspace(rng, 4, 2)
-    assert span_equal(join(s, Subspace.zero(4)), s)
+    assert span_equal(join(s, Subspace(np.zeros((4, 0)))), s)
     a = Subspace(np.array([[1.0], [0.0], [0.0]]))
     b = Subspace(np.array([[0.0], [1.0], [1.0]]) / math.sqrt(2))
     assert join(a, b).dim == 2
@@ -281,7 +282,7 @@ def test_join_with_zero_and_distinct_lines():
 
 def test_meet_and_join_of_empty_operands_are_the_zero_subspace():
     rng = np.random.default_rng(35)
-    zero, s = Subspace.zero(4), random_subspace(rng, 4, 2)
+    zero, s = Subspace(np.zeros((4, 0))), random_subspace(rng, 4, 2)
     for a, b in [(zero, zero), (zero, s), (s, zero)]:
         assert meet(a, b).array.shape == (4, 0)
     assert join(zero, zero).array.shape == (4, 0)
@@ -319,7 +320,8 @@ def test_lattice_and_basis_outputs_have_independent_columns():
         shared = random_subspace(rng, n, int(rng.integers(1, n + 1))).array
         s = Subspace(np.hstack([shared, random_subspace(rng, n, 1).array]))
         t = Subspace(np.hstack([shared, shared[:, :1] * 2j]))  # dependent columns
-        for out in (meet(s, t), join(s, t), meet(t, t), join(t, Subspace.zero(n))):
+        zero = Subspace(np.zeros((n, 0)))
+        for out in (meet(s, t), join(s, t), meet(t, t), join(t, zero)):
             assert matrix_rank(out.array) == out.dim
         rank = int(rng.integers(1, n))
         q = random_subspace(rng, n, rank).array
@@ -416,6 +418,30 @@ def test_demo_rejects_phi_outside_the_range():
     fx = qubit_fixture()
     with pytest.raises(PhiNotInRange):
         demo_nondistributivity(fx.projector, z_up_projector(), fx.states["z_up"])
+
+
+def test_the_demo_checks_phi_once(monkeypatch):
+    """One demo call makes one finiteness pass over phi, at its entry; the
+    range check and the three lattice verdicts decide on its components."""
+    fx = qubit_fixture()
+    phi = fx.states["y_plus"]
+    passes = []
+    for module in (linalg, membership, valuation):
+        for name in ("_finite_scale", "_require_finite"):
+            if hasattr(module, name):
+
+                def spy(a, *args, _check=getattr(module, name), **kwargs):
+                    if np.shape(a) == (phi.dim,) and np.array_equal(a, phi.components):
+                        passes.append(_check.__name__)
+                    return _check(a, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+    assert demo_nondistributivity(fx.projector, z_up_projector(), phi).violated
+    assert passes == ["_finite_scale"]
+    with pytest.raises(NonFiniteEntry):
+        demo_nondistributivity(
+            fx.projector, z_up_projector(), StateVector([np.nan, 1.0])
+        )
 
 
 def test_noncommuting_projector_gives_gap_on_range_states():
