@@ -25,6 +25,7 @@ fresh parser on every call, safe to extend.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -56,19 +57,21 @@ ENV_TOLERANCE = "PROPVAL_TOLERANCE"
 
 
 def _tolerance(args) -> TolerancePolicy:
-    abs_eps = DEFAULT_TOLERANCE.abs_eps
+    """The default policy, its absolute tolerance set by the environment,
+    then by ``--tolerance``."""
+    changes = {}
     for source, text in (
         (ENV_TOLERANCE, os.environ.get(ENV_TOLERANCE)),
-        ("--tolerance", getattr(args, "tolerance", None)),
+        ("--tolerance", args.tolerance),
     ):
         if text is not None:
             try:
-                abs_eps = float(text)
+                changes["abs_eps"] = float(text)
             except ValueError:
                 raise InvalidTolerance(
                     f"{source} must be a number, got {text!r}"
                 ) from None
-    return TolerancePolicy(abs_eps=abs_eps, rel_eps=DEFAULT_TOLERANCE.rel_eps)
+    return dataclasses.replace(DEFAULT_TOLERANCE, **changes)
 
 
 def _nine_digits(x: float) -> float:
@@ -76,10 +79,11 @@ def _nine_digits(x: float) -> float:
 
 
 def _json_scalar(z: complex, tol: TolerancePolicy):
-    """9 significant digits; a part within ``abs_eps`` of 0 is rounding noise:
-    a real part prints as ``0.0``, an imaginary part is left out."""
-    re = _nine_digits(z.real) if abs(z.real) > tol.abs_eps else 0.0
-    if abs(z.imag) <= tol.abs_eps:
+    """9 significant digits; a part at or below ``tol.threshold(1.0)`` is
+    rounding noise: a real part prints as ``0.0``, an imaginary part is
+    left out."""
+    re = _nine_digits(z.real) if abs(z.real) > tol.threshold(1.0) else 0.0
+    if abs(z.imag) <= tol.threshold(1.0):
         return re
     return [re, _nine_digits(z.imag)]
 
@@ -234,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --ql, collapse the gap into TRUE instead of FALSE",
     )
-    p_val.add_argument("--tolerance", help="absolute tolerance")
     p_val.set_defaults(func=cmd_valuate)
 
     p_bench = sub.add_parser("bench", help="operation-count benchmark")
@@ -247,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_bench.add_argument("--out", help="write the CSV here instead of stdout")
-    p_bench.add_argument("--tolerance")
     p_bench.set_defaults(func=cmd_bench)
 
     p_cost = sub.add_parser("cost", help="work/span cost profile")
@@ -269,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the fixture projector for both operands (error path)",
     )
-    p_nd.add_argument("--tolerance")
     p_nd.set_defaults(func=cmd_demo_nondistributivity)
 
     p_fix = sub.add_parser("fixtures", help="fixture utilities")
@@ -279,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--dir", default=".")
     p_exp.set_defaults(func=cmd_fixtures_export)
 
+    for evaluating in (p_val, p_bench, p_nd):  # one declaration, read by _tolerance
+        evaluating.add_argument("--tolerance", help="absolute tolerance")
     return parser
 
 

@@ -230,8 +230,8 @@ def random_states(
     ``random_instance(n, seed, targets[i])[1]``, and the projector is
     theirs too, but it is built once.
     """
-    if n < 2:
-        raise PropvalError(f"dimension must be at least 2, got {n}")
+    if n < 2 or seed < 0:
+        raise PropvalError(f"need dimension >= 2 and seed >= 0, got {n} and {seed}")
     direction = _unit_vector(np.random.default_rng([seed, n, 0]), n)
     projector = projector_from_state(StateVector(direction))
     return projector, [_target_state(direction, seed, t) for t in targets]

@@ -16,10 +16,10 @@ lock on the miss path makes threads that miss the same entry build it
 once, so sharing stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
-a pivot at or below ``abs_eps * max|entry|`` of the eliminated matrix as
-zero; that one threshold serves bases, ranks, null spaces and factors
-alike.  Basis columns are selected deterministically, lowest index
-first, so repeated runs pick the same vectors.  That loop,
+a pivot at or below ``tol.threshold(max|entry|)`` of the eliminated
+matrix as zero; that one threshold serves bases, ranks, null spaces and
+factors alike.  Basis columns are selected deterministically, lowest
+index first, so repeated runs pick the same vectors.  That loop,
 :func:`_row_echelon`, is the package's one elimination core: it picks
 bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
@@ -111,6 +111,9 @@ def _freeze(obj, name, value):
 class StateVector:
     """Column vector of complex components.
 
+    Built from a 1-d array or a single column; any other shape raises
+    :class:`DimensionMismatch`, so no matrix is read as a state.
+
     Norm is not enforced here: decomposition parts are state-vector
     shaped but generally not unit.  Operations that need a unit vector
     check :meth:`is_unit` and raise :class:`NotUnitNorm`, or
@@ -120,8 +123,10 @@ class StateVector:
     components: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.components, dtype=complex).reshape(-1)
-        _freeze(self, "components", arr)
+        arr = np.array(self.components, dtype=complex)
+        if arr.ndim != 1 and arr.shape[1:] != (1,):
+            raise DimensionMismatch(f"a state is 1-d or one column, got {arr.shape}")
+        _freeze(self, "components", arr.reshape(-1))
 
     @property
     def dim(self) -> int:
@@ -134,7 +139,7 @@ class StateVector:
         return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
     def is_unit(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-        return abs(self.norm - 1.0) <= tol.abs_eps + tol.rel_eps
+        return abs(self.norm - 1.0) <= tol.bound(1.0)
 
 
 @dataclass(frozen=True)
@@ -261,11 +266,11 @@ def _row_echelon(
     ``threshold`` is skipped.  No pivot is taken between the skipped
     columns, so one product brings the rest of the panel up to date,
     one pass over it finds the next column that is not skipped, and the
-    skipped run is written back.  Every caller passes ``abs_eps *
-    max|entry|`` of the matrix it eliminates, so a basis and a factor of
-    the same matrix pick the same pivots.  After its interchange the
-    pivot column is divided by the pivot, giving the multipliers below
-    it, and the pivot row is finished right of the pivot across the
+    skipped run is written back.  Every caller passes
+    ``tol.threshold(max|entry|)`` of the matrix it eliminates, so a basis
+    and a factor of the same matrix pick the same pivots.  After its
+    interchange the pivot column is divided by the pivot, giving the
+    multipliers below it, and the pivot row is finished right of the pivot across the
     whole of ``w`` in one product with the panel's earlier pivot rows.
     At the panel's end the rows below its pivots get one product
     ``L21 @ U12`` over every column right of the panel.  Row interchanges
@@ -337,8 +342,8 @@ class EchelonFactor:
       when the unknowns are a projector's pivot columns;
     * ``last`` -- the last unknown's column after those ``t`` steps;
     * ``anchor`` -- the first of the rows ``last[t:]`` left live whose
-      magnitude exceeds the one pivot threshold, ``abs_eps`` times the
-      factored matrix's largest magnitude, or ``abs_eps`` times the
+      magnitude exceeds the one pivot threshold, ``tol.threshold`` of the
+      factored matrix's largest magnitude, or ``tol.threshold`` of the
       column's own largest magnitude when there is one unknown, as
       :func:`~propval.membership.range_membership` anchors it; ``None``
       if no row does.  The live system ``last[t:] * x = b`` is
@@ -436,19 +441,24 @@ def _factor(
     The unknowns are every column of ``a`` or, with ``kind``, the pivot
     columns, kept as a basis of that kind; a non-pivot column issues no
     update, so eliminating ``a`` eliminates the basis too.  The pivot
-    threshold is ``abs_eps * max|a|``, the one :func:`independent_columns`
-    uses, so the basis is the one it picks.  The factor covers the
-    unknowns before the last: if the last unknown was itself a pivot, its
-    interchange is undone, and its column is forward-solved from ``a``
-    like a right-hand side.  Everything a solve needs that does not
-    depend on the state is computed here, once: the anchor of the live
-    rows' cross-product check and their largest magnitude, the
-    elimination's charges, the interchanges as one permutation and the
-    row swaps.  With one unknown the anchor threshold is ``abs_eps``
-    times that largest magnitude, the column's own scale; that column is
-    a column of ``a``, whose finiteness :func:`_echelon` has checked.
+    threshold is ``tol.threshold(max|a|)``, the one
+    :func:`independent_columns` uses, so the basis is the one it picks.
+    The factor covers the unknowns before the last: if the last unknown
+    was itself a pivot, its interchange is undone, and its column is
+    forward-solved from ``a`` like a right-hand side.  Everything a solve
+    needs that does not depend on the state is computed here, once: the
+    anchor of the live rows' cross-product check and their largest
+    magnitude, the elimination's charges, the interchanges as one
+    permutation and the row swaps.  With one unknown the anchor
+    threshold is ``tol.threshold`` of that largest magnitude, the
+    column's own scale; that column is a column of ``a``, whose
+    finiteness :func:`_echelon` has checked.  Every system a decider
+    factors passes through here, so a system without rows raises
+    :class:`DimensionMismatch` here.
     """
     w, cols, swapped, threshold = _echelon(a, tol)
+    if not len(w):
+        raise DimensionMismatch("a system needs at least one row, got 0")
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
     lu = w.T[cols[:t]].T  # n x t, a copy: a view would keep all of w
@@ -463,7 +473,7 @@ def _factor(
     last = _forward(lu, perm, column)
     mags = np.abs(last[t:])
     live_scale = float(mags.max(initial=0.0))
-    above = mags > (tol.abs_eps * live_scale if len(unknowns) == 1 else threshold)
+    above = mags > (tol.threshold(live_scale) if len(unknowns) == 1 else threshold)
     anchor = int(above.argmax()) if above.any() else None
     return EchelonFactor(
         lu,
@@ -508,8 +518,8 @@ def independent_columns(
     """Indices of a maximal independent column set, lowest index first.
 
     Row echelon form of ``a`` (:func:`_row_echelon`); a pivot at or
-    below ``abs_eps * max|entry|`` is treated as zero and the column
-    skipped.
+    below ``tol.threshold(max|entry|)`` is treated as zero and the
+    column skipped.
     """
     return _echelon(a, tol)[1]
 
@@ -525,12 +535,12 @@ def _echelon(
 
     The copy must be 2-d and finite (:class:`NonFiniteEntry`).  Returns
     it with its pivot columns, the row swapped into row ``r`` at pivot
-    ``r``, and the pivot threshold ``abs_eps * max|a|``.
+    ``r``, and the pivot threshold ``tol.threshold(max|a|)``.
     """
     w = np.array(a, dtype=complex)
     if w.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
-    threshold = tol.abs_eps * _finite_scale(w)
+    threshold = tol.threshold(_finite_scale(w))
     return w, *_row_echelon(w, w.shape[1], threshold), threshold
 
 
@@ -581,10 +591,9 @@ def validate_projector(
     scale = _finite_scale(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
-    bound = tol.abs_eps + tol.rel_eps * scale
-    if max_abs(m - m.conj().T) > bound:
+    if max_abs(m - m.conj().T) > tol.bound(scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    if max_abs(m @ m - m) > bound:
+    if max_abs(m @ m - m) > tol.bound(scale):
         raise NotIdempotent("matrix is not idempotent within tolerance")
     f = _factor(m, tol, BasisKind.RANGE)
     p = Projector(m, rank=f.unknowns)

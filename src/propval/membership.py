@@ -48,13 +48,17 @@ Consistency of the eliminated system is decided by a cross-product
 condition on the remaining rows (for the nondegenerate ``n-1`` unknown
 case, one comparison on the trailing 2x2 block costing 2
 multiplications).  The first comparison runs on Python ``complex``
-values and every further one in a single numpy pass, each against the
-bound of :meth:`~propval.numerics.TolerancePolicy.equal`.  Verdicts,
-tallies and row swaps are exact and witnesses hold to a normwise
-backward error, as the numerical contract in :mod:`~propval.numerics`
-states.  On the kernel systems those final-check operations are tallied in
-a separate counter on the result, not in the elimination counter,
-because the closed-form totals above cover the elimination loop only.
+values and every further one in a single numpy pass, each against
+:meth:`~propval.numerics.TolerancePolicy.bound` of the larger product's
+magnitude, as :meth:`~propval.numerics.TolerancePolicy.equal` decides;
+a zero check compares a magnitude with ``bound`` of itself, and every
+anchor threshold is :meth:`~propval.numerics.TolerancePolicy.threshold`
+of its column's largest magnitude.  Verdicts, tallies and row swaps are
+exact and witnesses hold to a normwise backward error, as the numerical
+contract in :mod:`~propval.numerics` states.  On the kernel systems
+those final-check operations are tallied in a separate counter on the
+result, not in the elimination counter, because the closed-form totals
+above cover the elimination loop only.
 
 Each step returns its tally, and each public decider adds its result's
 ``counts`` to the :class:`OpCounter` passed in, in one place
@@ -75,7 +79,7 @@ public deciders check its dimension and that every entry is finite
 (the bare forms through :class:`AugmentedMatrix`).
 ``valuation.valuate`` and ``valuate_ql`` check its dimension and unit
 norm, once: a norm within tolerance of 1 is finite, so every entry is
-finite and at most ``1 + abs_eps + rel_eps``.  They decide on the
+finite and at most ``1 + tol.bound(1.0)``.  They decide on the
 components with ``_span_membership`` on the projector's factor, as
 :func:`subspace_membership` does after its own checks.
 ``valuation.demo_nondistributivity`` checks its state's dimension and
@@ -179,7 +183,7 @@ def range_membership(
     eliminate, so the cross-product condition of
     :func:`_cross_consistency` decides on every row,
     ``column[a] * psi[j] == column[j] * psi[a]``, anchored on the first
-    entry above ``abs_eps * max|column|``.  That check is the whole
+    entry above ``tol.threshold(max|column|)``.  That check is the whole
     tally, reported as ``counts``: ``2(n-1)`` multiplications and
     ``n-1`` comparisons for a member, two and one per comparison made on
     a rejection.  A numerically zero column raises :class:`ZeroColumn`.
@@ -281,12 +285,12 @@ def _cross_consistency(
     return (True, a_rhs / a_col, tally) if fail is None else (False, None, tally)
 
 
-# Where max|col| * max|rhs| * (1 + rel_eps) + abs_eps stays below this, every
-# value in _first_cross_failure is finite.  With B = max|col| * max|rhs|, each
-# real product in numpy's complex product is at most B and so is each part
-# of the product (|a.re b.re| + |a.im b.im| <= |a||b|), so each part of a
-# difference is at most 2B, its magnitude at most 3B, and the tolerance bound
-# at most rel_eps B + abs_eps: all below 2**1023, rounding included.
+# With B = max|col| * max|rhs|, where B + tol.bound(B) stays below this, every
+# value in _first_cross_failure is finite.  Each real product in numpy's
+# complex product is at most B and so is each part of the product
+# (|a.re b.re| + |a.im b.im| <= |a||b|), so each part of a difference is at
+# most 2B, its magnitude at most 3B, and the tolerance bound at most
+# tol.bound(B): all below 2**1023, rounding included.
 _FINITE_PRODUCTS = 2.0**1020
 
 
@@ -301,31 +305,32 @@ def _first_cross_failure(
 
     Every row is decided in one numpy pass: the products ``col[a]*rhs``
     and ``rhs[a]*col`` by numpy's complex ``*``, magnitudes by
-    ``np.abs``, and the bound of :meth:`TolerancePolicy.equal`.  A
-    product may round differently from a ``complex`` one, so a row
-    within rounding of its bound may be decided either way; the
+    ``np.abs``, and :meth:`TolerancePolicy.bound` of the larger
+    magnitude.  A product may round differently from a ``complex`` one,
+    so a row within rounding of its bound may be decided either way; the
     numerical contract (:mod:`~propval.numerics`) makes the verdict
     exact only away from the bound.  Products beyond the float range
     become inf or NaN without a warning: numpy's error state is switched
     for the pass unless ``bound``, an upper bound on
     ``max|col| * max|rhs|``, proves every value in it finite.  A
-    difference within ``abs_eps`` passes whatever the products' size, so
-    their magnitudes are computed only if some row is further apart.
+    difference within ``tol.bound(0.0)`` passes whatever the products'
+    size, so their magnitudes are computed only if some row is further
+    apart.
     Returns None if every row passes; the anchor row is not compared.
     """
-    if bound * (1 + tol.rel_eps) + tol.abs_eps < _FINITE_PRODUCTS:
+    if bound + tol.bound(bound) < _FINITE_PRODUCTS:
         state = contextlib.nullcontext()
     else:
         state = np.errstate(over="ignore", invalid="ignore")
     with state:
         p, q = col[anchor] * rhs, rhs[anchor] * col
         dist = np.abs(p - q)
-        ok = dist <= tol.abs_eps
+        ok = dist <= tol.bound(0.0)
         ok[anchor] = True
         fail = _first_false(ok)
         if fail is not None:
             size = np.maximum(np.abs(p), np.abs(q))
-            ok = dist <= tol.abs_eps + tol.rel_eps * size
+            ok = dist <= tol.bound(size)
             ok[anchor] = True
             fail = _first_false(ok)
     return fail
@@ -334,12 +339,12 @@ def _first_cross_failure(
 def _first_nonzero(rhs: np.ndarray, tol: TolerancePolicy) -> int | None:
     """The first entry of ``rhs`` that ``tol.equal`` tells apart from zero.
 
-    ``rel_eps`` times a magnitude may pass the float range; the bound
-    is then inf, as on ``complex`` values, and raises no warning.
+    ``tol.bound`` of a magnitude may pass the float range; it is then
+    inf, as on ``complex`` values, and raises no warning.
     """
     size = np.abs(rhs)
     with np.errstate(over="ignore"):
-        return _first_false(size <= tol.abs_eps + tol.rel_eps * size)
+        return _first_false(size <= tol.bound(size))
 
 
 def _first_false(ok: np.ndarray) -> int | None:

@@ -14,9 +14,17 @@ would be.
 Passing ``None`` as the counter disables counting without changing any
 numeric result.
 
-Equality of scalars is decided by a single :class:`TolerancePolicy`
+Every tolerance decision is made by a single :class:`TolerancePolicy`
 shared across the package, since the values flowing through the
 pipelines involve irrational entries evaluated in double precision.
+It states its two formulas once.  :meth:`TolerancePolicy.bound` is
+``abs_eps + rel_eps * size``, the largest difference that counts as
+equal next to a magnitude ``size``: it decides ``equal``, the
+cross-product and zero checks of a solve, a unit norm and a
+projector's Hermiticity and idempotency.
+:meth:`TolerancePolicy.threshold` is ``abs_eps * scale``, the magnitude
+at or below which an entry counts as zero next to ``scale``: it
+decides pivots, anchors and the printed zero parts of a witness.
 
 Numerical contract.  The paper's results are verdicts and operation
 tallies, so those are exact: every verdict, every closed-form tally
@@ -30,8 +38,8 @@ backward error bound ``||B x - b|| <= c n u (||B|| ||x|| + ||b||)``
 Algorithms*, 2nd ed., 7.1), with ``u = 2**-53``, ``n`` the rows of
 ``B`` and ``c = 16``.  Gaussian elimination with partial pivoting meets
 it while its pivot growth stays modest (Higham, 9.3).  The command line
-prints witness entries to 9 significant digits, and a part within
-``abs_eps`` of 0 as 0.
+prints witness entries to 9 significant digits, and a part at or below
+``threshold(1.0)`` as 0.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Symmetric approximate equality: |a-b| <= abs_eps + rel_eps*max(|a|,|b|).
+    """Symmetric approximate equality, ``|a-b| <= bound(max(|a|, |b|))``.
 
     Both fields must be finite and non-negative, else
     :class:`InvalidTolerance`: an infinite bound accepts every
@@ -108,8 +116,26 @@ class TolerancePolicy:
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidTolerance(f"{name} must be finite and >= 0, got {value}")
 
+    def bound(self, size: float) -> float:
+        """The largest difference that counts as equal next to magnitude ``size``.
+
+        ``abs_eps + rel_eps * size``, on a float or elementwise on a numpy
+        array; the one place this formula is written.
+        """
+        return self.abs_eps + self.rel_eps * size
+
+    def threshold(self, scale: float) -> float:
+        """The magnitude at or below which an entry counts as zero next to ``scale``.
+
+        ``abs_eps * scale``, on a float; the one place this formula is
+        written.  With ``scale`` the largest magnitude of a matrix it is
+        that matrix's pivot threshold, with the largest of a column that
+        column's anchor threshold.
+        """
+        return self.abs_eps * scale
+
     def equal(self, a: complex, b: complex) -> bool:
-        return abs(a - b) <= self.abs_eps + self.rel_eps * max(abs(a), abs(b))
+        return abs(a - b) <= self.bound(max(abs(a), abs(b)))
 
 
 DEFAULT_TOLERANCE = TolerancePolicy()

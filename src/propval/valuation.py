@@ -114,12 +114,12 @@ def _unit_state(
 
     The state must have ``p``'s dimension and unit norm.  A norm within
     tolerance of 1 is finite, so every component is finite and at most
-    ``1 + abs_eps + rel_eps`` in magnitude; that bound is returned with
-    the components.
+    ``1 + tol.bound(1.0)`` in magnitude; that bound is returned with the
+    components.
     """
     _require_dim(psi.dim, p.dim, "state and projector dims")
     _require_unit(psi, tol)
-    return psi.components, 1.0 + tol.abs_eps + tol.rel_eps
+    return psi.components, 1.0 + tol.bound(1.0)
 
 
 def valuate(

@@ -125,6 +125,16 @@ def test_valuate_rejects_invalid_projector(capsys, tmp_path):
     assert "NotIdempotent" in err
 
 
+def test_valuate_rejects_an_empty_projector(capsys, tmp_path):
+    proj = tmp_path / "proj.json"
+    state = tmp_path / "state.json"
+    save_matrix(proj, np.zeros((0, 0)))
+    save_matrix(state, np.zeros((0, 1)))
+    code, out, err = run(capsys, "valuate", str(proj), str(state))
+    assert code == 2 and out == ""
+    assert "DimensionMismatch" in err and "at least one row" in err
+
+
 def test_valuate_rejects_a_state_of_another_dimension(capsys, tmp_path):
     proj = tmp_path / "proj.json"
     state = tmp_path / "state.json"
@@ -247,6 +257,12 @@ def test_bench_single_dimension_still_emits_samples(capsys):
     assert lines[0] == "n,path,mul,div,add_sub,cmp,total"
     assert len([l for l in lines if l.startswith("8,")]) == 3
     assert "InsufficientSamples" in last_json(out)["fit_error"]
+
+
+def test_bench_rejects_a_negative_seed_by_name(capsys):
+    code, out, err = run(capsys, "bench", "--grid", "8", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "PropvalError" in err and "seed >= 0" in err
 
 
 def test_bench_rejects_bad_grid(capsys):
@@ -387,10 +403,28 @@ def test_tolerance_env_override(capsys, qubit_files, monkeypatch):
     assert json.loads(out)["verdict"] == "true"
 
 
+EVALUATING = {
+    "valuate": ["valuate", "projector", "state_z_up"],
+    "bench": ["bench", "--grid", "8"],
+    "demo": ["demo", "nondistributivity"],
+}
+
+
+@pytest.mark.parametrize("command", list(EVALUATING))
+def test_every_evaluating_command_documents_one_tolerance(capsys, command):
+    with pytest.raises(SystemExit):
+        main([*EVALUATING[command], "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--tolerance TOLERANCE absolute tolerance" in help_text
+
+
+@pytest.mark.parametrize("command", list(EVALUATING))
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "abc"])
 @pytest.mark.parametrize("source", ["flag", "env"])
-def test_invalid_tolerance_is_rejected(capsys, qubit_files, monkeypatch, value, source):
-    argv = ["valuate", qubit_files["projector"], qubit_files["state_z_up"]]
+def test_invalid_tolerance_is_rejected(
+    capsys, qubit_files, monkeypatch, command, value, source
+):
+    argv = [qubit_files.get(arg, arg) for arg in EVALUATING[command]]
     if source == "flag":
         argv.append(f"--tolerance={value}")
     else:

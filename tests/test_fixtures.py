@@ -138,6 +138,15 @@ def test_dimension_lower_bound():
         random_instance(1, seed=0, target=TargetKind.GENERIC)
 
 
+def test_a_negative_seed_is_rejected_by_name():
+    """numpy's own error for a negative seed names neither the seed nor
+    the bound; the generator checks it first."""
+    with pytest.raises(PropvalError, match=r"seed >= 0, got 8 and -1"):
+        random_instance(8, seed=-1, target=TargetKind.GENERIC)
+    with pytest.raises(PropvalError, match="seed"):
+        random_states(8, -1, [TargetKind.IN_RANGE, TargetKind.IN_KERNEL])
+
+
 def test_degenerate_orthogonal_draw_is_bounded(monkeypatch):
     # force every draw onto the projector direction: no orthogonal part
     fixed = np.zeros(4, dtype=complex)

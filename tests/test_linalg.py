@@ -459,6 +459,16 @@ def test_matrix_json_roundtrip(tmp_path):
     assert np.array_equal(load_matrix(path), a)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (), (2, 1, 1)])
+def test_a_state_is_one_dimensional_or_one_column(shape):
+    """A 2x2 array flattened to four components would get a plausible
+    verdict on a 4-dimensional projector; it is rejected instead."""
+    with pytest.raises(DimensionMismatch, match=r"1-d or one column"):
+        StateVector(np.full(shape, 0.5))
+    column = StateVector(np.array([[S2], [S2]]))
+    assert column.components.shape == (2,) and column.is_unit()
+
+
 def test_state_file_roundtrip_and_shape_check(tmp_path):
     path = tmp_path / "v.json"
     save_matrix(path, np.array([[1.0], [2.0j]]))

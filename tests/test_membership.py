@@ -145,7 +145,7 @@ def reference_range_membership(column, psi, ctx, tol=DEFAULT_TOLERANCE):
     """
     column = [complex(z) for z in column]
     b = [complex(z) for z in psi.components]
-    threshold = tol.abs_eps * max(abs(z) for z in column)
+    threshold = tol.threshold(max(abs(z) for z in column))
     anchor = next((i for i, z in enumerate(column) if abs(z) > threshold), None)
     if anchor is None:
         raise ZeroColumn("basis column is numerically zero")
@@ -608,6 +608,30 @@ def test_a_one_dimensional_stack_is_rejected():
             build()
 
 
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda: validate_projector(np.zeros((0, 0))),
+        lambda: membership_of(np.zeros((0, 2)), StateVector(np.zeros(0))),
+        lambda: membership_of(np.zeros((0, 0)), StateVector(np.zeros(0))),
+        lambda: range_membership(np.zeros((0, 1)), StateVector(np.zeros(0))),
+        lambda: kernel_membership_iterative(AugmentedMatrix(np.zeros((0, 2)))),
+        lambda: kernel_membership_matrix(AugmentedMatrix(np.zeros((0, 3)))),
+    ],
+    ids=[
+        "projector",
+        "column-stack",
+        "empty-stack",
+        "range-column",
+        "bare-iterative",
+        "bare-matrix",
+    ],
+)
+def test_a_system_without_rows_is_rejected(decide):
+    with pytest.raises(DimensionMismatch, match="at least one row"):
+        decide()
+
+
 def test_the_empty_span_checks_the_state_dimension():
     zero = membership_of(np.zeros((3, 0)), StateVector(np.zeros(3)))
     assert zero.member and zero.counts == OpCounter()
@@ -656,7 +680,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
     elimination = OpCounter()
     n, k = aug.rows, aug.unknowns
     work = aug.body.copy()
-    threshold = tol.abs_eps * linalg.max_abs(aug.body[:, :k])
+    threshold = tol.threshold(linalg.max_abs(aug.body[:, :k]))
     cols, swapped = linalg._row_echelon(work, k - 1, threshold)
     shift = 0 if full_block else 1
     for r, c in enumerate(cols):
@@ -686,7 +710,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
         band, divisor = CONTRACT_UNIT * n * col_scale * rhs_scale, abs(anchor[k - 1])
     member, near_bound, accepted = True, False, 0.0
     for a, b in pairs:
-        bound = tol.abs_eps + tol.rel_eps * max(abs(a), abs(b))
+        bound = tol.bound(max(abs(a), abs(b)))
         accepted += ((bound + band) / divisor) ** 2
         if member:
             fctx.mul += 0 if anchor is None else 2

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,17 @@ def test_tolerance_equal_examples():
 def test_tolerance_rejects_non_finite_or_negative(field, bad):
     with pytest.raises(InvalidTolerance, match=field):
         TolerancePolicy(**{field: bad})
+
+
+def test_bound_and_threshold_state_the_two_formulas():
+    tol = TolerancePolicy(abs_eps=1e-9, rel_eps=1e-6)
+    assert tol.bound(0.0) == 1e-9
+    assert tol.bound(3.0) == 1e-9 + 1e-6 * 3.0
+    sizes = np.array([0.0, 0.5, 1e3])
+    assert tol.bound(sizes).tolist() == [tol.bound(s) for s in sizes.tolist()]
+    assert tol.threshold(4.0) == 1e-9 * 4.0
+    assert tol.equal(3.0, 3.0 + 0.5 * tol.bound(3.0))
+    assert not tol.equal(3.0, 3.0 + 2 * tol.bound(3.0))
 
 
 def test_tolerance_accepts_zero_and_wide_finite_values():
