@@ -183,12 +183,19 @@ def samples_to_csv(samples: list[CostSample]) -> str:
 
 
 def _loglog_fit(ns: list[float], values: list[float]) -> GrowthFit:
+    """Least-squares line through ``(log n, log value)``, in closed form.
+
+    With ``dx`` and ``dy`` the deviations from the means, the slope is
+    ``sum(dx*dy) / sum(dx*dx)`` and the line passes through the means:
+    the normal equations of a straight-line fit, solved by hand.
+    """
     xs = np.log(np.asarray(ns, dtype=float))
     ys = np.log(np.asarray(values, dtype=float))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    predicted = slope * xs + intercept
-    ss_res = float(np.sum((ys - predicted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    slope = dx @ dy / (dx @ dx)
+    intercept = ys.mean() - slope * xs.mean()
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    ss_tot = float(dy @ dy)
     if ss_tot <= 1e-14 * max(1.0, float(np.sum(ys * ys))):
         r_squared = 1.0  # constant data: the fit is exact
     else:

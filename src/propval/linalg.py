@@ -9,11 +9,12 @@ column-stack type: a projector's range or kernel basis and every
 operand of the lattice in ``valuation`` alike.  A :class:`Projector`
 memoises one factor per subspace and tolerance policy
 (:func:`subspace_factor`): the elimination of ``P`` for its range, of
-``I - P`` for its kernel.  The pivot columns of each are that
-subspace's basis, so :func:`range_basis` and :func:`kernel_basis` read
-it off the factor.  Each memo entry is written at most once, and a
-lock on the miss path makes threads that miss the same entry build it
-once, so sharing stays safe.
+``I - P`` for its kernel, each on one n x n work array.  The pivot
+columns of each are that subspace's basis; the factor keeps their
+indices, and :func:`range_basis` and :func:`kernel_basis` build the
+basis from them on their first call.  Each memo entry is written at
+most once, and a lock on the miss path makes threads that miss the
+same entry build it once, so sharing stays safe.
 
 Rank decisions use Gaussian elimination with partial pivoting, treating
 a pivot at or below ``tol.threshold(max|entry|)`` of the eliminated
@@ -30,7 +31,8 @@ matrix in one vector-matrix product; at the panel's end one matrix
 product updates the block below and right of it.  A pivot's multipliers
 are one numpy division of its column.  One elimination of ``P`` or
 ``I - P`` gives both the basis and its factor, because a non-pivot
-column makes no update.  The triangular solves against the echelon
+column makes no update; the range's elimination stops at the
+projector's declared rank.  The triangular solves against the echelon
 form, for null spaces and for witnesses, run by blocks of the same
 width: one LAPACK solve of a diagonal block and one product for the
 rows beyond it (:func:`_forward`, :func:`_upper_solve`).  Under the
@@ -150,18 +152,25 @@ class Projector:
     :func:`validate_projector`, a rank-1 projector the package builds
     from a unit state through :func:`projector_from_state`.  The
     constructor itself performs no checks, and no module but this one
-    calls it.  :func:`subspace_factor` factors the range or kernel system
-    once per tolerance policy and keeps the factor on the instance
-    (:func:`validate_projector` seeds the range factor); the memo is
-    write-once, holds read-only values, and takes no part in equality.
+    calls it.  It takes ownership of a complex array and freezes it
+    without a copy, so each builder hands it an array nothing else
+    holds: :func:`validate_projector` copies the matrix from outside
+    once, :func:`projector_from_state` passes its fresh outer product.
+    :func:`subspace_factor` factors the range or kernel system once per
+    tolerance policy and keeps the factor on the instance
+    (:func:`validate_projector` seeds the range factor), and
+    :func:`range_basis` and :func:`kernel_basis` keep the bases they
+    build from it; both memos are write-once, hold read-only values, and
+    take no part in equality.
     """
 
     array: np.ndarray
     rank: int
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _freeze(self, "array", np.array(self.array, dtype=complex))
+        _freeze(self, "array", np.asarray(self.array, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -253,7 +262,7 @@ def _consecutive(cols: list[int]) -> slice | list[int]:
 
 
 def _row_echelon(
-    w: np.ndarray, ncols: int, threshold: float
+    w: np.ndarray, ncols: int, threshold: float, most: int | None = None
 ) -> tuple[list[int], list[int]]:
     """Blocked Gaussian elimination of the first ``ncols`` columns, Crout in each panel.
 
@@ -277,10 +286,15 @@ def _row_echelon(
     move whole rows, stored multipliers included, so on return ``w``
     holds U on and above each pivot and the multipliers below it in the
     final row order (LAPACK's ``getrf`` layout); a skipped column holds
-    what the pivots left of it made of it.  Returns the pivot columns
-    (pivot ``r`` in row ``r`` of ``w``) and, per pivot, the row swapped
-    into row ``r`` at its step (``r`` itself when none was).
+    what the pivots left of it made of it.  The elimination stops after
+    ``most`` pivots (one per row by default) and skips the panel-end
+    update after the last: the pivot columns and rows are final, and
+    the columns right of the last pivot are left part-updated.
+    Returns the pivot columns (pivot ``r`` in row ``r`` of ``w``) and,
+    per pivot, the row swapped into row ``r`` at its step (``r`` itself
+    when none was).
     """
+    most = len(w) if most is None else most
     cols: list[int] = []
     swapped: list[int] = []
     for c0 in range(0, ncols, _PANEL):
@@ -288,7 +302,7 @@ def _row_echelon(
         stop = min(c0 + _PANEL, ncols)
         pivots = None  # the panel's pivot columns so far
         c = c0
-        while c < stop and len(cols) < w.shape[0]:
+        while c < stop and len(cols) < most:
             r = len(cols)
             col = w[r:, c]
             if pivots is not None:
@@ -317,6 +331,8 @@ def _row_echelon(
             swapped.append(r + p)
             pivots = _consecutive(cols[r0:])
             c += 1
+        if len(cols) == most:
+            break
         if pivots is not None and stop < w.shape[1]:
             r1 = len(cols)
             w[r1:, stop:] -= w[r1:, pivots] @ w[r0:r1, stop:]
@@ -359,11 +375,15 @@ class EchelonFactor:
       for the elimination (:func:`_charges`), the first pair below and
       right of each pivot, the second over the whole live block;
     * ``row_swaps`` -- how many of the ``t`` steps swapped rows;
-    * ``basis`` -- for a projector's range or kernel, the pivot columns
-      of ``P`` or ``I - P`` that are the system's unknowns.
+    * ``pivots`` -- the factored matrix's pivot columns; for a
+      projector's range or kernel they are the columns of ``P`` or
+      ``I - P`` that are the system's unknowns and the subspace's basis,
+      which :func:`range_basis` and :func:`kernel_basis` build on demand.
 
-    Arrays are read-only, and every field is set once in :func:`_factor`,
-    so a factor is shared freely between threads.
+    ``lu`` is a column-major copy out of the elimination's work array,
+    which the factor does not keep.  Arrays are read-only, and every
+    field is set once in :func:`_factor`, so a factor is shared freely
+    between threads.
     """
 
     lu: np.ndarray
@@ -376,7 +396,7 @@ class EchelonFactor:
     live_scale: float
     charges: tuple[tuple[int, int], tuple[int, int]]
     row_swaps: int
-    basis: Subspace | None = None
+    pivots: tuple[int, ...]
 
     def __post_init__(self):
         for array in (self.lu, self.last, self.perm):
@@ -433,39 +453,72 @@ def _upper_solve(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _factor(
-    a: np.ndarray, tol: TolerancePolicy, kind: BasisKind | None = None
-) -> EchelonFactor:
-    """One elimination of every column of ``a``, kept as an :class:`EchelonFactor`.
+def _complement(p: np.ndarray, col: int | None = None) -> np.ndarray:
+    """``I - p`` or its column ``col``, bit for bit as ``np.eye(n) - p`` holds it.
 
-    The unknowns are every column of ``a`` or, with ``kind``, the pivot
-    columns, kept as a basis of that kind; a non-pivot column issues no
-    update, so eliminating ``a`` eliminates the basis too.  The pivot
-    threshold is ``tol.threshold(max|a|)``, the one
-    :func:`independent_columns` uses, so the basis is the one it picks.
-    The factor covers the unknowns before the last: if the last unknown
-    was itself a pivot, its interchange is undone, and its column is
-    forward-solved from ``a`` like a right-hand side.  Everything a solve
-    needs that does not depend on the state is computed here, once: the
-    anchor of the live rows' cross-product check and their largest
-    magnitude, the elimination's charges, the interchanges as one
-    permutation and the row swaps.  With one unknown the anchor
-    threshold is ``tol.threshold`` of that largest magnitude, the
-    column's own scale; that column is a column of ``a``, whose
-    finiteness :func:`_echelon` has checked.  Every system a decider
-    factors passes through here, so a system without rows raises
-    :class:`DimensionMismatch` here.
+    One fresh array, row-major as that difference is: ``0 - p`` (rather
+    than ``-p``, so a zero entry comes out +0 as it does from the
+    identity's 0), then 1 added on the diagonal; ``1 - x`` and
+    ``(0 - x) + 1`` round alike.  ``p`` is square, or ``n x 0``.
     """
-    w, cols, swapped, threshold = _echelon(a, tol)
+    if col is not None:
+        w = np.subtract(0.0, p[:, col])
+        w[col] += 1
+    else:
+        w = np.subtract(0.0, p, order="C")
+        w.reshape(-1)[:: len(w) + 1] += 1
+    return w
+
+
+def _factor(
+    a: np.ndarray,
+    tol: TolerancePolicy,
+    kind: BasisKind | None = None,
+    most: int | None = None,
+) -> EchelonFactor:
+    """One elimination of the columns of a system, kept as an :class:`EchelonFactor`.
+
+    The system is ``a``, or ``I - a`` when ``kind`` is the kernel (``a``
+    is then ``P``, or its first 0 columns for an empty kernel).  ``a``
+    is never written: the elimination runs on one work array, a copy of
+    ``a`` or a fresh ``I - a`` (:func:`_complement`), and stops after
+    ``most`` pivots if given (:func:`_row_echelon`).
+    The unknowns are every column or, with ``kind``, the pivot columns,
+    the basis of that kind; a non-pivot column issues no update, so
+    eliminating the system eliminates the basis too.  The pivot
+    threshold is ``tol.threshold`` of the system's largest magnitude,
+    the one :func:`independent_columns` uses, so the basis is the one it
+    picks.  The factor covers the unknowns before the last: if the last
+    unknown was itself a pivot, its interchange is undone, and its
+    column, rebuilt from ``a``, is forward-solved like a right-hand
+    side.  Everything a solve needs that does not depend on
+    the state is computed here, once: the anchor of the live rows'
+    cross-product check and their largest magnitude, the elimination's
+    charges, the interchanges as one permutation and the row swaps.
+    With one unknown the anchor threshold is ``tol.threshold`` of that
+    largest magnitude, the column's own scale; that column is a column
+    of the system, whose finiteness :func:`_echelon` has checked.  Every
+    system a decider factors passes through here, so a system without
+    rows raises :class:`DimensionMismatch` here.
+    """
+    kernel = kind is BasisKind.KERNEL
+    w = _complement(a) if kernel else np.array(a, dtype=complex)
+    cols, swapped, threshold = _echelon(w, tol, most)
     if not len(w):
         raise DimensionMismatch("a system needs at least one row, got 0")
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
-    lu = w.T[cols[:t]].T  # n x t, a copy: a view would keep all of w
+    # n x t, column-major: a row-major view of w would round the solves differently
+    lu = w.T[cols[:t]].T
     if t < len(cols) and swapped[t] != t:
         lu[[t, swapped[t]]] = lu[[swapped[t], t]]
     positions = tuple(range(t)) if kind is not None else tuple(cols[:t])
-    column = a[:, unknowns[-1]] if unknowns else np.zeros(len(w))
+    if not unknowns:
+        column = np.zeros(len(w))
+    elif kernel:
+        column = _complement(a, unknowns[-1])
+    else:
+        column = a[:, unknowns[-1]]
     perm = list(range(len(w)))
     for r, p in enumerate(swapped[:t]):
         perm[r], perm[p] = perm[p], perm[r]
@@ -486,7 +539,7 @@ def _factor(
         live_scale,
         _charges(len(w), len(unknowns), positions),
         sum(p != r for r, p in enumerate(swapped[:t])),
-        None if kind is None else Subspace(a[:, _consecutive(cols)]),
+        tuple(cols),
     )
 
 
@@ -517,11 +570,11 @@ def independent_columns(
 ) -> list[int]:
     """Indices of a maximal independent column set, lowest index first.
 
-    Row echelon form of ``a`` (:func:`_row_echelon`); a pivot at or
-    below ``tol.threshold(max|entry|)`` is treated as zero and the
+    Row echelon form of a copy of ``a`` (:func:`_row_echelon`); a pivot
+    at or below ``tol.threshold(max|entry|)`` is treated as zero and the
     column skipped.
     """
-    return _echelon(a, tol)[1]
+    return _echelon(np.array(a, dtype=complex), tol)[0]
 
 
 def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
@@ -529,19 +582,20 @@ def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
 
 
 def _echelon(
-    a: np.ndarray, tol: TolerancePolicy
-) -> tuple[np.ndarray, list[int], list[int], float]:
-    """A checked copy of ``a`` in row echelon form (:func:`_row_echelon`).
+    w: np.ndarray, tol: TolerancePolicy, most: int | None = None
+) -> tuple[list[int], list[int], float]:
+    """``w`` in row echelon form, in place (:func:`_row_echelon`).
 
-    The copy must be 2-d and finite (:class:`NonFiniteEntry`).  Returns
-    it with its pivot columns, the row swapped into row ``r`` at pivot
-    ``r``, and the pivot threshold ``tol.threshold(max|a|)``.
+    The caller owns ``w``, a complex array that must be 2-d and finite
+    (:class:`NonFiniteEntry`).  Returns its pivot columns, the row
+    swapped into row ``r`` at pivot ``r``, and the pivot threshold
+    ``tol.threshold(max|w|)``; the elimination stops after ``most``
+    pivots if given.
     """
-    w = np.array(a, dtype=complex)
     if w.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
     threshold = tol.threshold(_finite_scale(w))
-    return w, *_row_echelon(w, w.shape[1], threshold), threshold
+    return *_row_echelon(w, w.shape[1], threshold, most), threshold
 
 
 def null_space_basis(
@@ -557,7 +611,8 @@ def null_space_basis(
     left of a row's pivot are sub-threshold candidates the elimination
     skipped, taken as 0.
     """
-    w, cols, _, _ = _echelon(a, tol)
+    w = np.array(a, dtype=complex)
+    cols = _echelon(w, tol)[0]
     n = w.shape[1]
     pivots = set(cols)
     free = [c for c in range(n) if c not in pivots]
@@ -584,10 +639,11 @@ def validate_projector(
 ) -> Projector:
     """Check finiteness, Hermiticity and idempotency, compute the rank.
 
-    The one elimination of ``m`` that gives the rank is kept as the
-    projector's range factor for ``tol``.
+    The projector owns one copy of ``m``, made here.  The one
+    elimination of ``m`` that gives the rank is kept as the projector's
+    range factor for ``tol``.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.array(m, dtype=complex)
     scale = _finite_scale(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
@@ -602,8 +658,18 @@ def validate_projector(
 
 
 # Serialises memo misses so threads that miss the same key build its
-# factor once; hits never take it.
+# value once; hits never take it.  It is not re-entrant: a build must not
+# miss a memo itself.
 _FACTOR_BUILD = threading.Lock()
+
+
+def _write_once(memo: dict, key, build, *args):
+    """``memo[key]``, set to ``build(*args)`` unless another thread set it first."""
+    with _FACTOR_BUILD:
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build(*args)
+    return value
 
 
 def subspace_factor(
@@ -611,31 +677,49 @@ def subspace_factor(
 ) -> EchelonFactor:
     """The factor of ``p``'s range or kernel system, memoised per policy.
 
-    One elimination of ``P`` (range) or ``I - P`` (kernel); its pivot
-    columns are the subspace's basis and the system's unknowns, so a
-    state's membership then costs one O(n k) solve against it, for a
-    subspace of dimension k.  Where the rank says the subspace is {0}
-    (0 for the range, ``n`` for the kernel) the factor has no unknowns
-    and an ``n x 0`` basis.  The rank decides, not pivots: ``I - P`` of
-    a full-rank ``P`` is noise, and the relative threshold finds pivots.
+    One elimination of ``P`` (range) or ``I - P`` (kernel) in place on
+    one n x n work array, a copy of ``P`` or a fresh ``I - P`` (``P``
+    itself is never written).  Its pivot columns are the subspace's
+    basis and the system's unknowns, so a state's membership then costs
+    one O(n k) solve against it, for a subspace of dimension k.  The
+    factor keeps the pivot columns' indices; :func:`range_basis` and
+    :func:`kernel_basis` build the basis from them when asked.  The
+    rank decides, not pivots: the range's elimination stops after
+    ``p.rank`` pivots, and where the rank says the subspace is {0} (0
+    for the range, ``n`` for the kernel) the factor has no unknowns and
+    nothing is eliminated, since ``I - P`` of a full-rank ``P`` is noise
+    in which the relative threshold finds pivots.  The kernel's
+    elimination runs to the end.
     """
     value = p._memo.get((kind, tol))
     if value is None:
-        with _FACTOR_BUILD:
-            value = p._memo.get((kind, tol))
-            if value is None:
-                a = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
-                if p.rank == (0 if kind is BasisKind.RANGE else p.dim):
-                    a = a[:, :0]  # the subspace is {0}: nothing to eliminate
-                value = p._memo[kind, tol] = _factor(a, tol, kind)
+        empty = p.rank == (0 if kind is BasisKind.RANGE else p.dim)
+        a = p.array[:, :0] if empty else p.array  # {0}: nothing to eliminate
+        most = p.rank if kind is BasisKind.RANGE else None
+        value = _write_once(p._memo, (kind, tol), _factor, a, tol, kind, most)
     return value
+
+
+def _basis(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
+    """The pivot columns of ``P`` or ``I - P`` in ``p``'s factor, kept per policy."""
+    basis = p._bases.get((kind, tol))
+    if basis is None:
+        # the factor first, outside _FACTOR_BUILD: a miss there takes the lock
+        cols = _consecutive(list(subspace_factor(p, kind, tol).pivots))
+        a = p.array if kind is BasisKind.RANGE else _complement(p.array)
+        basis = _write_once(p._bases, (kind, tol), Subspace, a[:, cols])
+    return basis
 
 
 def range_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Subspace:
-    """Independent columns of the projector matrix, lowest index first."""
-    basis = subspace_factor(p, BasisKind.RANGE, tol).basis
+    """Independent columns of the projector matrix, lowest index first.
+
+    The range factor's pivot columns of ``P``, copied into a
+    :class:`Subspace` on the first call per policy and memoised.
+    """
+    basis = _basis(p, BasisKind.RANGE, tol)
     if not basis.dim:
         raise ZeroProjector("range of the zero projector is {0}")
     return basis
@@ -644,8 +728,12 @@ def range_basis(
 def kernel_basis(
     p: Projector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Subspace:
-    """Independent columns of (I - M), lowest index first."""
-    basis = subspace_factor(p, BasisKind.KERNEL, tol).basis
+    """Independent columns of (I - M), lowest index first.
+
+    The kernel factor's pivot columns of ``I - P``, built into a
+    :class:`Subspace` on the first call per policy and memoised.
+    """
+    basis = _basis(p, BasisKind.KERNEL, tol)
     if not basis.dim:
         raise FullRankProjector("kernel of a full-rank projector is {0}")
     return basis

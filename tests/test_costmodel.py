@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propval.costmodel import (
     CostSample,
@@ -20,6 +20,7 @@ from propval.costmodel import (
     quantum_cost,
     samples_to_csv,
 )
+from propval.costmodel import _loglog_fit
 from propval import linalg
 from propval.fixtures import TargetKind, random_instance
 from propval.numerics import OpCounter
@@ -99,9 +100,9 @@ def test_benchmark_extracts_each_basis_once_per_dimension(monkeypatch):
     calls = []
     original = linalg._row_echelon
 
-    def counted(w, ncols, threshold):
+    def counted(w, ncols, threshold, most=None):
         calls.append(w.shape[1])
-        return original(w, ncols, threshold)
+        return original(w, ncols, threshold, most)
 
     monkeypatch.setattr(linalg, "_row_echelon", counted)
     benchmark_paths([3, 4, 5], seed=11)
@@ -120,6 +121,28 @@ def test_csv_schema():
 
 
 # --------------------------------------------------------------- fitting
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(3, 4096), st.floats(1.0, 1e12)),
+        min_size=2,
+        max_size=12,
+        unique_by=lambda point: point[0],
+    )
+)
+@example(  # the default bench's kernel_false totals
+    points=[
+        (8, 305), (16, 2597), (32, 21325), (64, 172701), (128, 1389885), (256, 11151997)
+    ]
+)
+def test_the_closed_form_fit_agrees_with_polyfit(points):
+    ns, values = zip(*points)
+    fit = _loglog_fit(list(ns), list(values))
+    slope, intercept = np.polyfit(np.log(ns), np.log(values), 1)
+    assert abs(fit.slope - slope) <= 1e-12 * max(1.0, abs(slope))
+    assert abs(fit.intercept - intercept) <= 1e-12 * max(1.0, abs(intercept))
 
 
 def test_fit_growth_recovers_polynomial_degrees():

@@ -3,12 +3,13 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propval import linalg
+from propval import linalg, membership
 from propval.fixtures import TargetKind, random_instance, spin52_fixture
 from propval.linalg import (
     BasisKind,
@@ -438,7 +439,8 @@ def test_validate_projector_rejects_non_finite_entries_before_comparing(
     )
     with pytest.raises(NonFiniteEntry):
         validate_projector(m)
-    assert all(a is m for a in scanned)  # no difference formed, no product
+    # one scan, of m's entries as they are: no difference formed, no product
+    assert len(scanned) == 1 and np.array_equal(scanned[0], m, equal_nan=True)
 
 
 def test_a_finite_scale_may_overflow_without_a_non_finite_entry():
@@ -510,7 +512,7 @@ def test_factors_are_immutable(rank):
     assert valuate(p, StateVector(random_unit(rng, 6))).value is TruthValue.GAP
     assert len(p._memo) == 2
     for f in p._memo.values():
-        for array in (f.lu, f.last, f.basis.array):
+        for array in (f.lu, f.last, f.perm):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -518,6 +520,11 @@ def test_factors_are_immutable(rank):
             f.row_swaps = 0
         with pytest.raises(AttributeError):
             f.anchor = 0
+        with pytest.raises(AttributeError):
+            f.pivots = ()
+    for basis in (range_basis(p), kernel_basis(p)):
+        with pytest.raises(ValueError):
+            basis.array[...] = 0
 
 
 def count_eliminations(monkeypatch):
@@ -525,9 +532,9 @@ def count_eliminations(monkeypatch):
     calls = []
     original = linalg._row_echelon
 
-    def counted(w, ncols, threshold):
+    def counted(w, ncols, threshold, most=None):
         calls.append(w.shape[1])
-        return original(w, ncols, threshold)
+        return original(w, ncols, threshold, most)
 
     monkeypatch.setattr(linalg, "_row_echelon", counted)
     return calls
@@ -544,7 +551,7 @@ def test_the_empty_kernel_is_factored_without_elimination(noise, monkeypatch):
     # The rank decides: I - P is zero or noise, and its 4 columns are not
     # eliminated, where the relative pivot threshold would find pivots.
     assert calls == [0]
-    assert f.unknowns == 0 and f.basis.array.shape == (4, 0)
+    assert f.unknowns == 0 and f.pivots == ()
     assert subspace_factor(p, BasisKind.KERNEL) is f
     assert calls == [0]
     with pytest.raises(FullRankProjector):
@@ -564,17 +571,22 @@ def test_bases_are_computed_once_per_policy(monkeypatch):
         assert valuate(p, random_instance(8, 3, target)[1]).value is expected
     assert calls == [8, 8]  # I - P, on the first kernel verdict
     bases = {BasisKind.RANGE: range_basis, BasisKind.KERNEL: kernel_basis}
+    systems = {BasisKind.RANGE: p.array, BasisKind.KERNEL: np.eye(8) - p.array}
+    assert p._bases == {}  # no verdict reads a basis
     for kind, basis in bases.items():
         f = subspace_factor(p, kind, TolerancePolicy())
         assert f is subspace_factor(p, kind) is p._memo[kind, DEFAULT_TOLERANCE]
-        assert basis(p, TolerancePolicy()) is basis(p) is f.basis
+        built = basis(p, TolerancePolicy())
+        assert built is basis(p) is p._bases[kind, DEFAULT_TOLERANCE]
+        assert np.array_equal(built.array, systems[kind][:, list(f.pivots)])
     assert calls == [8, 8]
     wider = TolerancePolicy(abs_eps=1e-6)
     assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
     assert np.array_equal(kernel_basis(p, wider).array, kernel_basis(p).array)
     assert calls == [8, 8, 8, 8]  # one per (kind, policy)
     assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())
-    assert len(p._memo) == 4
+    assert all(isinstance(b, Subspace) for b in p._bases.values())
+    assert len(p._memo) == len(p._bases) == 4
 
 
 def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
@@ -642,6 +654,140 @@ def test_memoised_bases_match_a_fresh_projector(n, rank, seed):
         assert np.array_equal(memo.array, a[:, independent_columns(a)])
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_the_kernel_system_is_i_minus_p_bit_for_bit(order):
+    """The kernel factor builds ``I - P`` without the identity; its entries,
+    the signs of zeros included, and its row-major layout, which decides
+    how the elimination's products round, are those of ``np.eye(n) - P``."""
+    v = np.zeros(6, dtype=complex)
+    v[[1, 4]] = [0.6, 0.8j]  # zero rows and columns in P, +0 and -0 parts
+    p = np.array(projector_from_state(StateVector(v)).array, order=order)
+    want = np.eye(6) - p
+    got = linalg._complement(p)
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for c in range(6):
+        got = linalg._complement(p, c)
+        assert np.array_equal(got.view(np.uint64), want[:, c].copy().view(np.uint64))
+
+
+@pytest.mark.parametrize("abs_eps", [1e-16, 0.0])
+def test_a_kernel_state_reads_false_at_a_tiny_tolerance(abs_eps):
+    """At such a tolerance rounding noise clears the pivot threshold.  A
+    full elimination of a rank-1 ``P`` then took up to 7 unknowns at
+    n = 8, and a kernel state solved the range system: 14 of these 20
+    read TRUE at 1e-16 and 16 at 0.  The range factor stops at the
+    declared rank, so its one column decides."""
+    tol = TolerancePolicy(abs_eps=abs_eps)
+    for seed in range(20):
+        p, psi = random_instance(8, seed, TargetKind.IN_KERNEL)
+        assert subspace_factor(p, BasisKind.RANGE, tol).unknowns == p.rank == 1
+        assert valuate(p, psi, tol).value is TruthValue.FALSE
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 100),
+    lead=st.integers(0, 99),
+    small=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_rank_stop_changes_no_result(n, lead, small, seed):
+    """The range factor of a rank-1 projector stops after its one pivot,
+    which leading components scaled small push into a later panel; up to
+    n = 100 a full elimination runs on through three or four panels.
+    Both factors give the same verdicts, tallies, final checks, row swaps,
+    anchors and witness bits."""
+    rng = np.random.default_rng(seed)
+    v = random_unit(rng, n)
+    v[: min(lead, n - 1)] *= small
+    v /= np.linalg.norm(v)
+    p = projector_from_state(StateVector(v))
+    stopped = subspace_factor(p, BasisKind.RANGE)
+    full = linalg._factor(p.array, DEFAULT_TOLERANCE, BasisKind.RANGE)
+    assert stopped.pivots == full.pivots and stopped.unknowns == 1
+    for name in ("positions", "anchor", "anchor_entry", "live_scale", "row_swaps"):
+        assert getattr(stopped, name) == getattr(full, name), name
+    assert stopped.charges == full.charges
+    assert np.array_equal(stopped.perm, full.perm)
+    assert np.array_equal(stopped.last, full.last)
+    generic = random_unit(rng, n)
+    perpendicular = generic - v * np.vdot(v, generic)
+    for b in (np.exp(1j * rng.uniform(0, 6.3)) * v, perpendicular, generic):
+        size = linalg._finite_scale(b)
+        got, want = (
+            membership._span_membership(f, b, DEFAULT_TOLERANCE, size)
+            for f in (stopped, full)
+        )
+        assert (got.member, got.counts, got.final_check, got.row_swaps) == (
+            want.member, want.counts, want.final_check, want.row_swaps
+        )
+        assert got.witness == want.witness
+
+
+def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch):
+    seen = []
+    original = linalg._row_echelon
+
+    def spy(w, ncols, threshold, most=None):
+        cols, swapped = original(w, ncols, threshold, most)
+        seen.append((ncols, most, len(cols)))
+        return cols, swapped
+
+    monkeypatch.setattr(linalg, "_row_echelon", spy)
+    n = 100
+    p, _ = random_instance(n, 4, TargetKind.IN_RANGE)
+    assert subspace_factor(p, BasisKind.RANGE).unknowns == 1
+    assert seen == [(n, 1, 1)]
+    subspace_factor(p, BasisKind.KERNEL)
+    assert seen[1] == (n, None, n - 1)  # the kernel runs to the end
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    validated = validate_projector(q @ q.conj().T)
+    assert seen[2] == (n, None, 3)  # validation finds the rank
+    subspace_factor(validated, BasisKind.RANGE, TolerancePolicy(abs_eps=1e-12))
+    assert seen[3] == (n, 3, 3)
+    # after the last pivot nothing is updated: beyond the first panel, the
+    # rows below it are P's rows as the one interchange left them
+    w = np.array(p.array)
+    cols, swapped = original(w, n, DEFAULT_TOLERANCE.threshold(max_abs(w)), 1)
+    order = list(range(n))
+    order[0], order[swapped[0]] = order[swapped[0]], order[0]
+    assert cols == [0]
+    assert np.array_equal(w[1:, 32:], p.array[order][1:, 32:])
+
+
+def _traced(build):
+    """``build()`` with the bytes its allocations peaked at and kept."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - before, kept - before
+
+
+def test_a_projector_factor_allocates_one_work_array():
+    """numpy reports its buffers to tracemalloc.  In units of one n x n
+    complex array, the range factor of a rank-1 projector peaks at its
+    work array and the threshold's magnitudes; the kernel factor at its
+    work array, the magnitudes or the panel products, and the ``lu`` it
+    keeps, which is all it keeps."""
+    n = 128
+    unit = n * n * 16
+    warm, _ = random_instance(n, 1, TargetKind.IN_RANGE)
+    valuate(warm, random_instance(n, 1, TargetKind.GENERIC)[1])
+    p, _ = random_instance(n, 2, TargetKind.IN_RANGE)
+    _, peak, _ = _traced(lambda: subspace_factor(p, BasisKind.RANGE))
+    assert peak <= 2 * unit
+    f, peak, kept = _traced(lambda: subspace_factor(p, BasisKind.KERNEL))
+    assert f.lu.nbytes > 0.98 * unit
+    assert peak <= 3 * unit
+    assert kept <= 1.1 * unit
+
+
 def test_threads_sharing_a_projector_get_one_basis_per_policy():
     projectors = [random_instance(16, s, TargetKind.IN_RANGE)[0] for s in range(20)]
     seen = [[] for _ in projectors]
@@ -700,7 +846,7 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
             assert len(mine) == len(threads)
             for kind in BasisKind:
                 assert all(fs[kind] is p._memo[kind, tol] for _, _, fs, _ in mine)
-            assert all(b is mine[0][2][BasisKind.KERNEL].basis for *_, b in mine)
+            assert all(b is p._bases[BasisKind.KERNEL, tol] for *_, b in mine)
             assert all(v == mine[0][1] for _, v, _, _ in mine)
             assert mine[0][1].value is TruthValue.FALSE
     # whichever thread built a factor, later verdicts eliminate nothing

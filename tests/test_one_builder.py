@@ -3,10 +3,10 @@
 ``Projector`` performs no checks of its own, so the package builds one
 in two ways only, both in ``linalg``: ``validate_projector`` for a matrix
 from outside, ``projector_from_state`` for a rank-1 projector it builds.
-A projector's range and kernel bases sit on its factors
-(``EchelonFactor.basis``); every other module reads them through
-``range_basis`` and ``kernel_basis``, which also reject an empty range
-or kernel.
+A projector's range and kernel bases are built in ``linalg`` from its
+factors' pivot columns (``EchelonFactor.pivots``); every other module
+reads them through ``range_basis`` and ``kernel_basis``, which also
+reject an empty range or kernel.
 """
 
 import ast
@@ -25,8 +25,8 @@ def _uses_outside_linalg() -> list[str]:
                 func = node.func
                 if getattr(func, "id", getattr(func, "attr", "")) == "Projector":
                     found.append(f"{path.name}:{node.lineno}: Projector(...)")
-            elif isinstance(node, ast.Attribute) and node.attr == "basis":
-                found.append(f"{path.name}:{node.lineno}: .basis")
+            elif isinstance(node, ast.Attribute) and node.attr == "pivots":
+                found.append(f"{path.name}:{node.lineno}: .pivots")
     return found
 
 
