@@ -35,6 +35,7 @@ from .fixtures import (
     fixture_by_name,
     qubit_fixture,
     random_instance,
+    random_states,
     spin52_fixture,
 )
 from .linalg import (

@@ -184,10 +184,7 @@ def cmd_demo_nondistributivity(args) -> int:
     tol = _tolerance(args)
     fixture = fixtures.fixture_by_name(args.fixture)
     q = fixture.projector
-    if args.p_from_q:
-        p = q
-    else:
-        p = projector_from_state(StateVector(np.eye(q.dim)[0]), tol)
+    p = projector_from_state(StateVector(np.eye(q.dim)[0]), tol)
     phi = _range_state(fixture, tol)
     report = demo_nondistributivity(q, p, phi, tol)
     _emit(
@@ -266,11 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nondistributivity", help="distributive-law counterexample"
     )
     p_nd.add_argument("--fixture", choices=list(fixtures._FIXTURES), default="qubit")
-    p_nd.add_argument(
-        "--p-from-q",
-        action="store_true",
-        help="use the fixture projector for both operands (error path)",
-    )
     p_nd.set_defaults(func=cmd_demo_nondistributivity)
 
     p_fix = sub.add_parser("fixtures", help="fixture utilities")

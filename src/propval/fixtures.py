@@ -64,7 +64,7 @@ def _column(triples, den: int) -> np.ndarray:
     return np.array([_val(c, r, den) for c, r in triples], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixtureSet:
     """Projector, named states, expected verdicts, and reference data."""
 

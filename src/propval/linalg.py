@@ -4,9 +4,11 @@ Matrices are plain ``numpy.ndarray`` values of dtype complex128.  The
 value types below (:class:`StateVector`, :class:`Projector`,
 :class:`Subspace`, :class:`EchelonFactor`) are immutable wrappers:
 their backing arrays are marked read-only on construction so instances
-can be shared freely between threads.  A :class:`Subspace` is the one
-column-stack type: a projector's range or kernel basis and every
-operand of the lattice in ``valuation`` alike.  A :class:`Projector`
+can be shared freely between threads.  Like every record in the package
+that holds an array, they compare and hash by identity; compare their
+values through the arrays, with ``np.array_equal``.  A :class:`Subspace`
+is the one column-stack type: a projector's range or kernel basis and
+every operand of the lattice in ``valuation`` alike.  A :class:`Projector`
 memoises one factor per subspace and tolerance policy
 (:func:`subspace_factor`): the elimination of ``P`` for its range, of
 ``I - P`` for its kernel, each on one n x n work array.  The pivot
@@ -109,7 +111,7 @@ def _freeze(obj, name, value):
     value.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Column vector of complex components.
 
@@ -144,7 +146,7 @@ class StateVector:
         return abs(self.norm - 1.0) <= tol.bound(1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Validated Hermitian idempotent matrix with its precomputed rank.
 
@@ -160,14 +162,13 @@ class Projector:
     tolerance policy and keeps the factor on the instance
     (:func:`validate_projector` seeds the range factor), and
     :func:`range_basis` and :func:`kernel_basis` keep the bases they
-    build from it; both memos are write-once, hold read-only values, and
-    take no part in equality.
+    build from it; both memos are write-once and hold read-only values.
     """
 
     array: np.ndarray
     rank: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _freeze(self, "array", np.asarray(self.array, dtype=complex))
@@ -181,7 +182,7 @@ class Projector:
         return self.dim - self.rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Span of independent columns: an ``ambient_dim x dim`` stack (none = {0}).
 
@@ -339,7 +340,7 @@ def _row_echelon(
     return cols, swapped
 
 
-@dataclass(frozen=True, eq=False)  # shared by identity, like the memo holding it
+@dataclass(frozen=True, eq=False)
 class EchelonFactor:
     """The right-hand-side-independent half of deciding ``B x = b``.
 
@@ -658,9 +659,8 @@ def validate_projector(
 
 
 # Serialises memo misses so threads that miss the same key build its
-# value once; hits never take it.  It is not re-entrant: a build must not
-# miss a memo itself.
-_FACTOR_BUILD = threading.Lock()
+# value once; hits never take it.  Re-entrant: a build may miss a memo.
+_FACTOR_BUILD = threading.RLock()
 
 
 def _write_once(memo: dict, key, build, *args):
@@ -701,14 +701,18 @@ def subspace_factor(
 
 
 def _basis(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
-    """The pivot columns of ``P`` or ``I - P`` in ``p``'s factor, kept per policy."""
+    """``p``'s basis of ``kind``, built once per policy (:func:`_pivot_columns`)."""
     basis = p._bases.get((kind, tol))
     if basis is None:
-        # the factor first, outside _FACTOR_BUILD: a miss there takes the lock
-        cols = _consecutive(list(subspace_factor(p, kind, tol).pivots))
-        a = p.array if kind is BasisKind.RANGE else _complement(p.array)
-        basis = _write_once(p._bases, (kind, tol), Subspace, a[:, cols])
+        basis = _write_once(p._bases, (kind, tol), _pivot_columns, p, kind, tol)
     return basis
+
+
+def _pivot_columns(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
+    """The pivot columns of ``P`` or ``I - P`` in ``p``'s factor for ``tol``."""
+    cols = _consecutive(list(subspace_factor(p, kind, tol).pivots))
+    a = p.array if kind is BasisKind.RANGE else _complement(p.array)
+    return Subspace(a[:, cols])
 
 
 def range_basis(

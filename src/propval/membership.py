@@ -130,7 +130,7 @@ class ZeroColumn(PropvalError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedMatrix:
     """System matrix with the right-hand side appended as the last column."""
 
@@ -299,7 +299,7 @@ def _first_cross_failure(
     rhs: np.ndarray,
     anchor: int,
     tol: TolerancePolicy,
-    bound: float = math.inf,
+    bound: float,
 ) -> int | None:
     """The first row ``j`` where ``tol.equal(col[a]*rhs[j], col[j]*rhs[a])`` fails.
 
@@ -311,11 +311,11 @@ def _first_cross_failure(
     numerical contract (:mod:`~propval.numerics`) makes the verdict
     exact only away from the bound.  Products beyond the float range
     become inf or NaN without a warning: numpy's error state is switched
-    for the pass unless ``bound``, an upper bound on
-    ``max|col| * max|rhs|``, proves every value in it finite.  A
-    difference within ``tol.bound(0.0)`` passes whatever the products'
-    size, so their magnitudes are computed only if some row is further
-    apart.
+    for the pass unless ``bound``, the caller's upper bound on
+    ``max|col| * max|rhs|`` (``math.inf`` proves nothing), proves every
+    value in it finite.  A difference within ``tol.bound(0.0)`` passes
+    whatever the products' size, so their magnitudes are computed only
+    if some row is further apart.
     Returns None if every row passes; the anchor row is not compared.
     """
     if bound + tol.bound(bound) < _FINITE_PRODUCTS:

@@ -376,12 +376,12 @@ def test_demo_nondistributivity(capsys, fixture):
     assert report["meet_with_complement"] == "false"
 
 
-def test_demo_commuting_override_fails(capsys):
-    code, _, err = run(
-        capsys, "demo", "nondistributivity", "--fixture", "qubit", "--p-from-q"
-    )
-    assert code == 2
-    assert "CommutingOperators" in err
+def test_demo_takes_its_operands_from_the_fixture_alone(capsys):
+    # commuting operands are rejected by demo_nondistributivity (test_valuation)
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "nondistributivity", "--fixture", "qubit", "--p-from-q"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --p-from-q" in capsys.readouterr().err
 
 
 def test_fixtures_export_lists_files(capsys, tmp_path):

@@ -788,6 +788,25 @@ def test_a_projector_factor_allocates_one_work_array():
     assert kept <= 1.1 * unit
 
 
+def test_a_memo_build_may_miss_a_memo_itself(monkeypatch):
+    # Under a fresh lock of the module lock's type (``_thread.lock`` has no
+    # public constructor), in a daemon thread: a build that deadlocks holds
+    # only that lock, and the rest of the run goes on.
+    kind = type(linalg._FACTOR_BUILD)
+    fresh = next(f for f in (threading.Lock, threading.RLock) if type(f()) is kind)
+    monkeypatch.setattr(linalg, "_FACTOR_BUILD", fresh())
+    outer, inner = {}, {}
+    thread = threading.Thread(
+        target=linalg._write_once,
+        args=(outer, "k", linalg._write_once, inner, "k", object),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(timeout=5)
+    assert not thread.is_alive(), "a nested memo miss deadlocked"
+    assert outer["k"] is inner["k"]
+
+
 def test_threads_sharing_a_projector_get_one_basis_per_policy():
     projectors = [random_instance(16, s, TargetKind.IN_RANGE)[0] for s in range(20)]
     seen = [[] for _ in projectors]

@@ -306,7 +306,7 @@ def test_vectorised_comparisons_decide_as_the_policy(scale):
                 TolerancePolicy(gap * margin, 0.0),
                 TolerancePolicy(0.0, gap / size * margin),
             ):
-                fail = membership._first_cross_failure(col, rhs, 0, tol)
+                fail = membership._first_cross_failure(col, rhs, 0, tol, math.inf)
                 assert tol.equal(p, q) is (margin > 1)
                 assert (fail is None) is (margin > 1), (col, rhs, tol)
 
