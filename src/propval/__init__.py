@@ -67,9 +67,7 @@ from .linalg import (
     validate_projector,
 )
 from .membership import (
-    AugmentedMatrix,
     MembershipResult,
-    ZeroColumn,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,

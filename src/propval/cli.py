@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    propval valuate PROJECTOR STATE [--ql] [--gap-to-true]
+    propval valuate PROJECTOR STATE [--ql [--gap-to-true]]
     propval bench [--min-n N] [--max-n N] [--grid SPEC] [--seed S] [--out F]
     propval cost --t1 W --tinf S (--p P | --q Q --eq E)
     propval demo nondistributivity --fixture {qubit,spin52}
@@ -161,8 +161,6 @@ def cmd_cost(args) -> int:
     if args.p is not None:
         profile = costmodel.classical_cost(args.t1, args.tinf, args.p)
     else:
-        if args.eq is None:
-            raise costmodel.InvalidBounds("--q requires --eq")
         profile = costmodel.quantum_cost(args.t1, args.tinf, args.q, args.eq)
     _emit(
         {
@@ -290,6 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("provide exactly one of --p or --q")
     if args.command == "cost" and args.eq is not None and args.q is None:
         parser.error("--eq requires --q")
+    if args.command == "cost" and args.q is not None and args.eq is None:
+        parser.error("--q requires --eq")
+    if args.command == "valuate" and args.gap_to_true and not args.ql:
+        parser.error("--gap-to-true requires --ql")
     try:
         return args.func(args)
     except (PropvalError, OSError, ValueError) as exc:

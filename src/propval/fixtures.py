@@ -29,7 +29,6 @@ from .linalg import (
     save_matrix,
     validate_projector,
 )
-from .membership import AugmentedMatrix
 from .numerics import PropvalError
 from .valuation import TruthValue
 
@@ -73,8 +72,8 @@ class FixtureSet:
     states: dict[str, StateVector]
     expected: dict[str, TruthValue]
     expected_witness: dict[str, list[complex]] = field(default_factory=dict)
-    #: Kernel system in the normalisation its solution is quoted for.
-    reference_kernel_system: AugmentedMatrix | None = None
+    #: Kernel columns in the normalisation their solution is quoted for.
+    reference_kernel_columns: np.ndarray | None = None
     expected_kernel_witness: list[complex] | None = None
     reference_range_column: np.ndarray | None = None
 
@@ -135,8 +134,9 @@ _SPIN52_KERNEL_WITNESS = ((0, 1), (-1, 2), (-1, 1), (-1, 1), (-1, 2))
 def spin52_fixture() -> FixtureSet:
     """Six-level system whose state lies in the projector's kernel.
 
-    The fixture ships the kernel system in its integer normalisation
-    together with the known solution (1/32)[0, -sqrt2, -1, -1, -sqrt2];
+    The fixture ships the kernel columns in their integer normalisation
+    together with the known solution of ``columns x = psi``,
+    (1/32)[0, -sqrt2, -1, -1, -sqrt2];
     the range system built from the quoted direction is inconsistent,
     so the verdict for the state is FALSE.
     """
@@ -158,7 +158,7 @@ def spin52_fixture() -> FixtureSet:
         states={"psi": psi},
         expected={"psi": TruthValue.FALSE},
         expected_witness={"psi": witness_unscaled},
-        reference_kernel_system=AugmentedMatrix.from_system(kernel_cols, psi),
+        reference_kernel_columns=kernel_cols,
         expected_kernel_witness=witness_scaled,
         reference_range_column=_column(_SPIN52_RANGE_DIRECTION, 1),
     )

@@ -648,10 +648,13 @@ def validate_projector(
     scale = _finite_scale(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
-    if max_abs(m - m.conj().T) > tol.bound(scale):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    if max_abs(m @ m - m) > tol.bound(scale):
-        raise NotIdempotent("matrix is not idempotent within tolerance")
+    # Entries near the float range can overflow a deviation to inf or NaN,
+    # silently; "not within the bound" rejects both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not max_abs(m - m.conj().T) <= tol.bound(scale):
+            raise NotHermitian("matrix is not Hermitian within tolerance")
+        if not max_abs(m @ m - m) <= tol.bound(scale):
+            raise NotIdempotent("matrix is not idempotent within tolerance")
     f = _factor(m, tol, BasisKind.RANGE)
     p = Projector(m, rank=f.unknowns)
     p._memo[BasisKind.RANGE, tol] = f

@@ -27,13 +27,14 @@ anchored column decides alone, with more the factor is solved.  Deciders:
   eliminate, so the consistency check decides on every row in O(n) and
   is the whole tally: a membership verdict costs exactly ``2(n-1)``
   multiplications and ``n-1`` comparisons, and a rejection is charged
-  up to the first failed comparison.
+  up to the first failed comparison.  A zero column spans {0}: ``n``
+  comparisons with zero and no multiplications.
 * :func:`kernel_membership_iterative` and :func:`kernel_membership_matrix`
-  -- the same factor and solve on a bare :class:`AugmentedMatrix`, for
-  every width: the solve keeps its own tallies, so a one-unknown check
-  is reported as ``final_check``.  The two differ only in what each
-  step is charged.  The iterative form is charged for the rows below
-  the pivot and the columns right of it,
+  -- the same factor and solve on a column stack of any width but 0,
+  with the state as right-hand side: the solve keeps its own tallies,
+  so a one-unknown check is reported as ``final_check``.  The two
+  differ only in what each step is charged.  The iterative form is
+  charged for the rows below the pivot and the columns right of it,
   ``a[j][l] -= (a[j][c]/a[r][c]) * a[r][l]``; on a nondegenerate system
   with ``n-1`` unknowns that is exactly ``n(n-1)/2 - 1`` divisions and
   ``n(n-1)(2n-1)/6 - 1`` multiplications and as many subtractions.  The
@@ -76,7 +77,7 @@ is a convenience output and is not counted.
 
 Each state is checked once, by the entry point that receives it.  The
 public deciders check its dimension and that every entry is finite
-(the bare forms through :class:`AugmentedMatrix`).
+(the bare forms, with their column stack, in ``_system``).
 ``valuation.valuate`` and ``valuate_ql`` check its dimension and unit
 norm, once: a norm within tolerance of 1 is finite, so every entry is
 finite and at most ``1 + tol.bound(1.0)``.  They decide on the
@@ -109,14 +110,11 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _freeze, _require_dim
-from .linalg import _require_finite, _upper_solve
-from .numerics import DEFAULT_TOLERANCE, OpCounter, PropvalError, TolerancePolicy
+from .linalg import _factor, _finite_scale, _forward, _require_dim, _upper_solve
+from .numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
 
 __all__ = [
-    "AugmentedMatrix",
     "MembershipResult",
-    "ZeroColumn",
     "kernel_membership_iterative",
     "kernel_membership_matrix",
     "membership_of",
@@ -124,41 +122,6 @@ __all__ = [
     "residual_oracle",
     "subspace_membership",
 ]
-
-
-class ZeroColumn(PropvalError):
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class AugmentedMatrix:
-    """System matrix with the right-hand side appended as the last column."""
-
-    body: np.ndarray  # n x (unknowns + 1)
-
-    def __post_init__(self):
-        arr = np.array(self.body, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] < 2:
-            raise DimensionMismatch(
-                "augmented matrix needs at least one unknown column and a "
-                "right-hand side"
-            )
-        _require_finite(arr)
-        _freeze(self, "body", arr)
-
-    @classmethod
-    def from_system(cls, columns: np.ndarray, rhs: StateVector) -> "AugmentedMatrix":
-        columns = np.asarray(columns, dtype=complex)
-        _require_dim(rhs.dim, columns.shape[0], "rhs and matrix rows")
-        return cls(np.hstack([columns, rhs.components.reshape(-1, 1)]))
-
-    @property
-    def rows(self) -> int:
-        return self.body.shape[0]
-
-    @property
-    def unknowns(self) -> int:
-        return self.body.shape[1] - 1
 
 
 @dataclass
@@ -186,15 +149,15 @@ def range_membership(
     entry above ``tol.threshold(max|column|)``.  That check is the whole
     tally, reported as ``counts``: ``2(n-1)`` multiplications and
     ``n-1`` comparisons for a member, two and one per comparison made on
-    a rejection.  A numerically zero column raises :class:`ZeroColumn`.
+    a rejection.  A zero column spans {0}: each entry of ``psi`` is
+    compared with zero, ``n`` comparisons and no multiplications for a
+    member, and a rejection is charged up to its first nonzero entry.
     """
     arr = r.array if isinstance(r, Subspace) else np.asarray(r, dtype=complex)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
-    if arr.shape[1] != 1:
-        raise DimensionMismatch(
-            f"range check expects exactly one column, got {arr.shape[1]}"
-        )
+    if arr.shape[1:] != (1,):
+        raise DimensionMismatch(f"range check expects one column, got {arr.shape}")
     return membership_of(arr, psi, ctx, tol)
 
 
@@ -214,16 +177,13 @@ def _span_membership(
     none larger in magnitude than ``size``.  None: ``b`` must be zero;
     witness ``[]``, no charge.  One: the anchored column's check is the
     whole tally, with no eliminated row, so ``size`` bounds its products;
-    a column without an anchor raises :class:`ZeroColumn`.  More:
-    :func:`_solve`.
+    a column without an anchor spans {0}.  More: :func:`_solve`.
     """
     if f.unknowns > 1:
         return _solve(f, b, tol, full_block=False)
     if not f.unknowns:
         member = _first_nonzero(b, tol) is None
         return MembershipResult(member, [] if member else None, OpCounter())
-    if f.anchor is None:  # the check would accept any zero b
-        raise ZeroColumn("basis column is numerically zero")
     member, x, tally = _cross_consistency(f, b, tol, size)
     return MembershipResult(member, [x] if member else None, tally)
 
@@ -235,6 +195,25 @@ def _rhs(rows: int, psi: StateVector) -> tuple[np.ndarray, float]:
     """
     _require_dim(psi.dim, rows, "rhs and matrix rows")
     return psi.components, _finite_scale(psi.components)
+
+
+def _system(
+    columns: np.ndarray, psi: StateVector, tol: TolerancePolicy, least: int
+) -> tuple[EchelonFactor, np.ndarray, float]:
+    """A bare column stack's factor, and the state checked against it.
+
+    The stack must be 2-d with at least ``least`` columns, else
+    :class:`DimensionMismatch`; :func:`_rhs` checks the state, and
+    :func:`~propval.linalg._factor` that the columns are finite and
+    have a row.
+    """
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 2 or columns.shape[1] < least:
+        raise DimensionMismatch(
+            f"expected a 2-d stack of at least {least} columns, got {columns.shape}"
+        )
+    b, size = _rhs(columns.shape[0], psi)
+    return _factor(columns, tol), b, size
 
 
 def _cross_consistency(
@@ -400,22 +379,25 @@ def _solve(
 
 
 def kernel_membership_iterative(
-    aug: AugmentedMatrix,
+    columns: np.ndarray,
+    psi: StateVector,
     ctx: OpCounter | None = None,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> MembershipResult:
     """Elimination updating the rows below and the columns right of the pivot.
 
-    On a nondegenerate system with ``n-1`` unknowns this charges exactly
+    Decides ``columns x = psi`` for a stack of at least one column.  On
+    a nondegenerate system with ``n-1`` unknowns this charges exactly
     ``n(n-1)/2 - 1`` divisions and ``n(n-1)(2n-1)/6 - 1`` multiplications
     and as many subtractions.
     """
-    f = _factor(aug.body[:, :-1], tol)
-    return _charged(ctx, _solve(f, aug.body[:, -1], tol, full_block=False))
+    f, b, _ = _system(columns, psi, tol, least=1)
+    return _charged(ctx, _solve(f, b, tol, full_block=False))
 
 
 def kernel_membership_matrix(
-    aug: AugmentedMatrix,
+    columns: np.ndarray,
+    psi: StateVector,
     ctx: OpCounter | None = None,
     tol: TolerancePolicy = DEFAULT_TOLERANCE,
 ) -> MembershipResult:
@@ -427,8 +409,8 @@ def kernel_membership_matrix(
     :func:`kernel_membership_iterative`, so verdict and witness are
     equal bit for bit; only the tallies differ.
     """
-    f = _factor(aug.body[:, :-1], tol)
-    return _charged(ctx, _solve(f, aug.body[:, -1], tol, full_block=True))
+    f, b, _ = _system(columns, psi, tol, least=1)
+    return _charged(ctx, _solve(f, b, tol, full_block=True))
 
 
 def subspace_membership(
@@ -451,9 +433,10 @@ def subspace_membership(
     return _charged(ctx, _span_membership(subspace_factor(p, kind, tol), b, tol, size))
 
 
-def residual_oracle(
-    a: np.ndarray, psi: StateVector, oracle_tol: float = 1e-7
-) -> MembershipResult:
+ORACLE_TOLERANCE = 1e-7  # residual_oracle accepts a residual norm below this
+
+
+def residual_oracle(a: np.ndarray, psi: StateVector) -> MembershipResult:
     """Least-squares second opinion: consistent iff the residual is tiny.
 
     Independent of the counted deciders; never counted.
@@ -463,7 +446,7 @@ def residual_oracle(
     _require_dim(psi.dim, a.shape[0], "rhs and matrix rows")
     x, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = float(np.linalg.norm(a @ x - b))
-    member = residual < oracle_tol
+    member = residual < ORACLE_TOLERANCE
     witness = [complex(z) for z in x] if member else None
     return MembershipResult(member, witness, OpCounter(), residual=residual)
 
@@ -476,13 +459,10 @@ def membership_of(
 ) -> MembershipResult:
     """Does psi lie in the span of the given columns?
 
-    Factored as :func:`kernel_membership_iterative` factors the
-    columns, without an augmented system, then decided by width: an
-    empty span holds only the zero vector, one column is the O(n) range
-    check, anything wider is solved.
+    Factored as :func:`kernel_membership_iterative` factors the same
+    columns, then decided by width: an empty span holds only the zero
+    vector, one column is the O(n) range check, anything wider is
+    solved.
     """
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 2:
-        raise DimensionMismatch("expected a 2-d column stack")
-    b, size = _rhs(columns.shape[0], psi)
-    return _charged(ctx, _span_membership(_factor(columns, tol), b, tol, size))
+    f, b, size = _system(columns, psi, tol, least=0)
+    return _charged(ctx, _span_membership(f, b, tol, size))

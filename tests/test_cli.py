@@ -13,7 +13,7 @@ import propval
 from propval import cli
 from propval.cli import main
 from propval.fixtures import export_fixture, fixture_by_name
-from propval.linalg import save_matrix
+from propval.linalg import NotHermitian, NotIdempotent, save_matrix, validate_projector
 
 
 def run(capsys, *argv):
@@ -123,6 +123,41 @@ def test_valuate_rejects_invalid_projector(capsys, tmp_path):
     code, _, err = run(capsys, "valuate", str(proj), str(state))
     assert code == 2
     assert "NotIdempotent" in err
+
+
+# Finite matrices whose deviation from P^H or P^2 overflows to inf or NaN.
+OVERFLOWING_NON_PROJECTORS = {
+    # Hermitian; P @ P is inf - inf = NaN in every entry
+    "nan-square": (
+        np.array([[1e200, -1e200 - 1e200j], [-1e200 + 1e200j, 1e200]]),
+        NotIdempotent,
+    ),
+    "inf-square": (np.array([[1e200, 0.0], [0.0, 0.0]]), NotIdempotent),
+    "inf-adjoint": (np.array([[0.0, 1e308], [-1e308, 0.0]]), NotHermitian),
+}
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    OVERFLOWING_NON_PROJECTORS.values(),
+    ids=OVERFLOWING_NON_PROJECTORS.keys(),
+)
+def test_a_non_projector_whose_deviation_overflows_is_rejected_in_one_line(
+    capsys, tmp_path, m, error
+):
+    """A NaN deviation is not within the bound, and the overflow raises no
+    warning: tier 1 makes a RuntimeWarning an error, which ``main`` would
+    not catch."""
+    with pytest.raises(error):
+        validate_projector(m)
+    proj = tmp_path / "proj.json"
+    state = tmp_path / "state.json"
+    save_matrix(proj, m)
+    save_matrix(state, np.array([[1.0], [0.0]]))
+    code, out, err = run(capsys, "valuate", str(proj), str(state))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {error.__name__}: ")
+    assert err.count("\n") == 1
 
 
 def test_valuate_rejects_an_empty_projector(capsys, tmp_path):
@@ -318,7 +353,6 @@ def test_cost_quantum_clamped(capsys):
         ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "inf"],
         ["--t1", "10", "--tinf", "1", "--q", "2", "--eq", "0"],
         ["--t1", "0.5", "--tinf", "0.5", "--p", "1"],
-        ["--t1", "5", "--tinf", "1", "--q", "2"],
     ],
     ids=[
         "inverted",
@@ -330,7 +364,6 @@ def test_cost_quantum_clamped(capsys):
         "infinite-efficiency",
         "zero-efficiency",
         "below-one",
-        "q-without-eq",
     ],
 )
 def test_cost_rejects_invalid_bounds(capsys, bounds):
@@ -358,11 +391,24 @@ def test_cost_requires_exactly_one_processor_kind(capsys):
     assert exc.value.code == 2
 
 
-def test_cost_rejects_eq_without_q(capsys):
+@pytest.mark.parametrize(
+    "command, rule",
+    [
+        ("cost --t1 10 --tinf 2 --p 2 --eq 3", "--eq requires --q"),
+        ("cost --t1 5 --tinf 1 --q 2", "--q requires --eq"),
+        ("valuate p.json s.json --gap-to-true", "--gap-to-true requires --ql"),
+    ],
+    ids=["eq-without-q", "q-without-eq", "gap-to-true-without-ql"],
+)
+def test_a_flag_that_needs_another_is_rejected_by_the_parser(capsys, command, rule):
+    """Every flag-combination rule is stated once, in ``main``, as a usage
+    error."""
     with pytest.raises(SystemExit) as exc:
-        main(["cost", "--t1", "10", "--tinf", "2", "--p", "2", "--eq", "3"])
+        main(command.split())
     assert exc.value.code == 2
-    assert "--eq requires --q" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {rule}\n")
 
 
 @pytest.mark.parametrize("fixture", ["qubit", "spin52"])

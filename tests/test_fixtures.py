@@ -51,11 +51,11 @@ def test_spin52_trace_is_one():
 
 def test_spin52_reference_system_is_consistent_with_quoted_solution():
     fx = spin52_fixture()
-    res = kernel_membership_iterative(fx.reference_kernel_system)
+    psi = fx.states["psi"]
+    res = kernel_membership_iterative(fx.reference_kernel_columns, psi)
     assert res.member
     assert np.allclose(res.witness, fx.expected_kernel_witness, atol=1e-12)
-    body = fx.reference_kernel_system.body
-    err = body[:, :-1] @ np.array(fx.expected_kernel_witness) - body[:, -1]
+    err = fx.reference_kernel_columns @ fx.expected_kernel_witness - psi.components
     assert np.linalg.norm(err) < 1e-12
 
 
@@ -69,7 +69,7 @@ def test_spin52_range_system_is_inconsistent():
 
 def test_spin52_reference_columns_match_projector_kernel():
     fx = spin52_fixture()
-    quoted = fx.reference_kernel_system.body[:, :-1]
+    quoted = fx.reference_kernel_columns
     assert np.allclose(kernel_basis(fx.projector).array, quoted / 32, atol=1e-14)
 
 

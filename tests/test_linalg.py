@@ -138,7 +138,7 @@ def test_kernel_basis_spin52_matches_quoted_columns():
     basis = kernel_basis(fx.projector)
     assert isinstance(basis, Subspace)
     assert basis.dim == 5
-    quoted = fx.reference_kernel_system.body[:, :5]  # integer normalisation
+    quoted = fx.reference_kernel_columns  # integer normalisation
     assert np.allclose(basis.array, quoted / 32, atol=1e-14)
 
 

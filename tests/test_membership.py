@@ -20,9 +20,7 @@ from propval.linalg import (
     validate_projector,
 )
 from propval.membership import (
-    AugmentedMatrix,
     MembershipResult,
-    ZeroColumn,
     kernel_membership_iterative,
     kernel_membership_matrix,
     membership_of,
@@ -34,10 +32,6 @@ from propval.numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
 from propval.valuation import Subspace, TruthValue, valuate, valuate_ql
 
 S2 = 1 / math.sqrt(2)
-
-
-def kernel_system(projector, psi):
-    return AugmentedMatrix.from_system(kernel_basis(projector).array, psi)
 
 
 def divisions_closed_form(n):
@@ -124,9 +118,25 @@ def test_range_membership_reanchors_past_zero_entries():
     assert abs(res.witness[0] - 1 / (2 * math.sqrt(5))) < 1e-12
 
 
-def test_range_membership_zero_column():
-    with pytest.raises(ZeroColumn):
-        range_membership(np.zeros((4, 1)), StateVector(np.eye(4)[0]))
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_a_zero_column_spans_the_zero_vector_on_every_path(width):
+    """A stack of zero columns spans {0}, whatever decides it: a state is a
+    member iff it is zero, with a witness of zeros.  Each entry is compared
+    with zero, up to the first nonzero one; no multiplication is made."""
+    columns = np.zeros((4, width))
+    deciders = [membership_of, kernel_membership_iterative, kernel_membership_matrix]
+    if width == 1:
+        deciders.append(range_membership)
+    for psi, member, compared in (
+        (StateVector(np.zeros(4)), True, 4),
+        (StateVector(np.eye(4)[0]), False, 1),
+        (StateVector(np.eye(4)[2]), False, 3),
+    ):
+        for decide in deciders:
+            res = decide(columns, psi)
+            assert res.member is member
+            assert res.witness == ([0j] * width if member else None)
+            assert res.counts + res.final_check == OpCounter(cmp=compared)
 
 
 def test_range_membership_shape_errors():
@@ -147,8 +157,12 @@ def reference_range_membership(column, psi, ctx, tol=DEFAULT_TOLERANCE):
     b = [complex(z) for z in psi.components]
     threshold = tol.threshold(max(abs(z) for z in column))
     anchor = next((i for i, z in enumerate(column) if abs(z) > threshold), None)
-    if anchor is None:
-        raise ZeroColumn("basis column is numerically zero")
+    if anchor is None:  # a zero column spans {0}
+        for j in range(len(column)):
+            ctx.cmp += 1
+            if not tol.equal(b[j], 0):
+                return False, None
+        return True, [0j]
     for j in range(len(column)):
         if j == anchor:
             continue
@@ -193,20 +207,7 @@ def one_column_systems(draw):
 @given(system=one_column_systems())
 def test_range_check_matches_its_own_loop(system):
     column, psi = system
-    want_ctx = OpCounter()
-    try:
-        want = reference_range_membership(column, psi, want_ctx)
-    except ZeroColumn:
-        with pytest.raises(ZeroColumn):
-            range_membership(column, psi)
-        with pytest.raises(ZeroColumn):
-            membership_of(column.reshape(-1, 1), psi)
-        return
-    for decide in (range_membership, membership_of):
-        ctx = OpCounter()
-        res = decide(column.reshape(-1, 1), psi, ctx)
-        assert (res.member, res.witness) == want
-        assert res.counts == ctx == want_ctx  # early-exit index included
+    assert_range_check_matches_reference(column, psi)
 
 
 def assert_range_check_matches_reference(column, psi):
@@ -314,13 +315,12 @@ def test_vectorised_comparisons_decide_as_the_policy(scale):
 def test_counts_are_this_calls_tally_while_ctx_accumulates():
     proj, psi = random_instance(6, seed=4, target=TargetKind.GENERIC)
     rcols, kcols = range_basis(proj).array, kernel_basis(proj).array
-    aug = AugmentedMatrix.from_system(kcols, psi)
     unit = StateVector(rcols[:, 0] / np.linalg.norm(rcols[:, 0]))
     empty, zero = np.zeros((6, 0)), StateVector(np.zeros(6))
     deciders = [  # (decider, member, charged); psi lies in neither subspace
         (lambda ctx: range_membership(rcols, psi, ctx), False, True),
-        (lambda ctx: kernel_membership_iterative(aug, ctx), False, True),
-        (lambda ctx: kernel_membership_matrix(aug, ctx), False, True),
+        (lambda ctx: kernel_membership_iterative(kcols, psi, ctx), False, True),
+        (lambda ctx: kernel_membership_matrix(kcols, psi, ctx), False, True),
         (lambda ctx: membership_of(rcols, psi, ctx), False, True),
         (lambda ctx: membership_of(kcols, psi, ctx), False, True),
         (lambda ctx: subspace_membership(proj, BasisKind.RANGE, psi, ctx), False, True),
@@ -346,7 +346,7 @@ def test_counts_are_this_calls_tally_while_ctx_accumulates():
 
 def test_kernel_iterative_spin52_reference_witness():
     fx = spin52_fixture()
-    res = kernel_membership_iterative(fx.reference_kernel_system)
+    res = kernel_membership_iterative(fx.reference_kernel_columns, fx.states["psi"])
     assert res.member
     assert np.allclose(res.witness, fx.expected_kernel_witness, atol=1e-12)
     assert res.final_check.as_dict() == {
@@ -360,7 +360,7 @@ def test_kernel_iterative_spin52_reference_witness():
 
 def test_kernel_matrix_spin52_gives_the_same_witness():
     fx = spin52_fixture()
-    res = kernel_membership_matrix(fx.reference_kernel_system)
+    res = kernel_membership_matrix(fx.reference_kernel_columns, fx.states["psi"])
     assert res.member
     assert np.allclose(res.witness, fx.expected_kernel_witness, atol=1e-12)
 
@@ -370,26 +370,24 @@ def test_kernel_membership_of_everything_for_zero_projector():
     rng = np.random.default_rng(1)
     psi = rng.normal(size=4)
     psi /= np.linalg.norm(psi)
-    aug = AugmentedMatrix.from_system(np.eye(4), StateVector(psi))
-    res = kernel_membership_iterative(aug)
+    res = kernel_membership_iterative(np.eye(4), StateVector(psi))
     assert res.member
     assert np.allclose(res.witness, psi, atol=1e-12)
 
 
 def test_kernel_rejects_range_vector():
     proj, psi = random_instance(7, seed=3, target=TargetKind.IN_RANGE)
-    aug = kernel_system(proj, psi)
-    res = kernel_membership_iterative(aug)
+    cols = kernel_basis(proj).array
+    res = kernel_membership_iterative(cols, psi)
     assert not res.member
-    oracle = residual_oracle(aug.body[:, :-1], psi)
+    oracle = residual_oracle(cols, psi)
     assert not oracle.member
 
 
 def test_kernel_homogeneous_system_is_consistent():
     rng = np.random.default_rng(2)
     cols = rng.normal(size=(5, 4))
-    aug = AugmentedMatrix.from_system(cols, StateVector(np.zeros(5)))
-    res = kernel_membership_iterative(aug)
+    res = kernel_membership_iterative(cols, StateVector(np.zeros(5)))
     assert res.member
     assert np.allclose(res.witness, 0)
 
@@ -399,7 +397,7 @@ def test_kernel_iterative_counts_match_closed_forms():
         for target in (TargetKind.IN_KERNEL, TargetKind.GENERIC):
             proj, psi = random_instance(n, seed=9, target=target)
             ctx = OpCounter()
-            kernel_membership_iterative(kernel_system(proj, psi), ctx)
+            kernel_membership_iterative(kernel_basis(proj).array, psi, ctx)
             assert ctx.div == divisions_closed_form(n), (n, target)
             assert ctx.mul == multiplications_closed_form(n), (n, target)
             assert ctx.add_sub == ctx.mul
@@ -409,7 +407,7 @@ def test_matrix_version_counts_per_step_block_sizes():
     for n in range(3, 41):
         proj, psi = random_instance(n, seed=1, target=TargetKind.IN_KERNEL)
         ctx = OpCounter()
-        res = kernel_membership_matrix(kernel_system(proj, psi), ctx)
+        res = kernel_membership_matrix(kernel_basis(proj).array, psi, ctx)
         assert res.member, n
         # oracle: live block at step i spans s = n-i+1 rows and columns
         sizes = [n - i + 1 for i in range(1, n - 1)]
@@ -423,10 +421,9 @@ def test_matrix_and_iterative_agree_bitwise(n):
     for seed in range(4 if n < 100 else 1):
         for target in TargetKind:
             proj, psi = random_instance(n, seed, target)
-            aug = kernel_system(proj, psi)
-            a = kernel_membership_iterative(aug)
-            b = kernel_membership_matrix(aug)
-            cols = aug.body[:, :-1]
+            cols = kernel_basis(proj).array
+            a = kernel_membership_iterative(cols, psi)
+            b = kernel_membership_matrix(cols, psi)
             assert a.member == b.member == residual_oracle(cols, psi).member
             assert a.row_swaps == b.row_swaps
             if a.member:
@@ -460,9 +457,8 @@ def degenerate_systems(draw):
 @given(system=degenerate_systems())
 def test_both_formulations_match_the_oracle_on_any_shape(system):
     cols, psi = system
-    aug = AugmentedMatrix.from_system(cols, psi)
-    it = kernel_membership_iterative(aug)
-    mx = kernel_membership_matrix(aug)
+    it = kernel_membership_iterative(cols, psi)
+    mx = kernel_membership_matrix(cols, psi)
     assert it.member == mx.member
     assert it.witness == mx.witness  # one loop serves both forms
     assert it.row_swaps == mx.row_swaps
@@ -486,8 +482,9 @@ def test_non_finite_systems_are_rejected(bad, where):
     psi = StateVector(rhs)
     with pytest.raises(NonFiniteEntry):
         membership_of(cols, psi)
-    with pytest.raises(NonFiniteEntry):
-        membership_of(cols[:, :1], psi)  # one column: the range check
+    for one_column in (membership_of, range_membership):  # the range check
+        with pytest.raises(NonFiniteEntry):
+            one_column(cols[:, :1], psi)
     if where == "rhs":
         with pytest.raises(NonFiniteEntry):
             membership_of(cols[:, :0], psi)  # the empty span
@@ -501,7 +498,9 @@ def test_non_finite_systems_are_rejected(bad, where):
                 subspace_membership(p, kind, StateVector(rhs[:2]))
     for decide in (kernel_membership_iterative, kernel_membership_matrix):
         with pytest.raises(NonFiniteEntry):
-            decide(AugmentedMatrix.from_system(cols, psi))
+            decide(cols, psi)
+        with pytest.raises(NonFiniteEntry):
+            decide(cols[:, :1], psi)
 
 
 def test_wide_system_uses_every_unknown_column():
@@ -517,7 +516,7 @@ def test_wide_system_uses_every_unknown_column():
 def test_residual_oracle_on_spin52_systems():
     fx = spin52_fixture()
     psi = fx.states["psi"]
-    kernel = residual_oracle(fx.reference_kernel_system.body[:, :-1], psi)
+    kernel = residual_oracle(fx.reference_kernel_columns, psi)
     assert kernel.member and kernel.residual < 1e-7
     rng = residual_oracle(fx.reference_range_column.reshape(-1, 1), psi)
     assert not rng.member
@@ -543,14 +542,14 @@ def test_verdicts_agree_with_oracle_across_instances():
         rbasis = range_basis(proj)
         r = range_membership(rbasis, psi)
         assert r.member == residual_oracle(rbasis.array, psi).member
-        aug = kernel_system(proj, psi)
-        k_it = kernel_membership_iterative(aug)
-        k_mx = kernel_membership_matrix(aug)
-        oracle = residual_oracle(aug.body[:, :-1], psi)
+        kcols = kernel_basis(proj).array
+        k_it = kernel_membership_iterative(kcols, psi)
+        k_mx = kernel_membership_matrix(kcols, psi)
+        oracle = residual_oracle(kcols, psi)
         assert k_it.member == k_mx.member == oracle.member
         for res in (r, k_it, k_mx):
             if res.member:
-                a = rbasis.array if res is r else aug.body[:, :-1]
+                a = rbasis.array if res is r else kcols
                 err = np.linalg.norm(a @ np.array(res.witness) - psi.components)
                 assert err < 1e-7
         checked += 1
@@ -563,7 +562,7 @@ def test_trichotomy_for_rank_one_instances():
         target = list(TargetKind)[i % 3]
         proj, psi = random_instance(n, seed=7000 + i, target=target)
         in_range = range_membership(range_basis(proj), psi).member
-        in_kernel = kernel_membership_iterative(kernel_system(proj, psi)).member
+        in_kernel = kernel_membership_iterative(kernel_basis(proj).array, psi).member
         assert not (in_range and in_kernel)
         expected = {
             TargetKind.IN_RANGE: (True, False),
@@ -596,16 +595,39 @@ def test_a_zero_check_whose_relative_bound_overflows_raises_no_warning():
     assert subspace_membership(p, BasisKind.RANGE, psi, tol=tol).member is want
 
 
-def test_a_one_dimensional_stack_is_rejected():
-    """A column stack, a system and a span are 2-d; a flat vector is not."""
-    psi = StateVector(np.array([1.0, 0.0, 0.0]))
-    for build in (
-        lambda: Subspace(np.zeros(3)),
-        lambda: AugmentedMatrix(np.zeros((3, 1))),
-        lambda: membership_of(np.zeros(3), psi),
-    ):
-        with pytest.raises(DimensionMismatch):
-            build()
+BARE_DECIDERS = {
+    "membership_of": membership_of,
+    "range_membership": range_membership,
+    "kernel-iterative": kernel_membership_iterative,
+    "kernel-matrix": kernel_membership_matrix,
+}
+
+
+def malformed_stacks():
+    """Every bare decider on every stack it cannot take, against a 3-entry
+    state: not 2-d, a row count other than the state's, and no column where
+    a system needs one.  ``range_membership`` reads a 1-d column as its one
+    column and ``membership_of`` an empty stack as the span {0}; a
+    ``Subspace`` is 2-d too."""
+    stacks = {
+        "1-d": np.zeros(3),
+        "0-d": np.array(0.0),
+        "3-d": np.zeros((3, 1, 1)),
+        "row-mismatch": np.ones((2, 1)),
+        "no-columns": np.zeros((3, 0)),
+    }
+    takes = {("range_membership", "1-d"), ("membership_of", "no-columns")}
+    for name, decide in BARE_DECIDERS.items():
+        for shape, stack in stacks.items():
+            if (name, shape) not in takes:
+                yield pytest.param(decide, stack, id=f"{name}-{shape}")
+    yield pytest.param(lambda stack, _: Subspace(stack), np.zeros(3), id="Subspace")
+
+
+@pytest.mark.parametrize("decide, stack", malformed_stacks())
+def test_a_malformed_stack_is_rejected(decide, stack):
+    with pytest.raises(DimensionMismatch):
+        decide(stack, StateVector(np.array([1.0, 0.0, 0.0])))
 
 
 @pytest.mark.parametrize(
@@ -615,8 +637,8 @@ def test_a_one_dimensional_stack_is_rejected():
         lambda: membership_of(np.zeros((0, 2)), StateVector(np.zeros(0))),
         lambda: membership_of(np.zeros((0, 0)), StateVector(np.zeros(0))),
         lambda: range_membership(np.zeros((0, 1)), StateVector(np.zeros(0))),
-        lambda: kernel_membership_iterative(AugmentedMatrix(np.zeros((0, 2)))),
-        lambda: kernel_membership_matrix(AugmentedMatrix(np.zeros((0, 3)))),
+        lambda: kernel_membership_iterative(np.zeros((0, 1)), StateVector(np.zeros(0))),
+        lambda: kernel_membership_matrix(np.zeros((0, 2)), StateVector(np.zeros(0))),
     ],
     ids=[
         "projector",
@@ -667,7 +689,7 @@ class ReferenceDecision(MembershipResult):
     accepted: float = 0.0
 
 
-def reference_eliminate(aug, ctx, tol, full_block):
+def reference_eliminate(columns, psi, ctx, tol, full_block):
     """The kernel decider before it was split into a factor and a solve.
 
     A copy of the per-state elimination that ran every unknown column
@@ -678,9 +700,10 @@ def reference_eliminate(aug, ctx, tol, full_block):
     unless a deciding comparison sits within rounding of its bound.
     """
     elimination = OpCounter()
-    n, k = aug.rows, aug.unknowns
-    work = aug.body.copy()
-    threshold = tol.threshold(linalg.max_abs(aug.body[:, :k]))
+    n, k = columns.shape
+    body = np.column_stack([columns, psi.components])  # the state appended
+    work = body.copy()
+    threshold = tol.threshold(linalg.max_abs(columns))
     cols, swapped = linalg._row_echelon(work, k - 1, threshold)
     shift = 0 if full_block else 1
     for r, c in enumerate(cols):
@@ -694,7 +717,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
     live = work[len(cols) :].tolist()
     # the largest magnitude the last unknown's column and the state reach
     col_scale, rhs_scale = (
-        max(linalg.max_abs(aug.body[:, j]), linalg.max_abs(work[:, j]))
+        max(linalg.max_abs(body[:, j]), linalg.max_abs(work[:, j]))
         for j in (k - 1, k)
     )
     anchor = next((row for row in live if abs(row[k - 1]) > threshold), None)
@@ -718,7 +741,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
             near_bound |= abs(abs(a - b) - bound) <= band
             member = tol.equal(a, b)
     swaps = sum(p != r for r, p in enumerate(swapped))
-    extra = (near_bound, (aug.body[:, :k], aug.body[:, k]), math.sqrt(accepted))
+    extra = (near_bound, (columns, psi.components), math.sqrt(accepted))
     if not member:
         return ReferenceDecision(False, None, elimination, fctx, swaps, None, *extra)
     x = [0j] * k
@@ -735,9 +758,7 @@ def reference_eliminate(aug, ctx, tol, full_block):
 
 def reference_membership_of(cols, psi, tol=DEFAULT_TOLERANCE):
     """``membership_of``'s dispatch over :func:`reference_eliminate`."""
-    result = reference_eliminate(
-        AugmentedMatrix.from_system(cols, psi), OpCounter(), tol, False
-    )
+    result = reference_eliminate(cols, psi, OpCounter(), tol, False)
     if cols.shape[1] == 1:  # the range check reports its cross check as counts
         return replace(result, counts=result.final_check, final_check=OpCounter())
     return result
@@ -845,13 +866,14 @@ def test_factored_deciders_match_the_per_state_elimination(case, columns):
         assert verdict.witness == got.witness
     # bare systems: the kernel basis, or every column of I - P with free unknowns
     cols = basis if columns == "basis" else np.eye(p.dim) - p.array
-    aug = AugmentedMatrix.from_system(cols, psi)
     for decide, full_block in (
         (kernel_membership_iterative, False),
         (kernel_membership_matrix, True),
     ):
-        want = reference_eliminate(aug, OpCounter(), DEFAULT_TOLERANCE, full_block)
-        assert_same_decision(decide(aug), want)
+        want = reference_eliminate(
+            cols, psi, OpCounter(), DEFAULT_TOLERANCE, full_block
+        )
+        assert_same_decision(decide(cols, psi), want)
 
 
 @st.composite
@@ -879,7 +901,7 @@ def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
     assert np.array_equal(fused.perm, alone.perm)
     count = p.rank if kind is BasisKind.RANGE else p.nullity
     assert fused.unknowns == alone.unknowns == count
-    bare = kernel_membership_iterative(AugmentedMatrix.from_system(basis, psi))
+    bare = kernel_membership_iterative(basis, psi)
     assert subspace_membership(p, kind, psi).member == bare.member
 
 
@@ -972,8 +994,7 @@ def test_blocked_solves_match_the_columnwise_loops(case):
     assert (got.member, got.counts, got.final_check, got.row_swaps) == (
         want.member, want.counts, want.final_check, want.row_swaps
     )
-    aug = AugmentedMatrix.from_system(b, psi)
-    matrix = kernel_membership_matrix(aug)
+    matrix = kernel_membership_matrix(b, psi)
     block = columnwise_solve(f, y, full_block=True)
     assert (matrix.member, matrix.counts, matrix.final_check) == (
         block.member, block.counts, block.final_check
@@ -1147,7 +1168,7 @@ def test_eliminated_rows_keep_the_error_state_switched():
     assert linalg._factor(columns, DEFAULT_TOLERANCE).positions == tuple(range(t))
     psi = StateVector(np.ones(n))
     got = membership_of(columns, psi)
-    want = kernel_membership_iterative(AugmentedMatrix.from_system(columns, psi))
+    want = kernel_membership_iterative(columns, psi)
     assert not got.member
     assert (got.member, got.witness, got.counts, got.final_check) == (
         want.member, want.witness, want.counts, want.final_check

@@ -22,7 +22,8 @@ from propval.linalg import (
     validate_projector,
 )
 from propval.membership import (
-    AugmentedMatrix,
+    kernel_membership_iterative,
+    kernel_membership_matrix,
     membership_of,
     range_membership,
     residual_oracle,
@@ -364,7 +365,8 @@ SIZE_CHECKS = {
     ),
     "membership_of": lambda: membership_of(_B2, _S3),
     "range_membership": lambda: range_membership(_B2, _S3),
-    "from_system": lambda: AugmentedMatrix.from_system(_B2, _S3),
+    "kernel_membership_iterative": lambda: kernel_membership_iterative(_B2, _S3),
+    "kernel_membership_matrix": lambda: kernel_membership_matrix(_B2, _S3),
     "residual_oracle": lambda: residual_oracle(_B2, _S3),
     "decompose": lambda: decompose(_S3, _P2),
     "meet": lambda: meet(_E2, _E3),
