@@ -3,7 +3,8 @@
 Subcommands::
 
     propval valuate PROJECTOR STATE [--ql [--gap-to-true]]
-    propval bench [--min-n N] [--max-n N] [--grid SPEC] [--seed S] [--out F]
+    propval bench [--grid double [--min-n N] [--max-n N] | --grid N1,...] [--seed S]
+                  [--out F]
     propval cost --t1 W --tinf S (--p P | --q Q --eq E)
     propval demo nondistributivity --fixture {qubit,spin52}
     propval fixtures export NAME [--dir D]
@@ -121,7 +122,10 @@ def cmd_valuate(args) -> int:
 
 def _parse_grid(args) -> list[int]:
     if args.grid == "double":
-        return costmodel.doubling_grid(args.min_n, args.max_n)
+        return costmodel.doubling_grid(
+            8 if args.min_n is None else args.min_n,
+            256 if args.max_n is None else args.max_n,
+        )
     try:
         return sorted({int(part) for part in args.grid.split(",")})
     except ValueError:
@@ -236,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_valuate)
 
     p_bench = sub.add_parser("bench", help="operation-count benchmark")
-    p_bench.add_argument("--min-n", type=int, default=8)
-    p_bench.add_argument("--max-n", type=int, default=256)
+    p_bench.add_argument("--min-n", type=int, help="with --grid double (default: 8)")
+    p_bench.add_argument("--max-n", type=int, help="with --grid double (default: 256)")
     p_bench.add_argument(
         "--grid",
         default="double",
@@ -292,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--q requires --eq")
     if args.command == "valuate" and args.gap_to_true and not args.ql:
         parser.error("--gap-to-true requires --ql")
+    if args.command == "bench" and args.grid != "double":
+        if args.min_n is not None or args.max_n is not None:
+            parser.error("--min-n/--max-n require --grid double")
     try:
         return args.func(args)
     except (PropvalError, OSError, ValueError) as exc:

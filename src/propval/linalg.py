@@ -18,11 +18,14 @@ basis from them on their first call.  Each memo entry is written at
 most once, and a lock on the miss path makes threads that miss the
 same entry build it once, so sharing stays safe.
 
-Rank decisions use Gaussian elimination with partial pivoting, treating
-a pivot at or below ``tol.threshold(max|entry|)`` of the eliminated
-matrix as zero; that one threshold serves bases, ranks, null spaces and
-factors alike.  Basis columns are selected deterministically, lowest
-index first, so repeated runs pick the same vectors.  That loop,
+A projector's rank is declared, never eliminated: the rounded trace of
+a validated matrix (:func:`validate_projector`), or 1 for one built
+from a state.  Every other rank decision uses Gaussian elimination with
+partial pivoting, treating a pivot at or below
+``tol.threshold(max|entry|)`` of the eliminated matrix as zero; that
+one threshold serves bases, ranks, null spaces and factors alike.
+Basis columns are selected deterministically, lowest index first, so
+repeated runs pick the same vectors.  That loop,
 :func:`_row_echelon`, is the package's one elimination core: it picks
 bases, gives null spaces by back-substitution, and its factors
 (:func:`subspace_factor`, ``_factor``) serve every elimination decider
@@ -148,7 +151,7 @@ class StateVector:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Validated Hermitian idempotent matrix with its precomputed rank.
+    """Validated Hermitian idempotent matrix with its declared rank.
 
     Built one way per source: a matrix from outside the package through
     :func:`validate_projector`, a rank-1 projector the package builds
@@ -158,11 +161,12 @@ class Projector:
     without a copy, so each builder hands it an array nothing else
     holds: :func:`validate_projector` copies the matrix from outside
     once, :func:`projector_from_state` passes its fresh outer product.
+    Each declares the rank: the rounded trace, or 1.
     :func:`subspace_factor` factors the range or kernel system once per
-    tolerance policy and keeps the factor on the instance
-    (:func:`validate_projector` seeds the range factor), and
+    tolerance policy and keeps the factor on the instance, and
     :func:`range_basis` and :func:`kernel_basis` keep the bases they
-    build from it; both memos are write-once and hold read-only values.
+    build from it; both memos are write-once (:func:`_write_once` is
+    their one writer) and hold read-only values.
     """
 
     array: np.ndarray
@@ -273,10 +277,7 @@ def _row_echelon(
     in one product, ``w[r:, c] -= L[r:, pivots] @ U[pivots, c]``.  Pivot
     ``r`` is then the first entry of largest magnitude in column ``c`` at
     or below row ``r``; a column whose candidates all sit at or below
-    ``threshold`` is skipped.  No pivot is taken between the skipped
-    columns, so one product brings the rest of the panel up to date,
-    one pass over it finds the next column that is not skipped, and the
-    skipped run is written back.  Every caller passes
+    ``threshold`` is skipped.  Every caller passes
     ``tol.threshold(max|entry|)`` of the matrix it eliminates, so a basis
     and a factor of the same matrix pick the same pivots.  After its
     interchange the pivot column is divided by the pivot, giving the
@@ -312,16 +313,6 @@ def _row_echelon(
             p = int(mags.argmax())
             if not mags[p] > threshold:
                 c += 1
-                if c < stop:
-                    rest = w[r:, c:stop]
-                    if pivots is not None:
-                        rest = rest - w[r:, pivots] @ w[r0:r, c:stop]
-                    live = np.abs(rest).max(axis=0) > threshold
-                    j = int(live.argmax())
-                    if not live[j]:
-                        j = stop - c
-                    w[r:, c : c + j] = rest[:, :j]
-                    c += j
                 continue
             if p:
                 w[r], w[r + p] = w[r + p].copy(), w[r].copy()
@@ -638,16 +629,27 @@ def projector_from_state(
 def validate_projector(
     m: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Projector:
-    """Check finiteness, Hermiticity and idempotency, compute the rank.
+    """Check finiteness, shape, Hermiticity and idempotency; the rank is the trace.
 
-    The projector owns one copy of ``m``, made here.  The one
-    elimination of ``m`` that gives the rank is kept as the projector's
-    range factor for ``tol``.
+    The projector owns one copy of ``m``, made here.  A matrix without
+    rows raises :class:`DimensionMismatch`.  The rank is ``round(Re tr
+    m)``, and nothing is eliminated: the factors are built on demand
+    (:func:`subspace_factor`), the range's stopping at that rank.  A
+    rounded trace outside ``0..n`` raises :class:`NotIdempotent`.
+
+    No other check is needed.  For a Hermitian ``P`` every eigenvalue
+    satisfies ``|λ² - λ| <= ‖P² - P‖₂ <= n δ``, δ the bound of the
+    idempotency check, so each lies within about ``2 n δ`` of 0 or 1,
+    and the trace within ``2 n² δ`` of the count of eigenvalues near 1.
+    Whenever ``2 n² δ < 1/2``, ``round`` gives that count.
     """
     m = np.array(m, dtype=complex)
     scale = _finite_scale(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"projector matrix must be square, got shape {m.shape}")
+    n = len(m)
+    if not n:
+        raise DimensionMismatch("a projector needs at least one row, got 0")
     # Entries near the float range can overflow a deviation to inf or NaN,
     # silently; "not within the bound" rejects both.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -655,10 +657,10 @@ def validate_projector(
             raise NotHermitian("matrix is not Hermitian within tolerance")
         if not max_abs(m @ m - m) <= tol.bound(scale):
             raise NotIdempotent("matrix is not idempotent within tolerance")
-    f = _factor(m, tol, BasisKind.RANGE)
-    p = Projector(m, rank=f.unknowns)
-    p._memo[BasisKind.RANGE, tol] = f
-    return p
+        trace = float(m.trace().real)
+    if not (math.isfinite(trace) and 0 <= round(trace) <= n):
+        raise NotIdempotent(f"trace {trace} rounds to no rank in 0..{n}")
+    return Projector(m, rank=round(trace))
 
 
 # Serialises memo misses so threads that miss the same key build its
@@ -686,12 +688,13 @@ def subspace_factor(
     basis and the system's unknowns, so a state's membership then costs
     one O(n k) solve against it, for a subspace of dimension k.  The
     factor keeps the pivot columns' indices; :func:`range_basis` and
-    :func:`kernel_basis` build the basis from them when asked.  The
-    rank decides, not pivots: the range's elimination stops after
-    ``p.rank`` pivots, and where the rank says the subspace is {0} (0
-    for the range, ``n`` for the kernel) the factor has no unknowns and
-    nothing is eliminated, since ``I - P`` of a full-rank ``P`` is noise
-    in which the relative threshold finds pivots.  The kernel's
+    :func:`kernel_basis` build the basis from them when asked.  Every
+    projector factor is built here; validation builds none.  The
+    declared rank decides, not pivots: the range's elimination stops
+    after ``p.rank`` pivots, and where the rank says the subspace is {0}
+    (0 for the range, ``n`` for the kernel) the factor has no unknowns
+    and nothing is eliminated, since ``I - P`` of a full-rank ``P`` is
+    noise in which the relative threshold finds pivots.  The kernel's
     elimination runs to the end.
     """
     value = p._memo.get((kind, tol))

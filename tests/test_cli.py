@@ -160,6 +160,19 @@ def test_a_non_projector_whose_deviation_overflows_is_rejected_in_one_line(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("diagonal", [1.5, -0.5])
+def test_valuate_rejects_a_trace_that_rounds_to_no_rank(capsys, tmp_path, diagonal):
+    """At ``--tolerance 0.8`` these pass the idempotency check; their traces,
+    3 and -1, are no rank of a 2 x 2 projector."""
+    proj = tmp_path / "proj.json"
+    state = tmp_path / "state.json"
+    save_matrix(proj, diagonal * np.eye(2))
+    save_matrix(state, np.array([[1.0], [0.0]]))
+    code, out, err = run(capsys, "valuate", str(proj), str(state), "--tolerance", "0.8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: NotIdempotent: ") and err.count("\n") == 1
+
+
 def test_valuate_rejects_an_empty_projector(capsys, tmp_path):
     proj = tmp_path / "proj.json"
     state = tmp_path / "state.json"
@@ -309,6 +322,9 @@ def test_bench_rejects_bad_grid(capsys):
     assert "InvalidBounds" in err and "'8,x'" in err
     code, _, err = run(capsys, "bench", "--min-n", "64", "--max-n", "8")
     assert code == 2
+    code, out, err = run(capsys, "bench", "--min-n", "0")
+    assert code == 2 and out == ""
+    assert "InvalidBounds" in err
 
 
 def test_cost_classical_perfect_speedup(capsys):
@@ -397,8 +413,16 @@ def test_cost_requires_exactly_one_processor_kind(capsys):
         ("cost --t1 10 --tinf 2 --p 2 --eq 3", "--eq requires --q"),
         ("cost --t1 5 --tinf 1 --q 2", "--q requires --eq"),
         ("valuate p.json s.json --gap-to-true", "--gap-to-true requires --ql"),
+        ("bench --grid 8,16,32 --min-n 100", "--min-n/--max-n require --grid double"),
+        ("bench --grid 8,16,32 --max-n 2", "--min-n/--max-n require --grid double"),
     ],
-    ids=["eq-without-q", "q-without-eq", "gap-to-true-without-ql"],
+    ids=[
+        "eq-without-q",
+        "q-without-eq",
+        "gap-to-true-without-ql",
+        "min-n-without-double",
+        "max-n-without-double",
+    ],
 )
 def test_a_flag_that_needs_another_is_rejected_by_the_parser(capsys, command, rule):
     """Every flag-combination rule is stated once, in ``main``, as a usage

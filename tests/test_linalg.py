@@ -351,16 +351,42 @@ def test_blocked_elimination_matches_the_unblocked_loop(system):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=32),
-    rank=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_validate_projector_rank_is_the_drawn_rank(n, rank, seed):
-    rank = min(rank, n)
-    rng = np.random.default_rng(seed)
+@given(data=st.data(), n=st.integers(min_value=2, max_value=64))
+def test_validate_projector_rank_is_the_drawn_rank(data, n):
+    """The trace gives the rank that a full elimination of ``P`` finds."""
+    rank = data.draw(st.integers(min_value=1, max_value=n - 1), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
-    assert validate_projector(q @ q.conj().T).rank == rank
+    m = q @ q.conj().T
+    assert validate_projector(m).rank == rank == matrix_rank(m)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10])
+def test_a_projector_zero_within_tolerance_has_rank_zero(scale):
+    """A relative pivot threshold finds 4 pivots in this noise; its trace
+    rounds to 0, so every state reads FALSE, the zero projector's verdict."""
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    p = validate_projector(scale * (h + h.conj().T))
+    assert p.rank == 0
+    for e in np.eye(4):
+        assert valuate(p, StateVector(e)).value is TruthValue.FALSE
+
+
+def test_spin52_keeps_rank_one_at_a_zero_absolute_tolerance():
+    """At ``abs_eps`` 0 the pivot threshold is 0, and a full elimination
+    of spin52's ``P`` takes a rounding-noise pivot for a second unknown."""
+    tol = TolerancePolicy(abs_eps=0.0, rel_eps=1e-9)
+    p = validate_projector(spin52_fixture().projector.array, tol)
+    assert p.rank == 1
+    assert subspace_factor(p, BasisKind.RANGE, tol).unknowns == 1
+
+
+@pytest.mark.parametrize("diagonal, trace", [(1.5, 3.0), (-0.5, -1.0)])
+def test_a_trace_that_rounds_to_no_rank_is_rejected(diagonal, trace):
+    """At a tolerance of 0.8, ``P² - P`` of these is within the bound."""
+    with pytest.raises(NotIdempotent, match=f"trace {trace} "):
+        validate_projector(diagonal * np.eye(2), TolerancePolicy(abs_eps=0.8))
 
 
 def test_null_space_basis_annihilates():
@@ -562,14 +588,14 @@ def test_bases_are_computed_once_per_policy(monkeypatch):
     calls = count_eliminations(monkeypatch)
     drawn, _ = random_instance(8, 3, TargetKind.IN_RANGE)
     p = validate_projector(drawn.array)
-    assert calls == [8]  # P: the rank and the range factor in one
-    for target, expected in (
-        (TargetKind.IN_RANGE, TruthValue.TRUE),
-        (TargetKind.IN_KERNEL, TruthValue.FALSE),
-        (TargetKind.GENERIC, TruthValue.GAP),
+    assert calls == []  # the rank is the trace: validation eliminates nothing
+    for target, expected, eliminated in (
+        (TargetKind.IN_RANGE, TruthValue.TRUE, [8]),  # P, on the first verdict
+        (TargetKind.IN_KERNEL, TruthValue.FALSE, [8, 8]),  # I - P
+        (TargetKind.GENERIC, TruthValue.GAP, [8, 8]),
     ):
         assert valuate(p, random_instance(8, 3, target)[1]).value is expected
-    assert calls == [8, 8]  # I - P, on the first kernel verdict
+        assert calls == eliminated
     bases = {BasisKind.RANGE: range_basis, BasisKind.KERNEL: kernel_basis}
     systems = {BasisKind.RANGE: p.array, BasisKind.KERNEL: np.eye(8) - p.array}
     assert p._bases == {}  # no verdict reads a basis
@@ -594,9 +620,10 @@ def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
     n = 40  # more than one panel
     drawn, first = random_instance(n, 5, TargetKind.IN_KERNEL)
     p = validate_projector(drawn.array)
-    calls.clear()  # validation eliminates P for the range factor
+    assert calls == []
     assert valuate(p, first).value is TruthValue.FALSE
-    assert calls == [n]  # I - P: the kernel basis and the factor in one
+    # P for the range check, then I - P: the kernel basis and the factor in one
+    assert calls == [n, n]
     calls.clear()
     generic = random_instance(n, 5, TargetKind.GENERIC)[1]
     assert valuate(p, generic).value is TruthValue.GAP
@@ -608,17 +635,19 @@ def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
 
 
 @pytest.mark.parametrize("rank", [2, 3])
-def test_range_verdicts_solve_against_the_factor_validation_made(monkeypatch, rank):
+def test_range_verdicts_solve_against_the_first_verdicts_factor(monkeypatch, rank):
     calls = count_eliminations(monkeypatch)
     n = 40
     rng = np.random.default_rng(rank)
     q, _ = np.linalg.qr(rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank)))
     p = validate_projector(q @ q.conj().T)
     assert p.rank == rank
-    assert calls == [n]  # P: the rank, the range basis and its factor in one
-    calls.clear()
+    assert calls == []
     in_range = StateVector(q @ random_unit(rng, rank))
-    for _ in range(3):
+    assert valuate(p, in_range).value is TruthValue.TRUE
+    assert calls == [n]  # P: the range basis and its factor in one
+    calls.clear()
+    for _ in range(2):
         assert valuate(p, in_range).value is TruthValue.TRUE
     assert valuate_ql(p, in_range).value is TruthValue.TRUE
     assert calls == []  # a solve per range verdict, no elimination
@@ -744,7 +773,9 @@ def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch)
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
     validated = validate_projector(q @ q.conj().T)
-    assert seen[2] == (n, None, 3)  # validation finds the rank
+    assert len(seen) == 2  # validation takes the rank from the trace
+    subspace_factor(validated, BasisKind.RANGE)
+    assert seen[2] == (n, 3, 3)
     subspace_factor(validated, BasisKind.RANGE, TolerancePolicy(abs_eps=1e-12))
     assert seen[3] == (n, 3, 3)
     # after the last pivot nothing is updated: beyond the first panel, the
