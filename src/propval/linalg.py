@@ -10,8 +10,10 @@ values through the arrays, with ``np.array_equal``.  A :class:`Subspace`
 is the one column-stack type: a projector's range or kernel basis and
 every operand of the lattice in ``valuation`` alike.  A :class:`Projector`
 memoises one factor per subspace and tolerance policy
-(:func:`subspace_factor`): the elimination of ``P`` for its range, of
-``I - P`` for its kernel, each on one n x n work array.  The pivot
+(:func:`subspace_factor`): the elimination of ``P`` for its range, on a
+copy of the leading panels that hold its pivots, and of ``I - P`` for
+its kernel, on one n x n work array, which the factor keeps as a view
+when the eliminated unknowns are consecutive columns.  The pivot
 columns of each are that subspace's basis; the factor keeps their
 indices, and :func:`range_basis` and :func:`kernel_basis` build the
 basis from them on their first call.  Each memo entry is written at
@@ -23,7 +25,10 @@ a validated matrix (:func:`validate_projector`), or 1 for one built
 from a state.  Every other rank decision uses Gaussian elimination with
 partial pivoting, treating a pivot at or below
 ``tol.threshold(max|entry|)`` of the eliminated matrix as zero; that
-one threshold serves bases, ranks, null spaces and factors alike.
+one threshold serves bases, ranks, null spaces and factors alike.  For
+``P`` and ``I - P``, both positive semidefinite, the largest magnitude
+is the largest on the diagonal (``|A_ij|**2 <= A_ii A_jj``), and the
+threshold is taken from the diagonal alone.
 Basis columns are selected deterministically, lowest index first, so
 repeated runs pick the same vectors.  That loop,
 :func:`_row_echelon`, is the package's one elimination core: it picks
@@ -37,16 +42,19 @@ product updates the block below and right of it.  A pivot's multipliers
 are one numpy division of its column.  One elimination of ``P`` or
 ``I - P`` gives both the basis and its factor, because a non-pivot
 column makes no update; the range's elimination stops at the
-projector's declared rank.  The triangular solves against the echelon
+projector's declared rank.  The factor is read off that one
+elimination, the last unknown's column included, with no second pass
+over the system.  The triangular solves against the echelon
 form, for null spaces and for witnesses, run by blocks of the same
 width: one LAPACK solve of a diagonal block and one product for the
 rows beyond it (:func:`_forward`, :func:`_upper_solve`).  Under the
 package's numerical contract (:mod:`~propval.numerics`) the pivots,
 ranks and row swaps are results, while the factor's entries hold only
 to rounding: how numpy rounds a step is not part of the contract.
-Finiteness is checked on the pass that finds the threshold's scale: a
-NaN or infinite entry makes that scale non-finite and raises
-:class:`NonFiniteEntry`.
+Finiteness is checked where a matrix enters: by both :class:`Projector`
+builders, and for a bare column stack on the pass that finds the
+threshold's scale, where a NaN or infinite entry makes that scale
+non-finite and raises :class:`NonFiniteEntry`.
 
 File format for matrices and vectors (vectors are n x 1)::
 
@@ -278,8 +286,9 @@ def _row_echelon(
     ``r`` is then the first entry of largest magnitude in column ``c`` at
     or below row ``r``; a column whose candidates all sit at or below
     ``threshold`` is skipped.  Every caller passes
-    ``tol.threshold(max|entry|)`` of the matrix it eliminates, so a basis
-    and a factor of the same matrix pick the same pivots.  After its
+    ``tol.threshold(max|entry|)`` of the matrix it eliminates (for ``P``
+    or ``I - P``, its largest diagonal magnitude, the same maximum), so
+    a basis and a factor of the same matrix pick the same pivots.  After its
     interchange the pivot column is divided by the pivot, giving the
     multipliers below it, and the pivot row is finished right of the pivot across the
     whole of ``w`` in one product with the panel's earlier pivot rows.
@@ -343,12 +352,14 @@ class EchelonFactor:
 
     * ``lu`` -- n x t, the ``t`` eliminated unknowns: U on and above the
       diagonal, the multipliers below it, rows in the order left after
-      the ``t`` interchanges;
+      the ``t`` interchanges; the elimination's own columns, a view of
+      its work array when they are consecutive, else a copy;
     * ``perm`` -- the ``t`` interchanges as one permutation: row ``i``
       after them is row ``perm[i]`` before;
     * ``positions`` -- the unknown eliminated at step ``r``: ``r`` itself
       when the unknowns are a projector's pivot columns;
-    * ``last`` -- the last unknown's column after those ``t`` steps;
+    * ``last`` -- the last unknown's column after those ``t`` steps, as
+      the elimination left it (:func:`_factor`);
     * ``anchor`` -- the first of the rows ``last[t:]`` left live whose
       magnitude exceeds the one pivot threshold, ``tol.threshold`` of the
       factored matrix's largest magnitude, or ``tol.threshold`` of the
@@ -372,8 +383,7 @@ class EchelonFactor:
       ``I - P`` that are the system's unknowns and the subspace's basis,
       which :func:`range_basis` and :func:`kernel_basis` build on demand.
 
-    ``lu`` is a column-major copy out of the elimination's work array,
-    which the factor does not keep.  Arrays are read-only, and every
+    Arrays are read-only, and every
     field is set once in :func:`_factor`, so a factor is shared freely
     between threads.
     """
@@ -470,52 +480,57 @@ def _factor(
 ) -> EchelonFactor:
     """One elimination of the columns of a system, kept as an :class:`EchelonFactor`.
 
-    The system is ``a``, or ``I - a`` when ``kind`` is the kernel (``a``
-    is then ``P``, or its first 0 columns for an empty kernel).  ``a``
-    is never written: the elimination runs on one work array, a copy of
-    ``a`` or a fresh ``I - a`` (:func:`_complement`), and stops after
-    ``most`` pivots if given (:func:`_row_echelon`).
-    The unknowns are every column or, with ``kind``, the pivot columns,
-    the basis of that kind; a non-pivot column issues no update, so
-    eliminating the system eliminates the basis too.  The pivot
-    threshold is ``tol.threshold`` of the system's largest magnitude,
-    the one :func:`independent_columns` uses, so the basis is the one it
-    picks.  The factor covers the unknowns before the last: if the last
-    unknown was itself a pivot, its interchange is undone, and its
-    column, rebuilt from ``a``, is forward-solved like a right-hand
-    side.  Everything a solve needs that does not depend on
+    The system is a bare column stack ``a`` (``kind`` None), eliminated
+    by :func:`_echelon`, or a projector's range or kernel system
+    (:func:`_projector_echelon`), whose elimination stops after ``most``
+    pivots if given.  ``a`` is never written.  The unknowns are every
+    column or, with ``kind``, the pivot columns, the basis of that kind;
+    a non-pivot column issues no update, so eliminating the system
+    eliminates the basis too.  The factor covers the unknowns before the
+    last and is read off the work array, which it keeps when those
+    unknowns are consecutive columns (``lu`` is then a view).  So is the
+    last unknown's column after those steps: a non-pivot column holds
+    it as the elimination left it; if the last unknown was pivot ``t``,
+    its step is undone, the interchange swapped back and the multipliers
+    times the pivot, except at ``t = 0``, where the column is the
+    system's own.  Everything a solve needs that does not depend on
     the state is computed here, once: the anchor of the live rows'
     cross-product check and their largest magnitude, the elimination's
     charges, the interchanges as one permutation and the row swaps.
     With one unknown the anchor threshold is ``tol.threshold`` of that
     largest magnitude, the column's own scale; that column is a column
-    of the system, whose finiteness :func:`_echelon` has checked.  Every
-    system a decider factors passes through here, so a system without
-    rows raises :class:`DimensionMismatch` here.
+    of a finite system (:func:`_echelon` checks a bare stack, and a
+    :class:`Projector` is finite by construction).  Every system a
+    decider factors passes through here, so a system without rows
+    raises :class:`DimensionMismatch` here.
     """
     kernel = kind is BasisKind.KERNEL
-    w = _complement(a) if kernel else np.array(a, dtype=complex)
-    cols, swapped, threshold = _echelon(w, tol, most)
+    if kind is None:
+        w = np.array(a, dtype=complex)
+        cols, swapped, threshold = _echelon(w, tol)
+    else:
+        w, cols, swapped, threshold = _projector_echelon(a, tol, kernel, most)
     if not len(w):
         raise DimensionMismatch("a system needs at least one row, got 0")
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
-    # n x t, column-major: a row-major view of w would round the solves differently
-    lu = w.T[cols[:t]].T
-    if t < len(cols) and swapped[t] != t:
-        lu[[t, swapped[t]]] = lu[[swapped[t], t]]
+    lu = w[:, _consecutive(cols[:t]) if t else []]  # an empty view would keep w
     positions = tuple(range(t)) if kind is not None else tuple(cols[:t])
     if not unknowns:
-        column = np.zeros(len(w))
-    elif kernel:
-        column = _complement(a, unknowns[-1])
-    else:
-        column = a[:, unknowns[-1]]
+        last = np.zeros(len(w), dtype=complex)
+    elif t == len(cols):  # not a pivot: the elimination left it updated
+        last = w[:, unknowns[-1]].copy()
+    elif not t:
+        c = unknowns[-1]
+        last = _complement(a, c) if kernel else np.array(a[:, c], dtype=complex)
+    else:  # pivot t: undo its division and its interchange
+        last = w[:, unknowns[-1]].copy()
+        last[t + 1 :] *= last[t]
+        s = swapped[t]
+        lu[[t, s]], last[[t, s]] = lu[[s, t]], last[[s, t]]
     perm = list(range(len(w)))
     for r, p in enumerate(swapped[:t]):
         perm[r], perm[p] = perm[p], perm[r]
-    perm = np.array(perm)
-    last = _forward(lu, perm, column)
     mags = np.abs(last[t:])
     live_scale = float(mags.max(initial=0.0))
     above = mags > (tol.threshold(live_scale) if len(unknowns) == 1 else threshold)
@@ -523,7 +538,7 @@ def _factor(
     return EchelonFactor(
         lu,
         last,
-        perm,
+        np.array(perm),
         positions,
         len(unknowns),
         anchor,
@@ -533,6 +548,39 @@ def _factor(
         sum(p != r for r, p in enumerate(swapped[:t])),
         tuple(cols),
     )
+
+
+def _projector_echelon(
+    a: np.ndarray, tol: TolerancePolicy, kernel: bool, most: int | None
+) -> tuple[np.ndarray, list[int], list[int], float]:
+    """A projector's range or kernel system in row echelon form (:func:`_row_echelon`).
+
+    ``a`` is ``P``, or its first 0 columns for an empty subspace.  The
+    work array is a fresh ``I - P`` (:func:`_complement`) for the
+    kernel, else a copy of ``P``.  The pivot threshold is
+    ``tol.threshold`` of the system's largest diagonal magnitude: in a
+    positive semidefinite matrix ``|A_ij|**2 <= A_ii A_jj``, so that is
+    its largest magnitude, and a :class:`Projector` is finite by
+    construction, so no pass over all n² entries is made.  With
+    ``most``, the copy of ``P`` holds only its leading ``most`` columns
+    rounded up to whole panels, where the ``most`` pivots usually lie;
+    if fewer lie there, the whole of ``P`` is copied and eliminated.
+    Returns the work array, its pivot columns, the row swapped into row
+    ``r`` at pivot ``r``, and the threshold.
+    """
+    if kernel:
+        w = _complement(a)
+        scale = np.abs(w.diagonal()).max(initial=0.0)
+    else:
+        scale = np.abs(a.diagonal()).max(initial=0.0)
+        width = a.shape[1] if most is None else -(-most // _PANEL) * _PANEL
+        w = np.array(a[:, :width])
+    threshold = tol.threshold(float(scale))
+    cols, swapped = _row_echelon(w, w.shape[1], threshold, most)
+    if w.shape[1] < a.shape[1] and len(cols) < most:
+        w = np.array(a)
+        cols, swapped = _row_echelon(w, w.shape[1], threshold, most)
+    return w, cols, swapped, threshold
 
 
 def _charges(
@@ -574,20 +622,19 @@ def matrix_rank(a: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
 
 
 def _echelon(
-    w: np.ndarray, tol: TolerancePolicy, most: int | None = None
+    w: np.ndarray, tol: TolerancePolicy
 ) -> tuple[list[int], list[int], float]:
     """``w`` in row echelon form, in place (:func:`_row_echelon`).
 
     The caller owns ``w``, a complex array that must be 2-d and finite
     (:class:`NonFiniteEntry`).  Returns its pivot columns, the row
     swapped into row ``r`` at pivot ``r``, and the pivot threshold
-    ``tol.threshold(max|w|)``; the elimination stops after ``most``
-    pivots if given.
+    ``tol.threshold(max|w|)``.
     """
     if w.ndim != 2:
         raise DimensionMismatch("expected a 2-d array")
     threshold = tol.threshold(_finite_scale(w))
-    return *_row_echelon(w, w.shape[1], threshold, most), threshold
+    return *_row_echelon(w, w.shape[1], threshold), threshold
 
 
 def null_space_basis(
@@ -683,8 +730,12 @@ def subspace_factor(
     """The factor of ``p``'s range or kernel system, memoised per policy.
 
     One elimination of ``P`` (range) or ``I - P`` (kernel) in place on
-    one n x n work array, a copy of ``P`` or a fresh ``I - P`` (``P``
-    itself is never written).  Its pivot columns are the subspace's
+    one work array (:func:`_projector_echelon`): a copy of ``P``'s
+    leading panels, or of all of ``P`` when fewer than ``p.rank`` pivots
+    lie there, or a fresh n x n ``I - P`` (``P`` itself is never
+    written).  The threshold's scale is the system's largest diagonal
+    magnitude, and nothing else is computed from the system: the factor
+    is read off the elimination.  Its pivot columns are the subspace's
     basis and the system's unknowns, so a state's membership then costs
     one O(n k) solve against it, for a subspace of dimension k.  The
     factor keeps the pivot columns' indices; :func:`range_basis` and
@@ -760,11 +811,11 @@ def decompose(
 
 
 def matrix_to_json_dict(a: np.ndarray) -> dict:
-    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    a = np.ascontiguousarray(np.atleast_2d(a), dtype=complex)
     return {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": a.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -801,8 +852,10 @@ def matrix_from_json_dict(d: dict) -> np.ndarray:
 
 
 def save_matrix(path, a: np.ndarray) -> None:
+    # json.dumps encodes in C; json.dump writes through the pure-Python encoder
+    text = json.dumps(matrix_to_json_dict(a))
     with open(path, "w") as f:
-        json.dump(matrix_to_json_dict(a), f)
+        f.write(text)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Projector validation, subspace bases, decomposition, and file IO."""
 
+import io
+import json
 import math
 import sys
 import threading
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propval import linalg, membership
-from propval.fixtures import TargetKind, random_instance, spin52_fixture
+from propval.fixtures import TargetKind, qubit_fixture, random_instance, spin52_fixture
 from propval.linalg import (
     BasisKind,
     DimensionMismatch,
@@ -487,6 +489,32 @@ def test_matrix_json_roundtrip(tmp_path):
     assert np.array_equal(load_matrix(path), a)
 
 
+def test_saved_bytes_are_those_of_the_python_encoder(tmp_path):
+    """``save_matrix`` writes the bytes ``json.dump`` writes for entries
+    built one complex at a time, signed zeros and extreme floats too."""
+    edges = np.array(
+        [
+            [complex(-0.0, 0.0), complex(0.0, -0.0)],
+            [5e-324 - 1.7e308j, 1.7e308 + 5e-324j],
+        ]
+    )
+    arrays = [edges, edges.T, np.zeros((0, 1), dtype=complex)]  # edges.T: column-major
+    for fx in (qubit_fixture(), spin52_fixture()):
+        arrays.append(fx.projector.array)
+        arrays += [s.components.reshape(-1, 1) for s in fx.states.values()]
+    path = tmp_path / "m.json"
+    for a in arrays:
+        save_matrix(path, a)
+        entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+        reference = {"rows": a.shape[0], "cols": a.shape[1], "entries": entries}
+        assert linalg.matrix_to_json_dict(a) == reference
+        with io.StringIO() as want:
+            json.dump(reference, want)
+            assert path.read_text() == want.getvalue()
+        bits = np.ascontiguousarray(a).view(np.uint64)
+        assert np.array_equal(load_matrix(path).view(np.uint64), bits)
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (1, 2), (), (2, 1, 1)])
 def test_a_state_is_one_dimensional_or_one_column(shape):
     """A 2x2 array flattened to four components would get a plausible
@@ -622,8 +650,9 @@ def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
     p = validate_projector(drawn.array)
     assert calls == []
     assert valuate(p, first).value is TruthValue.FALSE
-    # P for the range check, then I - P: the kernel basis and the factor in one
-    assert calls == [n, n]
+    # P's leading panel, which holds its 5 range pivots, for the range check,
+    # then I - P: the kernel basis and the factor in one
+    assert calls == [linalg._PANEL, n]
     calls.clear()
     generic = random_instance(n, 5, TargetKind.GENERIC)[1]
     assert valuate(p, generic).value is TruthValue.GAP
@@ -645,7 +674,8 @@ def test_range_verdicts_solve_against_the_first_verdicts_factor(monkeypatch, ran
     assert calls == []
     in_range = StateVector(q @ random_unit(rng, rank))
     assert valuate(p, in_range).value is TruthValue.TRUE
-    assert calls == [n]  # P: the range basis and its factor in one
+    # P's leading panel, which holds the pivots: the range basis and its factor
+    assert calls == [linalg._PANEL]
     calls.clear()
     for _ in range(2):
         assert valuate(p, in_range).value is TruthValue.TRUE
@@ -767,7 +797,7 @@ def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch)
     n = 100
     p, _ = random_instance(n, 4, TargetKind.IN_RANGE)
     assert subspace_factor(p, BasisKind.RANGE).unknowns == 1
-    assert seen == [(n, 1, 1)]
+    assert seen == [(linalg._PANEL, 1, 1)]  # the one pivot lies in P's first panel
     subspace_factor(p, BasisKind.KERNEL)
     assert seen[1] == (n, None, n - 1)  # the kernel runs to the end
     rng = np.random.default_rng(4)
@@ -775,9 +805,15 @@ def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch)
     validated = validate_projector(q @ q.conj().T)
     assert len(seen) == 2  # validation takes the rank from the trace
     subspace_factor(validated, BasisKind.RANGE)
-    assert seen[2] == (n, 3, 3)
+    assert seen[2] == (linalg._PANEL, 3, 3)
     subspace_factor(validated, BasisKind.RANGE, TolerancePolicy(abs_eps=1e-12))
-    assert seen[3] == (n, 3, 3)
+    assert seen[3] == (linalg._PANEL, 3, 3)
+    # P's first panel is zero: no pivot lies there, and all of P is eliminated
+    v = np.zeros(n, dtype=complex)
+    v[linalg._PANEL :] = random_unit(rng, n - linalg._PANEL)
+    late = projector_from_state(StateVector(v))
+    assert subspace_factor(late, BasisKind.RANGE).pivots[0] >= linalg._PANEL
+    assert seen[4:] == [(linalg._PANEL, 1, 0), (n, 1, 1)]
     # after the last pivot nothing is updated: beyond the first panel, the
     # rows below it are P's rows as the one interchange left them
     w = np.array(p.array)
@@ -786,6 +822,154 @@ def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch)
     order[0], order[swapped[0]] = order[swapped[0]], order[0]
     assert cols == [0]
     assert np.array_equal(w[1:, 32:], p.array[order][1:, 32:])
+
+
+def reference_projector_factor(p, kind, tol=DEFAULT_TOLERANCE):
+    """A projector's factor as it was built before it was read off its
+    elimination: a full copy of ``P`` or ``I - P``, the threshold of its
+    largest magnitude over every entry, a column-major copy of the
+    eliminated unknowns, and the last unknown's column rebuilt from ``P``
+    and taken through those steps by ``linalg._forward``."""
+    kernel = kind is BasisKind.KERNEL
+    w = linalg._complement(p.array) if kernel else np.array(p.array)
+    threshold = tol.threshold(linalg._finite_scale(w))
+    cols, swapped = linalg._row_echelon(w, p.dim, threshold, None if kernel else p.rank)
+    t = len(cols) - 1
+    lu = w.T[cols[:t]].T
+    if swapped[t] != t:
+        lu[[t, swapped[t]]] = lu[[swapped[t], t]]
+    perm = list(range(p.dim))
+    for r, s in enumerate(swapped[:t]):
+        perm[r], perm[s] = perm[s], perm[r]
+    column = linalg._complement(p.array, cols[-1]) if kernel else p.array[:, cols[-1]]
+    last = linalg._forward(lu, np.array(perm), column)
+    mags = np.abs(last[t:])
+    live_scale = float(mags.max())
+    above = mags > (tol.threshold(live_scale) if len(cols) == 1 else threshold)
+    anchor = int(above.argmax()) if above.any() else None
+    return linalg.EchelonFactor(
+        lu,
+        last,
+        np.array(perm),
+        tuple(range(t)),
+        len(cols),
+        anchor,
+        0j if anchor is None else complex(last[t + anchor]),
+        live_scale,
+        linalg._charges(p.dim, len(cols), tuple(range(t))),
+        sum(s != r for r, s in enumerate(swapped[:t])),
+        tuple(cols),
+    )
+
+
+@st.composite
+def projectors_with_states(draw):
+    """A rank-1, rank-3 or nullity-1 projector, its leading rows scaled by
+    1e-6 or zeroed (which moves the range pivots past the first panel),
+    a state in its range, one in its kernel, a generic one, and the
+    generator that draws the coefficients of a state in a span."""
+    n = draw(st.integers(4, 80))
+    rank = draw(st.sampled_from([1, 3, n - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    lead = min(draw(st.integers(0, n)), n - rank)
+    a[:lead] *= draw(st.sampled_from([1.0, 1e-6, 0.0]))
+    q, _ = np.linalg.qr(a)
+    p = validate_projector(q @ q.conj().T)
+    assert p.rank == rank
+    generic = random_unit(rng, n)
+    kernel = generic - q @ (q.conj().T @ generic)
+    states = (q @ random_unit(rng, rank), kernel / np.linalg.norm(kernel), generic)
+    return p, states, rng
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=projectors_with_states())
+def test_a_projector_factor_matches_the_full_copy_reference(case):
+    """The factor read off one elimination of a panel or of ``I - P``
+    takes the reference's pivots, interchanges, anchor and charges; its
+    ``lu`` and ``last`` agree to rounding, its verdicts and tallies are
+    the reference's, and a member's witness meets the numerical
+    contract's normwise backward error."""
+    p, states, rng = case
+    complement = np.eye(p.dim) - p.array
+    for kind, system in ((BasisKind.RANGE, p.array), (BasisKind.KERNEL, complement)):
+        got, want = subspace_factor(p, kind), reference_projector_factor(p, kind)
+        for name in ("pivots", "positions", "unknowns", "anchor", "charges"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert got.row_swaps == want.row_swaps
+        assert np.array_equal(got.perm, want.perm)
+        for name in ("lu", "last"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.abs(g - w).max(initial=0) <= 64 * p.dim * 2.0**-53 * max_abs(w)
+        columns = system[:, list(got.pivots)]
+        member = columns @ random_unit(rng, got.unknowns)  # in the span to rounding
+        member /= np.linalg.norm(member)
+        for b in (member, *states):
+            size = linalg._finite_scale(b)
+            mine, theirs = (
+                membership._span_membership(f, b, DEFAULT_TOLERANCE, size)
+                for f in (got, want)
+            )
+            assert (mine.member, mine.counts, mine.final_check, mine.row_swaps) == (
+                theirs.member, theirs.counts, theirs.final_check, theirs.row_swaps
+            )
+        solved = membership._span_membership(got, member, DEFAULT_TOLERANCE, 1.0)
+        assert solved.member
+        x = np.array(solved.witness)
+        residual = np.linalg.norm(columns @ x - member)
+        scale = np.linalg.norm(columns, 2) * np.linalg.norm(x) + 1
+        assert residual <= 16 * p.dim * 2.0**-53 * scale
+
+
+def test_a_projector_factor_makes_no_pass_over_every_entry(monkeypatch):
+    """Neither a projector's threshold scale nor its last column costs a
+    pass of its own: no ``_finite_scale`` over the system, and no
+    ``_forward`` when the last unknown is a pivot, as it always is for a
+    projector.  A bare stack keeps its one finiteness pass."""
+    rng = np.random.default_rng(7)
+    n = 40
+    q, _ = np.linalg.qr(rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    late = np.zeros(n, dtype=complex)
+    late[linalg._PANEL :] = random_unit(rng, n - linalg._PANEL)
+    projectors = [
+        projector_from_state(StateVector(random_unit(rng, n))),
+        projector_from_state(StateVector(late)),  # the range pivot past the panel
+        validate_projector(q @ q.conj().T),
+        validate_projector(np.eye(n) - q[:, :1] @ q[:, :1].conj().T),  # nullity 1
+    ]
+    stack = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    calls = []
+    for name in ("_finite_scale", "_forward"):
+
+        def spy(*args, _name=name, _original=getattr(linalg, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    for p in projectors:
+        for kind in BasisKind:
+            subspace_factor(p, kind)
+    assert calls == []
+    f = linalg._factor(stack, DEFAULT_TOLERANCE)
+    assert f.pivots[-1] == stack.shape[1] - 1  # the last unknown is a pivot
+    assert calls == ["_finite_scale"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_both_projector_builders_reject_a_non_finite_entry(bad):
+    """A projector's factor takes its threshold from the diagonal without a
+    finiteness pass, so neither builder may let a NaN or inf through."""
+    m = np.zeros((3, 3), dtype=complex)
+    m[0, 0] = 1.0
+    for i, j in ((0, 0), (1, 2), (2, 1)):
+        bad_m = m.copy()
+        bad_m[i, j] = bad
+        with pytest.raises(NonFiniteEntry):
+            validate_projector(bad_m)
+    for v in ([bad, 0.0, 0.0], [S2, S2 * bad, 0.0]):
+        with pytest.raises(NonFiniteEntry):
+            projector_from_state(StateVector(v))
 
 
 def _traced(build):
@@ -887,7 +1071,9 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     # one elimination per (projector, kind, policy), however the threads raced
-    assert calls == [40] * len(cases) * len(BasisKind) * len(policies)
+    # (the range's in P's leading panel, which holds its pivots)
+    factored = len(cases) * len(policies)
+    assert sorted(calls) == [linalg._PANEL] * factored + [40] * factored
     for (p, _), got in zip(cases, seen):
         assert len(p._memo) == len(BasisKind) * len(policies)
         assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())

@@ -884,18 +884,20 @@ def subspaces_of_width_two_or_more(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=subspaces_of_width_two_or_more(), kind=st.sampled_from(BasisKind))
 def test_one_pivot_threshold_picks_what_the_basis_columns_pick(case, kind):
-    """Factoring P or I - P scales the pivot threshold by its maximum
-    entry; factoring the basis columns alone by their own maximum.  Both
-    pick the same pivots and interchanges and reach the same verdicts,
-    also when the largest entry sits in a column the basis drops."""
+    """Factoring P or I - P scales the pivot threshold by its largest
+    diagonal magnitude, its maximum entry to rounding; factoring the
+    basis columns alone by their own maximum.  Both pick the same pivots
+    and interchanges and reach the same verdicts, also when the largest
+    entry sits in a column the basis drops."""
     m, psi = case
     p = validate_projector(m)
     fused = subspace_factor(p, kind)
     basis = (range_basis if kind is BasisKind.RANGE else kernel_basis)(p).array
     alone = linalg._factor(basis, DEFAULT_TOLERANCE)
     factored = p.array if kind is BasisKind.RANGE else np.eye(p.dim) - p.array
-    if np.abs(factored).max() > np.abs(basis).max():
-        fused_threshold = linalg._echelon(factored.copy(), DEFAULT_TOLERANCE)[2]
+    scale = np.abs(np.diag(factored)).max()
+    if scale > np.abs(basis).max():
+        fused_threshold = DEFAULT_TOLERANCE.threshold(scale)
         assert fused_threshold > linalg._echelon(basis.copy(), DEFAULT_TOLERANCE)[2]
     assert fused.positions == alone.positions == tuple(range(fused.unknowns - 1))
     assert np.array_equal(fused.perm, alone.perm)
