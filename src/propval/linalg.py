@@ -15,10 +15,10 @@ copy of the leading panels that hold its pivots, and of ``I - P`` for
 its kernel, on one n x n work array, which the factor keeps as a view
 when the eliminated unknowns are consecutive columns.  The pivot
 columns of each are that subspace's basis; the factor keeps their
-indices, and :func:`range_basis` and :func:`kernel_basis` build the
-basis from them on their first call.  Each memo entry is written at
-most once, and a lock on the miss path makes threads that miss the
-same entry build it once, so sharing stays safe.
+indices, and :func:`range_basis` and :func:`kernel_basis` copy the
+basis from them on each call.  Each memo entry is written at most
+once, and a lock on the miss path makes threads that miss the same
+entry eliminate once, so sharing stays safe.
 
 A projector's rank is declared, never eliminated: the rounded trace of
 a validated matrix (:func:`validate_projector`), or 1 for one built
@@ -172,15 +172,13 @@ class Projector:
     Each declares the rank: the rounded trace, or 1.
     :func:`subspace_factor` factors the range or kernel system once per
     tolerance policy and keeps the factor on the instance, and
-    :func:`range_basis` and :func:`kernel_basis` keep the bases they
-    build from it; both memos are write-once (:func:`_write_once` is
-    their one writer) and hold read-only values.
+    :func:`range_basis` and :func:`kernel_basis` copy the bases out of
+    it on each call.  The memo is write-once and holds read-only values.
     """
 
     array: np.ndarray
     rank: int
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         _freeze(self, "array", np.asarray(self.array, dtype=complex))
@@ -710,18 +708,9 @@ def validate_projector(
     return Projector(m, rank=round(trace))
 
 
-# Serialises memo misses so threads that miss the same key build its
-# value once; hits never take it.  Re-entrant: a build may miss a memo.
-_FACTOR_BUILD = threading.RLock()
-
-
-def _write_once(memo: dict, key, build, *args):
-    """``memo[key]``, set to ``build(*args)`` unless another thread set it first."""
-    with _FACTOR_BUILD:
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = build(*args)
-    return value
+# Serialises factor-memo misses so threads that miss the same key
+# eliminate once; hits never take it.
+_FACTOR_BUILD = threading.Lock()
 
 
 def subspace_factor(
@@ -739,7 +728,7 @@ def subspace_factor(
     basis and the system's unknowns, so a state's membership then costs
     one O(n k) solve against it, for a subspace of dimension k.  The
     factor keeps the pivot columns' indices; :func:`range_basis` and
-    :func:`kernel_basis` build the basis from them when asked.  Every
+    :func:`kernel_basis` copy the basis from them on each call.  Every
     projector factor is built here; validation builds none.  The
     declared rank decides, not pivots: the range's elimination stops
     after ``p.rank`` pivots, and where the rank says the subspace is {0}
@@ -748,21 +737,17 @@ def subspace_factor(
     noise in which the relative threshold finds pivots.  The kernel's
     elimination runs to the end.
     """
-    value = p._memo.get((kind, tol))
+    key = (kind, tol)
+    value = p._memo.get(key)
     if value is None:
         empty = p.rank == (0 if kind is BasisKind.RANGE else p.dim)
         a = p.array[:, :0] if empty else p.array  # {0}: nothing to eliminate
         most = p.rank if kind is BasisKind.RANGE else None
-        value = _write_once(p._memo, (kind, tol), _factor, a, tol, kind, most)
+        with _FACTOR_BUILD:
+            value = p._memo.get(key)
+            if value is None:
+                value = p._memo[key] = _factor(a, tol, kind, most)
     return value
-
-
-def _basis(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
-    """``p``'s basis of ``kind``, built once per policy (:func:`_pivot_columns`)."""
-    basis = p._bases.get((kind, tol))
-    if basis is None:
-        basis = _write_once(p._bases, (kind, tol), _pivot_columns, p, kind, tol)
-    return basis
 
 
 def _pivot_columns(p: Projector, kind: BasisKind, tol: TolerancePolicy) -> Subspace:
@@ -777,10 +762,10 @@ def range_basis(
 ) -> Subspace:
     """Independent columns of the projector matrix, lowest index first.
 
-    The range factor's pivot columns of ``P``, copied into a
-    :class:`Subspace` on the first call per policy and memoised.
+    The memoised range factor's pivot columns of ``P``, copied into a
+    fresh :class:`Subspace` on each call.
     """
-    basis = _basis(p, BasisKind.RANGE, tol)
+    basis = _pivot_columns(p, BasisKind.RANGE, tol)
     if not basis.dim:
         raise ZeroProjector("range of the zero projector is {0}")
     return basis
@@ -791,10 +776,10 @@ def kernel_basis(
 ) -> Subspace:
     """Independent columns of (I - M), lowest index first.
 
-    The kernel factor's pivot columns of ``I - P``, built into a
-    :class:`Subspace` on the first call per policy and memoised.
+    The memoised kernel factor's pivot columns of ``I - P``, built into a
+    fresh :class:`Subspace` on each call.
     """
-    basis = _basis(p, BasisKind.KERNEL, tol)
+    basis = _pivot_columns(p, BasisKind.KERNEL, tol)
     if not basis.dim:
         raise FullRankProjector("kernel of a full-rank projector is {0}")
     return basis

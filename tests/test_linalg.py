@@ -626,21 +626,20 @@ def test_bases_are_computed_once_per_policy(monkeypatch):
         assert calls == eliminated
     bases = {BasisKind.RANGE: range_basis, BasisKind.KERNEL: kernel_basis}
     systems = {BasisKind.RANGE: p.array, BasisKind.KERNEL: np.eye(8) - p.array}
-    assert p._bases == {}  # no verdict reads a basis
     for kind, basis in bases.items():
         f = subspace_factor(p, kind, TolerancePolicy())
         assert f is subspace_factor(p, kind) is p._memo[kind, DEFAULT_TOLERANCE]
         built = basis(p, TolerancePolicy())
-        assert built is basis(p) is p._bases[kind, DEFAULT_TOLERANCE]
+        assert isinstance(built, Subspace)
+        assert np.array_equal(built.array, basis(p).array)
         assert np.array_equal(built.array, systems[kind][:, list(f.pivots)])
-    assert calls == [8, 8]
+    assert calls == [8, 8]  # a basis of a factored projector eliminates nothing
     wider = TolerancePolicy(abs_eps=1e-6)
     assert np.array_equal(range_basis(p, wider).array, range_basis(p).array)
     assert np.array_equal(kernel_basis(p, wider).array, kernel_basis(p).array)
     assert calls == [8, 8, 8, 8]  # one per (kind, policy)
     assert all(isinstance(f, linalg.EchelonFactor) for f in p._memo.values())
-    assert all(isinstance(b, Subspace) for b in p._bases.values())
-    assert len(p._memo) == len(p._bases) == 4
+    assert len(p._memo) == 4
 
 
 def test_a_projector_is_eliminated_once_for_every_kernel_verdict(monkeypatch):
@@ -702,7 +701,8 @@ def test_memoised_bases_match_a_fresh_projector(n, rank, seed):
     p = validate_projector(m)
     assert p.rank == rank
     first = range_basis(p), kernel_basis(p)
-    assert range_basis(p) is first[0] and kernel_basis(p) is first[1]
+    assert np.array_equal(range_basis(p).array, first[0].array)
+    assert np.array_equal(kernel_basis(p).array, first[1].array)
     fresh = validate_projector(m.copy())
     complement = np.eye(n, dtype=complex) - p.array
     for memo, again, a in (
@@ -1003,26 +1003,9 @@ def test_a_projector_factor_allocates_one_work_array():
     assert kept <= 1.1 * unit
 
 
-def test_a_memo_build_may_miss_a_memo_itself(monkeypatch):
-    # Under a fresh lock of the module lock's type (``_thread.lock`` has no
-    # public constructor), in a daemon thread: a build that deadlocks holds
-    # only that lock, and the rest of the run goes on.
-    kind = type(linalg._FACTOR_BUILD)
-    fresh = next(f for f in (threading.Lock, threading.RLock) if type(f()) is kind)
-    monkeypatch.setattr(linalg, "_FACTOR_BUILD", fresh())
-    outer, inner = {}, {}
-    thread = threading.Thread(
-        target=linalg._write_once,
-        args=(outer, "k", linalg._write_once, inner, "k", object),
-        daemon=True,
-    )
-    thread.start()
-    thread.join(timeout=5)
-    assert not thread.is_alive(), "a nested memo miss deadlocked"
-    assert outer["k"] is inner["k"]
-
-
-def test_threads_sharing_a_projector_get_one_basis_per_policy():
+def test_threads_sharing_a_projector_get_one_basis_per_policy(monkeypatch):
+    # Racing basis calls on unfactored projectors: the kernel is eliminated
+    # once per projector, and every thread copies out the same columns.
     projectors = [random_instance(16, s, TargetKind.IN_RANGE)[0] for s in range(20)]
     seen = [[] for _ in projectors]
 
@@ -1030,6 +1013,7 @@ def test_threads_sharing_a_projector_get_one_basis_per_policy():
         for p, got in zip(projectors, seen):
             got.append(kernel_basis(p))
 
+    calls = count_eliminations(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1041,9 +1025,11 @@ def test_threads_sharing_a_projector_get_one_basis_per_policy():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for got in seen:
+    assert calls == [16] * len(projectors)
+    for p, got in zip(projectors, seen):
         assert len(got) == len(threads)
-        assert all(basis is got[0] for basis in got)
+        assert list(p._memo) == [(BasisKind.KERNEL, DEFAULT_TOLERANCE)]
+        assert all(np.array_equal(basis.array, got[0].array) for basis in got)
 
 
 def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypatch):
@@ -1082,7 +1068,6 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
             assert len(mine) == len(threads)
             for kind in BasisKind:
                 assert all(fs[kind] is p._memo[kind, tol] for _, _, fs, _ in mine)
-            assert all(b is p._bases[BasisKind.KERNEL, tol] for *_, b in mine)
             assert all(v == mine[0][1] for _, v, _, _ in mine)
             assert mine[0][1].value is TruthValue.FALSE
     # whichever thread built a factor, later verdicts eliminate nothing
@@ -1091,8 +1076,11 @@ def test_threads_valuating_shared_projectors_get_one_factor_per_policy(monkeypat
         for tol in policies:
             assert valuate(p, psi, tol).value is TruthValue.FALSE
     assert calls == []
-    # and the racing threads' verdicts are the serial ones, bit for bit
+    # and the racing threads' verdicts and bases are the serial ones, bit for bit
     for (p, psi), got in zip(cases, seen):
         for tol in policies:
-            serial = valuate(validate_projector(p.array, tol), psi, tol)
+            fresh = validate_projector(p.array, tol)
+            serial = valuate(fresh, psi, tol)
+            basis = kernel_basis(fresh, tol).array
             assert all(v == serial for t, v, _, _ in got if t == tol)
+            assert all(np.array_equal(b.array, basis) for t, *_, b in got if t == tol)
