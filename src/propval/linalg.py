@@ -42,7 +42,14 @@ product updates the block below and right of it.  A pivot's multipliers
 are one numpy division of its column.  One elimination of ``P`` or
 ``I - P`` gives both the basis and its factor, because a non-pivot
 column makes no update; the range's elimination stops at the
-projector's declared rank.  The factor is read off that one
+projector's declared rank.  For a rank-1 projector ``v v*`` of more
+than ``_PANEL`` rows, partial pivoting on ``I - P`` makes no
+interchange until its last few columns, and every Schur complement up
+to there is again the identity minus a multiple of ``v v*``: that work
+array is written in closed form in O(n²) (:func:`_rank_one_complement`),
+when ``P`` lies within rounding of ``v v*``, and the core eliminates
+from the first interchange on, or from where the closed form's
+rounding would pass the numerical contract.  The factor is read off that one
 elimination, the last unknown's column included, with no second pass
 over the system.  The triangular solves against the echelon
 form, for null spaces and for witnesses, run by blocks of the same
@@ -273,7 +280,11 @@ def _consecutive(cols: list[int]) -> slice | list[int]:
 
 
 def _row_echelon(
-    w: np.ndarray, ncols: int, threshold: float, most: int | None = None
+    w: np.ndarray,
+    ncols: int,
+    threshold: float,
+    most: int | None = None,
+    start: int = 0,
 ) -> tuple[list[int], list[int]]:
     """Blocked Gaussian elimination of the first ``ncols`` columns, Crout in each panel.
 
@@ -299,14 +310,18 @@ def _row_echelon(
     ``most`` pivots (one per row by default) and skips the panel-end
     update after the last: the pivot columns and rows are final, and
     the columns right of the last pivot are left part-updated.
+    With ``start``, ``w`` already holds the first ``start`` steps, each
+    a pivot on the diagonal with no interchange (pivot rows finished
+    across the whole width, the block right of and below them updated),
+    and the panels begin at column ``start``.
     Returns the pivot columns (pivot ``r`` in row ``r`` of ``w``) and,
     per pivot, the row swapped into row ``r`` at its step (``r`` itself
     when none was).
     """
     most = len(w) if most is None else most
-    cols: list[int] = []
-    swapped: list[int] = []
-    for c0 in range(0, ncols, _PANEL):
+    cols = list(range(start))
+    swapped = list(range(start))
+    for c0 in range(start, ncols, _PANEL):
         r0 = len(cols)
         stop = min(c0 + _PANEL, ncols)
         pivots = None  # the panel's pivot columns so far
@@ -453,35 +468,143 @@ def _upper_solve(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _complement(p: np.ndarray, col: int | None = None) -> np.ndarray:
+def _complement(
+    p: np.ndarray, col: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """``I - p`` or its column ``col``, bit for bit as ``np.eye(n) - p`` holds it.
 
-    One fresh array, row-major as that difference is: ``0 - p`` (rather
-    than ``-p``, so a zero entry comes out +0 as it does from the
-    identity's 0), then 1 added on the diagonal; ``1 - x`` and
-    ``(0 - x) + 1`` round alike.  ``p`` is square, or ``n x 0``.
+    One fresh array, or ``out`` if given, row-major as that difference
+    is: ``0 - p`` (rather than ``-p``, so a zero entry comes out +0 as it
+    does from the identity's 0), then 1 added on the diagonal; ``1 - x``
+    and ``(0 - x) + 1`` round alike.  ``p`` is square, or ``n x 0``.
     """
     if col is not None:
         w = np.subtract(0.0, p[:, col])
         w[col] += 1
     else:
-        w = np.subtract(0.0, p, order="C")
+        w = np.subtract(0.0, p, order="C", out=out)
         w.reshape(-1)[:: len(w) + 1] += 1
     return w
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """``np.outer(v, v.conj())`` bit for bit, by blocks of ``_PANEL`` rows.
+
+    numpy's one broadcast product over all rows makes an n x n
+    temporary besides its result; a block's temporary is ``_PANEL`` rows.
+    """
+    w = np.empty((len(v), len(v)), dtype=complex)
+    vc = v.conj()[None, :]  # 2-d, as np.outer passes it: the same inner loop
+    for i0 in range(0, len(v), _PANEL):
+        np.multiply(v[i0 : i0 + _PANEL, None], vc, out=w[i0 : i0 + _PANEL])
+    return w
+
+
+# The numerical contract's c u (numerics): how far, entrywise and relative
+# to its largest diagonal entry, a rank-1 projector may lie from v v*.
+_ROUNDING = 16 * 2.0**-53
+# The least divisor 1 - sum(d[:j]) the closed form writes with, 1 / c:
+# formed by cancellation, with an absolute error up to about j u, its
+# relative error then stays within the contract's c n u.
+_LEAST_DIVISOR = 1 / 16
+
+
+def _rank_one_complement(p: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+    """``I - p`` after its leading steps without interchange, in closed form.
+
+    For ``p = v v*`` each Schur complement of ``I - p`` is again the
+    identity minus a multiple of the trailing part of ``v v*`` (Golub &
+    Van Loan, *Matrix Computations*, 3.2 and 3.4).  With ``d`` the real
+    diagonal of ``p`` and ``s_j = 1 - sum(d[:j])``, which is
+    ``sum(d[j:])`` when the trace is 1, step ``j`` pivots on the
+    diagonal, ``s_{j+1} / s_j``, with no interchange exactly while
+    ``s_{j+1} >= |v_j| max_{i>j} |v_i|``, and keeps that pivot while
+    ``s_{j+1} > threshold s_j``.  Both tests are made with a margin of
+    ``2 c n u``, the two sides' rounding of the compared magnitudes, so
+    a near-tie is left to the elimination.  Up to the first step ``t``
+    where either fails, at most ``n - 1``, the work array the
+    elimination would reach is written in closed form, in O(n²):
+    multipliers ``-p_ij / s_{j+1}`` below pivot ``j``, pivot rows
+    ``delta_jl - p_jl / s_j`` across the whole width, and the block ``I
+    - p[t:, t:] / s_t`` left to eliminate; in one formula, entry ``(i,
+    l)`` is ``delta_il - p_il / s_min(i, l + 1, t)``.  ``s_{j+1}`` is
+    rounded as the elimination rounds it, ``(1 - d_j) - sum(d[:j])``,
+    and a diagonal entry up to ``t`` is the quotient ``s_{j+1} / s_j``,
+    so a pivot after a dominant component (``d_j`` near 1) keeps its
+    relative accuracy.
+
+    ``s_j`` is a difference of numbers up to 1, so its rounding, up to
+    about ``j u``, is a growing share of it as it falls.  Two bounds
+    keep that share within the contract's ``c n u``.  The closed form
+    ends before a divisor below ``1 / c`` (``_LEAST_DIVISOR``), and the
+    elimination goes on from there.  And if ``s_t`` at the first
+    interchange or rejected pivot is below ``1 / (c n)``, as when ``|v|``
+    decays geometrically until ``s_j`` is rounding, the elimination's
+    own steps move by more than ``c n u`` under the rounding of ``p``'s
+    entries (about ``u / s_t``): nothing is written in closed form, and
+    the whole of ``I - p`` is eliminated, bit for bit as before.  Each
+    ``s_j`` divided by is then at least ``1 / c``.
+
+    ``v`` is ``p``'s column ``m`` of largest diagonal entry over
+    ``sqrt(p_mm)``, and ``t`` comes from ``d`` and ``|v|`` alone.  If
+    ``t`` is 0 the work array is a fresh ``I - p`` (:func:`_complement`).
+    Otherwise ``v v*`` is built in the work array itself, so no second
+    n x n array is made, and ``p`` qualifies when ``|p - v v*| <= c u
+    p_mm`` entrywise, the numerical contract's ``c u``; if it does not,
+    ``I - p`` is written over it, bit for bit, and ``t`` is 0.  Returns
+    the work array and ``t``, the step its elimination starts at.
+    """
+    n = len(p)
+    d = p.diagonal().real
+    m = int(d.argmax())
+    v = p[:, m] / math.sqrt(d[m])
+    head = np.concatenate(([0.0], np.cumsum(d[:-1])))  # sum(d[:j])
+    s = np.concatenate(([1.0], (1 - d) - head))
+    mags = np.abs(v)
+    beyond = np.append(np.maximum.accumulate(mags[::-1])[-2::-1], 0.0)
+    margin = 1 + 2 * n * _ROUNDING
+    steps = (s[1:] >= margin * mags * beyond) & (s[1:] > margin * threshold * s[:-1])
+    end = int(np.append(steps[:-1], False).argmin())  # the first interchange
+    steps &= s[1:] >= _LEAST_DIVISOR
+    t = int(np.append(steps[:-1], False).argmin())
+    if not t or s[end] * n < _LEAST_DIVISOR:
+        return _complement(p), 0
+    w = _outer(v)
+    if not all(
+        max_abs(w[i0 : i0 + _PANEL] - p[i0 : i0 + _PANEL]) <= _ROUNDING * d[m]
+        for i0 in range(0, n, _PANEL)
+    ):
+        return _complement(p, out=w), 0
+    # Entry (i, l) is scaled by -1 / s_min(i, l + 1, t): by its column's
+    # divisor below the diagonal, by its row's on and above it.
+    inverse = -1 / s[: t + 1]
+    below = inverse[np.minimum(np.arange(1, n + 1), t)]
+    above = inverse[np.minimum(np.arange(n), t)]
+    scale = np.empty((_PANEL, n))
+    for i0 in range(0, n, _PANEL):
+        i1 = min(i0 + _PANEL, n)
+        k = i1 - i0
+        scale[:k, :i0] = below[:i0]
+        scale[:k, i0:] = above[i0:i1, None]
+        np.copyto(scale[:k, i0:i1], below[i0:i1], where=_BELOW[:k, :k])
+        np.multiply(p[i0:i1], scale[:k], out=w[i0:i1])
+    w.reshape(-1)[:: n + 1] += 1
+    w.reshape(-1)[: (t + 1) * (n + 1) : n + 1] = s[1 : t + 2] / s[: t + 1]
+    return w, t
 
 
 def _factor(
     a: np.ndarray,
     tol: TolerancePolicy,
     kind: BasisKind | None = None,
-    most: int | None = None,
+    rank: int | None = None,
 ) -> EchelonFactor:
     """One elimination of the columns of a system, kept as an :class:`EchelonFactor`.
 
     The system is a bare column stack ``a`` (``kind`` None), eliminated
     by :func:`_echelon`, or a projector's range or kernel system
-    (:func:`_projector_echelon`), whose elimination stops after ``most``
-    pivots if given.  ``a`` is never written.  The unknowns are every
+    (:func:`_projector_echelon`) for the projector's declared ``rank``,
+    if given.  ``a`` is never written.  The unknowns are every
     column or, with ``kind``, the pivot columns, the basis of that kind;
     a non-pivot column issues no update, so eliminating the system
     eliminates the basis too.  The factor covers the unknowns before the
@@ -507,7 +630,7 @@ def _factor(
         w = np.array(a, dtype=complex)
         cols, swapped, threshold = _echelon(w, tol)
     else:
-        w, cols, swapped, threshold = _projector_echelon(a, tol, kernel, most)
+        w, cols, swapped, threshold = _projector_echelon(a, tol, kernel, rank)
     if not len(w):
         raise DimensionMismatch("a system needs at least one row, got 0")
     unknowns = cols if kind is not None else list(range(w.shape[1]))
@@ -549,35 +672,43 @@ def _factor(
 
 
 def _projector_echelon(
-    a: np.ndarray, tol: TolerancePolicy, kernel: bool, most: int | None
+    a: np.ndarray, tol: TolerancePolicy, kernel: bool, rank: int | None
 ) -> tuple[np.ndarray, list[int], list[int], float]:
     """A projector's range or kernel system in row echelon form (:func:`_row_echelon`).
 
-    ``a`` is ``P``, or its first 0 columns for an empty subspace.  The
-    work array is a fresh ``I - P`` (:func:`_complement`) for the
-    kernel, else a copy of ``P``.  The pivot threshold is
-    ``tol.threshold`` of the system's largest diagonal magnitude: in a
-    positive semidefinite matrix ``|A_ij|**2 <= A_ii A_jj``, so that is
-    its largest magnitude, and a :class:`Projector` is finite by
-    construction, so no pass over all n² entries is made.  With
-    ``most``, the copy of ``P`` holds only its leading ``most`` columns
-    rounded up to whole panels, where the ``most`` pivots usually lie;
-    if fewer lie there, the whole of ``P`` is copied and eliminated.
-    Returns the work array, its pivot columns, the row swapped into row
-    ``r`` at pivot ``r``, and the threshold.
+    ``a`` is ``P``, or its first 0 columns for an empty subspace, and
+    ``rank`` the projector's declared rank, if given.  The pivot
+    threshold is ``tol.threshold`` of the system's largest diagonal
+    magnitude: in a positive semidefinite matrix ``|A_ij|**2 <= A_ii
+    A_jj``, so that is its largest magnitude, and a :class:`Projector`
+    is finite by construction, so no pass over all n² entries is made.
+    For the kernel the work array is a fresh ``I - P``
+    (:func:`_complement`), eliminated to the end.  For rank 1 and more
+    than ``_PANEL`` rows it is :func:`_rank_one_complement`'s instead,
+    whose elimination starts at the first step that interchanges rows
+    or rejects a pivot, or before a divisor of the closed form below
+    ``1/16``, if ``P`` is within rounding of ``v v*``.  For the range it
+    is a copy of ``P``'s leading ``rank`` columns rounded up to whole
+    panels, where its ``rank`` pivots usually lie, and the elimination
+    stops after them; if fewer lie there, the whole of ``P`` is copied
+    and eliminated.  Returns the work array, its pivot columns, the row
+    swapped into row ``r`` at pivot ``r``, and the threshold.
     """
-    if kernel:
-        w = _complement(a)
-        scale = np.abs(w.diagonal()).max(initial=0.0)
-    else:
-        scale = np.abs(a.diagonal()).max(initial=0.0)
-        width = a.shape[1] if most is None else -(-most // _PANEL) * _PANEL
-        w = np.array(a[:, :width])
+    scale = np.abs(1 - a.diagonal() if kernel else a.diagonal()).max(initial=0.0)
     threshold = tol.threshold(float(scale))
-    cols, swapped = _row_echelon(w, w.shape[1], threshold, most)
-    if w.shape[1] < a.shape[1] and len(cols) < most:
+    if kernel:
+        w, start = (
+            _rank_one_complement(a, threshold)
+            if rank == 1 and len(a) > _PANEL
+            else (_complement(a), 0)
+        )
+        return w, *_row_echelon(w, w.shape[1], threshold, start=start), threshold
+    width = a.shape[1] if rank is None else -(-rank // _PANEL) * _PANEL
+    w = np.array(a[:, :width])
+    cols, swapped = _row_echelon(w, w.shape[1], threshold, rank)
+    if w.shape[1] < a.shape[1] and len(cols) < rank:
         w = np.array(a)
-        cols, swapped = _row_echelon(w, w.shape[1], threshold, most)
+        cols, swapped = _row_echelon(w, w.shape[1], threshold, rank)
     return w, cols, swapped, threshold
 
 
@@ -667,8 +798,7 @@ def projector_from_state(
 ) -> Projector:
     """Rank-1 projector onto the line spanned by a unit vector."""
     _require_unit(psi, tol)
-    v = psi.components
-    return Projector(np.outer(v, v.conj()), rank=1)
+    return Projector(_outer(psi.components), rank=1)
 
 
 def validate_projector(
@@ -735,18 +865,22 @@ def subspace_factor(
     (0 for the range, ``n`` for the kernel) the factor has no unknowns
     and nothing is eliminated, since ``I - P`` of a full-rank ``P`` is
     noise in which the relative threshold finds pivots.  The kernel's
-    elimination runs to the end.
+    elimination runs to the end; at rank 1 and more than ``_PANEL``
+    rows, its steps before the first interchange are written in closed
+    form, while their rounding stays within the numerical contract,
+    when ``P`` lies within rounding of ``v v*``
+    (:func:`_rank_one_complement`), so a kernel factor's wall time grows
+    as n² up to there, while its charged tally stays the elimination's.
     """
     key = (kind, tol)
     value = p._memo.get(key)
     if value is None:
         empty = p.rank == (0 if kind is BasisKind.RANGE else p.dim)
         a = p.array[:, :0] if empty else p.array  # {0}: nothing to eliminate
-        most = p.rank if kind is BasisKind.RANGE else None
         with _FACTOR_BUILD:
             value = p._memo.get(key)
             if value is None:
-                value = p._memo[key] = _factor(a, tol, kind, most)
+                value = p._memo[key] = _factor(a, tol, kind, p.rank)
     return value
 
 

@@ -100,9 +100,9 @@ def test_benchmark_extracts_each_basis_once_per_dimension(monkeypatch):
     calls = []
     original = linalg._row_echelon
 
-    def counted(w, ncols, threshold, most=None):
+    def counted(w, ncols, threshold, most=None, start=0):
         calls.append(w.shape[1])
-        return original(w, ncols, threshold, most)
+        return original(w, ncols, threshold, most, start)
 
     monkeypatch.setattr(linalg, "_row_echelon", counted)
     benchmark_paths([3, 4, 5], seed=11)

@@ -586,9 +586,9 @@ def count_eliminations(monkeypatch):
     calls = []
     original = linalg._row_echelon
 
-    def counted(w, ncols, threshold, most=None):
+    def counted(w, ncols, threshold, most=None, start=0):
         calls.append(w.shape[1])
-        return original(w, ncols, threshold, most)
+        return original(w, ncols, threshold, most, start)
 
     monkeypatch.setattr(linalg, "_row_echelon", counted)
     return calls
@@ -788,8 +788,8 @@ def test_the_range_factor_takes_exactly_the_declared_rank_of_pivots(monkeypatch)
     seen = []
     original = linalg._row_echelon
 
-    def spy(w, ncols, threshold, most=None):
-        cols, swapped = original(w, ncols, threshold, most)
+    def spy(w, ncols, threshold, most=None, start=0):
+        cols, swapped = original(w, ncols, threshold, most, start)
         seen.append((ncols, most, len(cols)))
         return cols, swapped
 
@@ -862,39 +862,121 @@ def reference_projector_factor(p, kind, tol=DEFAULT_TOLERANCE):
     )
 
 
-@st.composite
-def projectors_with_states(draw):
-    """A rank-1, rank-3 or nullity-1 projector, its leading rows scaled by
-    1e-6 or zeroed (which moves the range pivots past the first panel),
-    a state in its range, one in its kernel, a generic one, and the
-    generator that draws the coefficients of a state in a span."""
-    n = draw(st.integers(4, 80))
-    rank = draw(st.sampled_from([1, 3, n - 1]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-    lead = min(draw(st.integers(0, n)), n - rank)
-    a[:lead] *= draw(st.sampled_from([1.0, 1e-6, 0.0]))
-    q, _ = np.linalg.qr(a)
+def projector_case(q, rng, tol=DEFAULT_TOLERANCE):
+    """The projector onto the orthonormal columns ``q``, validated, a state
+    in its range, one in its kernel, a generic one, the generator that
+    draws the coefficients of a state in a span, and the policy."""
+    n, rank = q.shape
     p = validate_projector(q @ q.conj().T)
     assert p.rank == rank
     generic = random_unit(rng, n)
     kernel = generic - q @ (q.conj().T @ generic)
     states = (q @ random_unit(rng, rank), kernel / np.linalg.norm(kernel), generic)
-    return p, states, rng
+    return p, states, rng, tol
+
+
+@st.composite
+def projectors_with_states(draw):
+    """:func:`projector_case` of a rank-1 (n up to 260), rank-3 or
+    nullity-1 (n up to 80) projector, its leading rows scaled by 1e-6 or
+    zeroed (which moves the range pivots past the first panel)."""
+    shape = draw(st.sampled_from(["rank 1", "rank 3", "nullity 1"]))
+    n = draw(st.integers(4, 260 if shape == "rank 1" else 80))
+    rank = {"rank 1": 1, "rank 3": 3, "nullity 1": n - 1}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    lead = min(draw(st.integers(0, n)), n - rank)
+    a[:lead] *= draw(st.sampled_from([1.0, 1e-6, 0.0]))
+    q, _ = np.linalg.qr(a)
+    return projector_case(q, rng)
+
+
+def late_direction(n=100):
+    """A unit vector whose first panel of components is exactly zero."""
+    v = np.zeros(n, dtype=complex)
+    v[linalg._PANEL :] = random_unit(np.random.default_rng(1), n - linalg._PANEL)
+    return v
+
+
+def dominant_direction(n=120, k=70):
+    """Small components but one, at ``k``: I - v v* interchanges at step ``k``,
+    and its diagonal there, ``1 - |v_k|**2`` about 1e-8, is the difference
+    of two numbers near 1."""
+    v = 1e-4 * random_unit(np.random.default_rng(2), n)
+    v[k] = 1
+    return v / np.linalg.norm(v)
+
+
+def leading_direction(n=100):
+    """``|v_0|**2 = 0.95`` and the rest of equal magnitude: step 0 pivots on
+    the diagonal, 0.05, with no interchange."""
+    phases = np.exp(2j * math.pi * np.random.default_rng(3).random(n - 1))
+    return np.concatenate(([math.sqrt(0.95)], math.sqrt(0.05 / (n - 1)) * phases))
+
+
+def zero_suffix_direction(n=100, k=60):
+    """Components from ``k`` on exactly zero, the largest at ``k - 1``:
+    no step before ``k - 1`` interchanges, and ``sum(|v[k:]|**2)`` is 0."""
+    v = np.zeros(n, dtype=complex)
+    v[:k] = random_unit(np.random.default_rng(4), k)
+    v[k - 1] = 1
+    return v / np.linalg.norm(v)
+
+
+def geometric_direction(n=200, ratio=0.8):
+    """``|v_k|`` proportional to ``ratio**k``: no step interchanges until the
+    suffix sums ``1 - sum(|v[:j]|**2)`` are rounding, where the elimination
+    itself is settled by the rounding of ``P``'s entries."""
+    phases = np.exp(2j * math.pi * np.random.default_rng(7).random(n))
+    v = ratio ** np.arange(n) * phases
+    return v / np.linalg.norm(v)
+
+
+def uniform_direction(n=64):
+    """Components of equal magnitude, ``1 / sqrt(n)``: step ``n - 2`` is a tie
+    between the diagonal and the entry below it."""
+    return np.exp(2j * math.pi * np.random.default_rng(8).random(n)) / math.sqrt(n)
+
+
+def tied_direction(n=40, k=8):
+    """Zero but for the last ``k`` components, of equal magnitude: the tie at
+    step ``n - 2`` comes while the suffix sum is still ``1 / k``."""
+    v = np.zeros(n, dtype=complex)
+    v[n - k :] = uniform_direction(k)
+    return v
+
+
+# Its threshold, about 0.1, rejects step 0's pivot of 0.05 for leading_direction.
+COARSE = TolerancePolicy(abs_eps=0.1)
+
+
+def rank_one_case(v, tol=DEFAULT_TOLERANCE):
+    return projector_case(v[:, None], np.random.default_rng(5), tol)
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=projectors_with_states())
+@example(case=rank_one_case(late_direction()))
+@example(case=rank_one_case(dominant_direction()))
+@example(case=rank_one_case(leading_direction(), COARSE))
+@example(case=rank_one_case(zero_suffix_direction()))
+@example(case=rank_one_case(geometric_direction()))
+@example(case=rank_one_case(uniform_direction()))
+@example(case=rank_one_case(tied_direction()))
 def test_a_projector_factor_matches_the_full_copy_reference(case):
     """The factor read off one elimination of a panel or of ``I - P``
     takes the reference's pivots, interchanges, anchor and charges; its
     ``lu`` and ``last`` agree to rounding, its verdicts and tallies are
     the reference's, and a member's witness meets the numerical
-    contract's normwise backward error."""
-    p, states, rng = case
+    contract's normwise backward error.  A rank-1 kernel factor past
+    ``_PANEL`` rows starts where its closed form ends, so the explicit
+    directions put that end early, late, at a sub-threshold pivot, at a
+    zero suffix sum, at a suffix sum decaying to rounding and at ties."""
+    p, states, rng, tol = case
     complement = np.eye(p.dim) - p.array
     for kind, system in ((BasisKind.RANGE, p.array), (BasisKind.KERNEL, complement)):
-        got, want = subspace_factor(p, kind), reference_projector_factor(p, kind)
+        got = subspace_factor(p, kind, tol)
+        want = reference_projector_factor(p, kind, tol)
         for name in ("pivots", "positions", "unknowns", "anchor", "charges"):
             assert getattr(got, name) == getattr(want, name), name
         assert got.row_swaps == want.row_swaps
@@ -908,18 +990,107 @@ def test_a_projector_factor_matches_the_full_copy_reference(case):
         for b in (member, *states):
             size = linalg._finite_scale(b)
             mine, theirs = (
-                membership._span_membership(f, b, DEFAULT_TOLERANCE, size)
-                for f in (got, want)
+                membership._span_membership(f, b, tol, size) for f in (got, want)
             )
             assert (mine.member, mine.counts, mine.final_check, mine.row_swaps) == (
                 theirs.member, theirs.counts, theirs.final_check, theirs.row_swaps
             )
-        solved = membership._span_membership(got, member, DEFAULT_TOLERANCE, 1.0)
+        solved = membership._span_membership(got, member, tol, 1.0)
         assert solved.member
         x = np.array(solved.witness)
         residual = np.linalg.norm(columns @ x - member)
         scale = np.linalg.norm(columns, 2) * np.linalg.norm(x) + 1
         assert residual <= 16 * p.dim * 2.0**-53 * scale
+
+
+def elimination_starts(monkeypatch):
+    """The ``start`` of every ``linalg._row_echelon`` call, in order."""
+    starts = []
+    original = linalg._row_echelon
+
+    def spy(w, ncols, threshold, most=None, start=0):
+        starts.append(start)
+        return original(w, ncols, threshold, most, start)
+
+    monkeypatch.setattr(linalg, "_row_echelon", spy)
+    return starts
+
+
+def test_a_kernel_starts_past_its_closed_form_only_within_rounding_of_rank_1(
+    monkeypatch,
+):
+    """A validated rank-1 projector's kernel elimination starts past column
+    0, on one n x n array.  Moved by a 1e-12 Hermitian perturbation, it
+    still validates as rank 1 but lies beyond rounding of any ``v v*``:
+    its kernel is eliminated from column 0, and its FALSE witness meets
+    the numerical contract's backward error against its own ``I - P``."""
+    starts = elimination_starts(monkeypatch)
+    rng = np.random.default_rng(29)
+    n = 100
+    v = random_unit(rng, n)
+    p = validate_projector(np.outer(v, v.conj()))
+    _, peak, _ = _traced(lambda: subspace_factor(p, BasisKind.KERNEL))
+    assert starts[0] > 0
+    assert peak <= 2 * n * n * 16
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    moved = validate_projector(p.array + 1e-12 * (h + h.conj().T))
+    assert moved.rank == 1
+    f = subspace_factor(moved, BasisKind.KERNEL)
+    assert starts[1:] == [0]
+    columns = (np.eye(n) - moved.array)[:, list(f.pivots)]
+    b = columns @ random_unit(rng, f.unknowns)  # in the span to rounding
+    b /= np.linalg.norm(b)
+    verdict = valuate(moved, StateVector(b))
+    assert verdict.value is TruthValue.FALSE
+    x = np.array(verdict.witness)
+    residual = np.linalg.norm(columns @ x - b)
+    scale = np.linalg.norm(columns, 2) * np.linalg.norm(x) + 1
+    assert residual <= 16 * n * 2.0**-53 * scale
+
+
+@pytest.mark.parametrize(
+    "v, tol, first",
+    [
+        (late_direction(), DEFAULT_TOLERANCE, range(linalg._PANEL, 100)),
+        (dominant_direction(), DEFAULT_TOLERANCE, [70]),
+        (leading_direction(), COARSE, [0]),
+        (zero_suffix_direction(), DEFAULT_TOLERANCE, [59]),
+        (geometric_direction(), DEFAULT_TOLERANCE, [0]),
+        (tied_direction(), DEFAULT_TOLERANCE, [38]),
+    ],
+    ids=["late", "dominant", "sub-threshold", "zero-suffix", "geometric", "tied"],
+)
+def test_the_closed_form_ends_at_the_first_interchange_or_rejected_pivot(
+    v, tol, first, monkeypatch
+):
+    """Past exactly zero leading components; at the one dominant component,
+    after which too little is left to pivot on without interchange; at 0
+    when the policy's threshold rejects step 0's pivot; at the last
+    nonzero component, where the next divisor would be a zero sum, which
+    no step divides by; at 0 when the suffix sums decay to rounding with
+    no interchange; and before a tie, which the elimination decides.
+    Every divisor ``1 - sum(d[:j])`` the closed form uses is at least
+    ``1/16``, where its rounding is within the contract."""
+    starts = elimination_starts(monkeypatch)
+    p = rank_one_case(v, tol)[0]
+    with np.errstate(divide="raise", invalid="raise"):
+        subspace_factor(p, BasisKind.KERNEL, tol)
+    assert len(starts) == 1 and starts[0] in first
+    assert 1 - p.array.diagonal().real[: starts[0]].sum() >= 1 / 16
+
+
+def test_systems_of_at_most_one_panel_are_eliminated_from_column_0(monkeypatch):
+    """The fixtures, every command-line input of ``cli-small`` and any
+    n <= ``_PANEL`` keep the elimination of the whole ``I - P``."""
+    starts = elimination_starts(monkeypatch)
+    for p in (
+        qubit_fixture().projector,
+        spin52_fixture().projector,
+        projector_from_state(StateVector(random_unit(np.random.default_rng(6), 32))),
+    ):
+        assert p.rank == 1
+        subspace_factor(p, BasisKind.KERNEL)
+    assert starts == [0, 0, 0]
 
 
 def test_a_projector_factor_makes_no_pass_over_every_entry(monkeypatch):
@@ -1001,6 +1172,20 @@ def test_a_projector_factor_allocates_one_work_array():
     assert f.lu.nbytes > 0.98 * unit
     assert peak <= 3 * unit
     assert kept <= 1.1 * unit
+
+
+def test_a_state_projector_is_np_outer_bit_for_bit_in_one_n_by_n_array():
+    """Built by row blocks, with no n x n temporary beside the result."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 301):
+        v = random_unit(rng, n)
+        got = projector_from_state(StateVector(v)).array
+        assert got.tobytes() == np.outer(v, v.conj()).tobytes()
+    n = 128
+    psi = StateVector(random_unit(rng, n))
+    projector_from_state(psi)
+    _, peak, _ = _traced(lambda: projector_from_state(psi))
+    assert peak <= 1.6 * n * n * 16
 
 
 def test_threads_sharing_a_projector_get_one_basis_per_policy(monkeypatch):
