@@ -85,10 +85,12 @@ class ModelKind(Enum):
     QUANTUM_QPRAM = "quantum_qpram"
 
 
+# Per path: the state it draws, the verdict it expects, and the verdict's
+# field that holds the path's tally.
 _PATH_TARGET = {
-    PathKind.RANGE_TRUE: (TargetKind.IN_RANGE, TruthValue.TRUE),
-    PathKind.KERNEL_FALSE: (TargetKind.IN_KERNEL, TruthValue.FALSE),
-    PathKind.GAP_BOTH: (TargetKind.GENERIC, TruthValue.GAP),
+    PathKind.RANGE_TRUE: (TargetKind.IN_RANGE, TruthValue.TRUE, "cost_true_path"),
+    PathKind.KERNEL_FALSE: (TargetKind.IN_KERNEL, TruthValue.FALSE, "cost_false_path"),
+    PathKind.GAP_BOTH: (TargetKind.GENERIC, TruthValue.GAP, "cost_gap_path"),
 }
 
 
@@ -156,19 +158,14 @@ def benchmark_paths(
             raise InvalidBounds(f"benchmark dimensions start at 3, got {n}")
         projector, states = random_states(n, seed, targets)
         for path, state in zip(PathKind, states):
-            target, expected = _PATH_TARGET[path]
+            target, expected, tally = _PATH_TARGET[path]
             verdict = valuate(projector, state, tol)
             if verdict.value is not expected:
                 raise PropvalError(
                     f"instance (n={n}, seed={seed}, {target.value}) produced "
                     f"{verdict.value.value}, expected {expected.value}"
                 )
-            counts = {
-                PathKind.RANGE_TRUE: verdict.cost_true_path,
-                PathKind.KERNEL_FALSE: verdict.cost_false_path,
-                PathKind.GAP_BOTH: verdict.cost_gap_path,
-            }[path]
-            samples.append(CostSample(n, path, counts))
+            samples.append(CostSample(n, path, getattr(verdict, tally)))
     return samples
 
 

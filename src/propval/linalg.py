@@ -47,9 +47,11 @@ than ``_PANEL`` rows, partial pivoting on ``I - P`` makes no
 interchange until its last few columns, and every Schur complement up
 to there is again the identity minus a multiple of ``v v*``: that work
 array is written in closed form in O(n²) (:func:`_rank_one_complement`),
-when ``P`` lies within rounding of ``v v*``, and the core eliminates
-from the first interchange on, or from where the closed form's
-rounding would pass the numerical contract.  The factor is read off that one
+when ``P`` lies within rounding of ``v v*``, which is checked a panel of
+rows at a time before anything n x n is allocated, and the core
+eliminates from the first interchange on, or from where the closed
+form's rounding would pass the numerical contract.  Any other ``I - P``
+has one builder, :func:`_complement`.  The factor is read off that one
 elimination, the last unknown's column included, with no second pass
 over the system.  The triangular solves against the echelon
 form, for null spaces and for witnesses, run by blocks of the same
@@ -468,35 +470,20 @@ def _upper_solve(u: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _complement(
-    p: np.ndarray, col: int | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _complement(p: np.ndarray, col: int | None = None) -> np.ndarray:
     """``I - p`` or its column ``col``, bit for bit as ``np.eye(n) - p`` holds it.
 
-    One fresh array, or ``out`` if given, row-major as that difference
-    is: ``0 - p`` (rather than ``-p``, so a zero entry comes out +0 as it
-    does from the identity's 0), then 1 added on the diagonal; ``1 - x``
-    and ``(0 - x) + 1`` round alike.  ``p`` is square, or ``n x 0``.
+    One fresh array, row-major as that difference is: ``0 - p`` (rather
+    than ``-p``, so a zero entry comes out +0 as it does from the
+    identity's 0), then 1 added on the diagonal; ``1 - x`` and ``(0 - x)
+    + 1`` round alike.  ``p`` is square, or ``n x 0``.
     """
     if col is not None:
         w = np.subtract(0.0, p[:, col])
         w[col] += 1
     else:
-        w = np.subtract(0.0, p, order="C", out=out)
+        w = np.subtract(0.0, p, order="C")
         w.reshape(-1)[:: len(w) + 1] += 1
-    return w
-
-
-def _outer(v: np.ndarray) -> np.ndarray:
-    """``np.outer(v, v.conj())`` bit for bit, by blocks of ``_PANEL`` rows.
-
-    numpy's one broadcast product over all rows makes an n x n
-    temporary besides its result; a block's temporary is ``_PANEL`` rows.
-    """
-    w = np.empty((len(v), len(v)), dtype=complex)
-    vc = v.conj()[None, :]  # 2-d, as np.outer passes it: the same inner loop
-    for i0 in range(0, len(v), _PANEL):
-        np.multiply(v[i0 : i0 + _PANEL, None], vc, out=w[i0 : i0 + _PANEL])
     return w
 
 
@@ -509,7 +496,9 @@ _ROUNDING = 16 * 2.0**-53
 _LEAST_DIVISOR = 1 / 16
 
 
-def _rank_one_complement(p: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
+def _rank_one_complement(
+    p: np.ndarray, threshold: float
+) -> tuple[np.ndarray, int] | None:
     """``I - p`` after its leading steps without interchange, in closed form.
 
     For ``p = v v*`` each Schur complement of ``I - p`` is again the
@@ -546,13 +535,14 @@ def _rank_one_complement(p: np.ndarray, threshold: float) -> tuple[np.ndarray, i
     ``s_j`` divided by is then at least ``1 / c``.
 
     ``v`` is ``p``'s column ``m`` of largest diagonal entry over
-    ``sqrt(p_mm)``, and ``t`` comes from ``d`` and ``|v|`` alone.  If
-    ``t`` is 0 the work array is a fresh ``I - p`` (:func:`_complement`).
-    Otherwise ``v v*`` is built in the work array itself, so no second
-    n x n array is made, and ``p`` qualifies when ``|p - v v*| <= c u
-    p_mm`` entrywise, the numerical contract's ``c u``; if it does not,
-    ``I - p`` is written over it, bit for bit, and ``t`` is 0.  Returns
-    the work array and ``t``, the step its elimination starts at.
+    ``sqrt(p_mm)``, and ``t`` comes from ``d`` and ``|v|`` alone.  Then
+    ``p`` qualifies when ``|p - v v*| <= c u p_mm`` entrywise, the
+    numerical contract's ``c u``, checked ``_PANEL`` rows at a time, so
+    ``v v*`` is never held whole.  Only then is the work array
+    allocated and written.  Returns it and ``t``, the step its
+    elimination starts at, or ``None`` when nothing is written in closed
+    form: ``t`` is 0, ``s_t`` is below ``1 / (c n)``, or ``p`` does not
+    qualify.
     """
     n = len(p)
     d = p.diagonal().real
@@ -568,13 +558,15 @@ def _rank_one_complement(p: np.ndarray, threshold: float) -> tuple[np.ndarray, i
     steps &= s[1:] >= _LEAST_DIVISOR
     t = int(np.append(steps[:-1], False).argmin())
     if not t or s[end] * n < _LEAST_DIVISOR:
-        return _complement(p), 0
-    w = _outer(v)
+        return None
+    vc = v.conj()[None, :]  # 2-d, as np.outer passes it: the same inner loop
     if not all(
-        max_abs(w[i0 : i0 + _PANEL] - p[i0 : i0 + _PANEL]) <= _ROUNDING * d[m]
+        max_abs(np.multiply(v[i0 : i0 + _PANEL, None], vc) - p[i0 : i0 + _PANEL])
+        <= _ROUNDING * d[m]
         for i0 in range(0, n, _PANEL)
     ):
-        return _complement(p, out=w), 0
+        return None
+    w = np.empty((n, n), dtype=complex)
     # Entry (i, l) is scaled by -1 / s_min(i, l + 1, t): by its column's
     # divisor below the diagonal, by its row's on and above it.
     inverse = -1 / s[: t + 1]
@@ -604,26 +596,26 @@ def _factor(
     The system is a bare column stack ``a`` (``kind`` None), eliminated
     by :func:`_echelon`, or a projector's range or kernel system
     (:func:`_projector_echelon`) for the projector's declared ``rank``,
-    if given.  ``a`` is never written.  The unknowns are every
-    column or, with ``kind``, the pivot columns, the basis of that kind;
-    a non-pivot column issues no update, so eliminating the system
-    eliminates the basis too.  The factor covers the unknowns before the
-    last and is read off the work array, which it keeps when those
-    unknowns are consecutive columns (``lu`` is then a view).  So is the
-    last unknown's column after those steps: a non-pivot column holds
-    it as the elimination left it; if the last unknown was pivot ``t``,
-    its step is undone, the interchange swapped back and the multipliers
-    times the pivot, except at ``t = 0``, where the column is the
-    system's own.  Everything a solve needs that does not depend on
-    the state is computed here, once: the anchor of the live rows'
-    cross-product check and their largest magnitude, the elimination's
-    charges, the interchanges as one permutation and the row swaps.
-    With one unknown the anchor threshold is ``tol.threshold`` of that
-    largest magnitude, the column's own scale; that column is a column
-    of a finite system (:func:`_echelon` checks a bare stack, and a
-    :class:`Projector` is finite by construction).  Every system a
-    decider factors passes through here, so a system without rows
-    raises :class:`DimensionMismatch` here.
+    which such a system always carries.  ``a`` is never written.  The
+    unknowns are every column or, with ``kind``, the pivot columns, the
+    basis of that kind; a non-pivot column issues no update, so
+    eliminating the system eliminates the basis too.  The factor covers
+    the unknowns before the last and is read off the work array, which
+    it keeps when those unknowns are consecutive columns (``lu`` is then
+    a view).  So is the last unknown's column after those steps: a
+    non-pivot column holds it as the elimination left it; if the last
+    unknown was pivot ``t``, its step is undone, the interchange swapped
+    back and the multipliers times the pivot, except at ``t = 0``, where
+    the column is the system's own.  Everything a solve needs that does
+    not depend on the state is computed here, once: the anchor of the
+    live rows' cross-product check and their largest magnitude, the
+    elimination's charges, the interchanges as one permutation and the
+    row swaps.  With one unknown the anchor threshold is
+    ``tol.threshold`` of that largest magnitude, the column's own scale;
+    that column is a column of a finite system (:func:`_echelon` checks
+    a bare stack, and a :class:`Projector` is finite by construction).
+    Every system a decider factors passes through here, so a system
+    without rows raises :class:`DimensionMismatch` here.
     """
     kernel = kind is BasisKind.KERNEL
     if kind is None:
@@ -672,22 +664,23 @@ def _factor(
 
 
 def _projector_echelon(
-    a: np.ndarray, tol: TolerancePolicy, kernel: bool, rank: int | None
+    a: np.ndarray, tol: TolerancePolicy, kernel: bool, rank: int
 ) -> tuple[np.ndarray, list[int], list[int], float]:
     """A projector's range or kernel system in row echelon form (:func:`_row_echelon`).
 
     ``a`` is ``P``, or its first 0 columns for an empty subspace, and
-    ``rank`` the projector's declared rank, if given.  The pivot
-    threshold is ``tol.threshold`` of the system's largest diagonal
-    magnitude: in a positive semidefinite matrix ``|A_ij|**2 <= A_ii
-    A_jj``, so that is its largest magnitude, and a :class:`Projector`
-    is finite by construction, so no pass over all n² entries is made.
-    For the kernel the work array is a fresh ``I - P``
-    (:func:`_complement`), eliminated to the end.  For rank 1 and more
-    than ``_PANEL`` rows it is :func:`_rank_one_complement`'s instead,
-    whose elimination starts at the first step that interchanges rows
-    or rejects a pivot, or before a divisor of the closed form below
-    ``1/16``, if ``P`` is within rounding of ``v v*``.  For the range it
+    ``rank`` the projector's declared rank.  The pivot threshold is
+    ``tol.threshold`` of the system's largest diagonal magnitude: in a
+    positive semidefinite matrix ``|A_ij|**2 <= A_ii A_jj``, so that is
+    its largest magnitude, and a :class:`Projector` is finite by
+    construction, so no pass over all n² entries is made.  For the
+    kernel, at rank 1 and more than ``_PANEL`` rows, the work array is
+    :func:`_rank_one_complement`'s when ``P`` is within rounding of ``v
+    v*``, and its elimination starts at the first step that interchanges
+    rows or rejects a pivot, or before a divisor of the closed form
+    below ``1/16``.  Every other kernel system, one the closed form
+    declines included, is a fresh ``I - P`` (:func:`_complement`),
+    eliminated from column 0; either runs to the end.  For the range it
     is a copy of ``P``'s leading ``rank`` columns rounded up to whole
     panels, where its ``rank`` pivots usually lie, and the elimination
     stops after them; if fewer lie there, the whole of ``P`` is copied
@@ -697,13 +690,10 @@ def _projector_echelon(
     scale = np.abs(1 - a.diagonal() if kernel else a.diagonal()).max(initial=0.0)
     threshold = tol.threshold(float(scale))
     if kernel:
-        w, start = (
-            _rank_one_complement(a, threshold)
-            if rank == 1 and len(a) > _PANEL
-            else (_complement(a), 0)
-        )
+        closed = rank == 1 and len(a) > _PANEL and _rank_one_complement(a, threshold)
+        w, start = closed or (_complement(a), 0)
         return w, *_row_echelon(w, w.shape[1], threshold, start=start), threshold
-    width = a.shape[1] if rank is None else -(-rank // _PANEL) * _PANEL
+    width = -(-rank // _PANEL) * _PANEL
     w = np.array(a[:, :width])
     cols, swapped = _row_echelon(w, w.shape[1], threshold, rank)
     if w.shape[1] < a.shape[1] and len(cols) < rank:
@@ -796,9 +786,21 @@ def null_space_basis(
 def projector_from_state(
     psi: StateVector, tol: TolerancePolicy = DEFAULT_TOLERANCE
 ) -> Projector:
-    """Rank-1 projector onto the line spanned by a unit vector."""
+    """Rank-1 projector onto the line spanned by a unit vector.
+
+    ``np.outer(v, v.conj())`` bit for bit, by blocks of ``_PANEL`` rows.
+    Besides its result, numpy's broadcast product holds a buffer for
+    each of its two broadcast operands, of up to ``np.getbufsize()``
+    (8192) elements; a block's buffers are at most ``_PANEL`` rows,
+    which is less below n = 256.
+    """
     _require_unit(psi, tol)
-    return Projector(_outer(psi.components), rank=1)
+    v = psi.components
+    p = np.empty((len(v), len(v)), dtype=complex)
+    vc = v.conj()[None, :]  # 2-d, as np.outer passes it: the same inner loop
+    for i0 in range(0, len(v), _PANEL):
+        np.multiply(v[i0 : i0 + _PANEL, None], vc, out=p[i0 : i0 + _PANEL])
+    return Projector(p, rank=1)
 
 
 def validate_projector(
@@ -851,8 +853,8 @@ def subspace_factor(
     One elimination of ``P`` (range) or ``I - P`` (kernel) in place on
     one work array (:func:`_projector_echelon`): a copy of ``P``'s
     leading panels, or of all of ``P`` when fewer than ``p.rank`` pivots
-    lie there, or a fresh n x n ``I - P`` (``P`` itself is never
-    written).  The threshold's scale is the system's largest diagonal
+    lie there, or one n x n array for the kernel, the closed form's or
+    a fresh ``I - P`` (``P`` itself is never written).  The threshold's scale is the system's largest diagonal
     magnitude, and nothing else is computed from the system: the factor
     is read off the elimination.  Its pivot columns are the subspace's
     basis and the system's unknowns, so a state's membership then costs
@@ -868,9 +870,11 @@ def subspace_factor(
     elimination runs to the end; at rank 1 and more than ``_PANEL``
     rows, its steps before the first interchange are written in closed
     form, while their rounding stays within the numerical contract,
-    when ``P`` lies within rounding of ``v v*``
-    (:func:`_rank_one_complement`), so a kernel factor's wall time grows
-    as n² up to there, while its charged tally stays the elimination's.
+    when ``P`` lies within rounding of ``v v*``, which is decided before
+    the work array is allocated (:func:`_rank_one_complement`); a
+    declined ``P`` is eliminated whole.  So a kernel factor's wall time
+    grows as n² up to there, while its charged tally stays the
+    elimination's.
     """
     key = (kind, tol)
     value = p._memo.get(key)

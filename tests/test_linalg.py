@@ -754,7 +754,8 @@ def test_a_kernel_state_reads_false_at_a_tiny_tolerance(abs_eps):
 def test_the_rank_stop_changes_no_result(n, lead, small, seed):
     """The range factor of a rank-1 projector stops after its one pivot,
     which leading components scaled small push into a later panel; up to
-    n = 100 a full elimination runs on through three or four panels.
+    n = 100 a full elimination, for a declared rank of n, which neither
+    narrows the copy nor stops early, runs on through three or four panels.
     Both factors give the same verdicts, tallies, final checks, row swaps,
     anchors and witness bits."""
     rng = np.random.default_rng(seed)
@@ -763,7 +764,7 @@ def test_the_rank_stop_changes_no_result(n, lead, small, seed):
     v /= np.linalg.norm(v)
     p = projector_from_state(StateVector(v))
     stopped = subspace_factor(p, BasisKind.RANGE)
-    full = linalg._factor(p.array, DEFAULT_TOLERANCE, BasisKind.RANGE)
+    full = linalg._factor(p.array, DEFAULT_TOLERANCE, BasisKind.RANGE, rank=p.dim)
     assert stopped.pivots == full.pivots and stopped.unknowns == 1
     for name in ("positions", "anchor", "anchor_entry", "live_scale", "row_swaps"):
         assert getattr(stopped, name) == getattr(full, name), name
@@ -1016,17 +1017,29 @@ def elimination_starts(monkeypatch):
     return starts
 
 
+def assert_declined_before_allocating(p, tol=DEFAULT_TOLERANCE):
+    """``linalg._rank_one_complement`` writes nothing in closed form for
+    ``p``, and decides so while its allocations stay below one n x n
+    complex array: its check against ``v v*`` goes a panel of rows at a time."""
+    a = p.array
+    threshold = tol.threshold(float(np.abs(1 - a.diagonal()).max()))
+    closed, peak, _ = _traced(lambda: linalg._rank_one_complement(a, threshold))
+    assert closed is None
+    assert peak < a.size * 16
+
+
 def test_a_kernel_starts_past_its_closed_form_only_within_rounding_of_rank_1(
     monkeypatch,
 ):
     """A validated rank-1 projector's kernel elimination starts past column
     0, on one n x n array.  Moved by a 1e-12 Hermitian perturbation, it
     still validates as rank 1 but lies beyond rounding of any ``v v*``:
-    its kernel is eliminated from column 0, and its FALSE witness meets
-    the numerical contract's backward error against its own ``I - P``."""
+    the closed form declines it before allocating, its kernel is
+    eliminated from column 0, and its FALSE witness meets the numerical
+    contract's backward error against its own ``I - P``."""
     starts = elimination_starts(monkeypatch)
     rng = np.random.default_rng(29)
-    n = 100
+    n = 128  # the check against v v* takes 3 panels of 32 rows: 3/4 of n x n
     v = random_unit(rng, n)
     p = validate_projector(np.outer(v, v.conj()))
     _, peak, _ = _traced(lambda: subspace_factor(p, BasisKind.KERNEL))
@@ -1037,6 +1050,7 @@ def test_a_kernel_starts_past_its_closed_form_only_within_rounding_of_rank_1(
     assert moved.rank == 1
     f = subspace_factor(moved, BasisKind.KERNEL)
     assert starts[1:] == [0]
+    assert_declined_before_allocating(moved)
     columns = (np.eye(n) - moved.array)[:, list(f.pivots)]
     b = columns @ random_unit(rng, f.unknowns)  # in the span to rounding
     b /= np.linalg.norm(b)
@@ -1070,13 +1084,17 @@ def test_the_closed_form_ends_at_the_first_interchange_or_rejected_pivot(
     no step divides by; at 0 when the suffix sums decay to rounding with
     no interchange; and before a tie, which the elimination decides.
     Every divisor ``1 - sum(d[:j])`` the closed form uses is at least
-    ``1/16``, where its rounding is within the contract."""
+    ``1/16``, where its rounding is within the contract.  Where nothing
+    is written in closed form, that is decided before anything n x n is
+    allocated."""
     starts = elimination_starts(monkeypatch)
     p = rank_one_case(v, tol)[0]
     with np.errstate(divide="raise", invalid="raise"):
         subspace_factor(p, BasisKind.KERNEL, tol)
     assert len(starts) == 1 and starts[0] in first
     assert 1 - p.array.diagonal().real[: starts[0]].sum() >= 1 / 16
+    if first == [0]:
+        assert_declined_before_allocating(p, tol)
 
 
 def test_systems_of_at_most_one_panel_are_eliminated_from_column_0(monkeypatch):

@@ -41,3 +41,21 @@ def test_every_family_keeps_its_contract_digest():
         name: tool.family_line(propval, name).split()[3] for name in tool.FAMILIES
     }
     assert got == CONTRACT_DIGESTS
+
+
+def test_two_sides_compare_field_by_field():
+    """The compare mode's verdicts, on canned lines: no family is run."""
+    tool = _tool()
+    a, b = "a" * 64, "b" * 64
+    mine = [
+        f"fixtures          105 contract {a} bits {a}",
+        f"lattice           396 contract {a} bits {a}",
+    ]
+    theirs = [
+        f"fixtures          105 contract {a} bits {b}",
+        f"lattice           397 contract {b} bits {a}",
+    ]
+    assert tool.compare(mine, theirs) == [
+        "fixtures       count same contract same bits differs",
+        "lattice        count differs contract differs bits same",
+    ]

@@ -2,11 +2,14 @@
 
 Run from anywhere::
 
-    python tools/result_digest.py [SOURCE_DIR]
+    python tools/result_digest.py [SOURCE_DIR [OTHER_SOURCE_DIR]]
 
 ``SOURCE_DIR`` is the directory that holds the ``propval`` package to
-import; it defaults to the ``src`` beside this script, so two checkouts
-compare by running the script of either on both.  Every family runs at
+import; it defaults to the ``src`` beside this script.  Given two, the
+script digests each in its own ``python`` process, so that each imports
+its own ``propval``, prints both sides' lines, then one line per family
+that says whether its ``count``, ``contract`` and ``bits`` are the
+``same`` on both sides or ``differs``.  Every family runs at
 three tolerance policies: the default, and ``abs_eps = rel_eps`` of
 1e-12 and of 1e-6.  The families:
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -310,7 +314,37 @@ def family_line(pv, name: str) -> str:
     return d.line(name)
 
 
+def _fields(line: str) -> tuple[str, dict[str, str]]:
+    name, count, _, contract, _, bits = line.split()
+    return name, {"count": count, "contract": contract, "bits": bits}
+
+
+def compare(lines: list[str], other: list[str]) -> list[str]:
+    """Per family of two sides' digest lines, each field ``same`` or ``differs``."""
+    out = []
+    for mine, theirs in zip(lines, other):
+        name, a = _fields(mine)
+        b = _fields(theirs)[1]
+        verdicts = (f"{k} {'same' if a[k] == b[k] else 'differs'}" for k in a)
+        out.append(f"{name:14} " + " ".join(verdicts))
+    return out
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        sides = [
+            subprocess.run(
+                [sys.executable, __file__, source],
+                check=True,
+                stdout=subprocess.PIPE,
+                text=True,
+            ).stdout.splitlines()
+            for source in argv
+        ]
+        for lines in sides:
+            print(*lines, sep="\n")
+        print(*compare(sides[0][1:], sides[1][1:]), sep="\n")
+        return 0
     source = Path(argv[0]) if argv else Path(__file__).parents[1] / "src"
     sys.path.insert(0, str(source.resolve()))
     pv = importlib.import_module("propval")
