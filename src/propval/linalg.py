@@ -12,8 +12,9 @@ every operand of the lattice in ``valuation`` alike.  A :class:`Projector`
 memoises one factor per subspace and tolerance policy
 (:func:`subspace_factor`): the elimination of ``P`` for its range, on a
 copy of the leading panels that hold its pivots, and of ``I - P`` for
-its kernel, on one n x n work array, which the factor keeps as a view
-when the eliminated unknowns are consecutive columns.  The pivot
+its kernel, on one n x n work array or the block a rank-1 closed form
+leaves (below), which the factor keeps as a view when the eliminated
+unknowns are consecutive columns.  The pivot
 columns of each are that subspace's basis; the factor keeps their
 indices, and :func:`range_basis` and :func:`kernel_basis` copy the
 basis from them on each call.  Each memo entry is written at most
@@ -42,21 +43,19 @@ product updates the block below and right of it.  A pivot's multipliers
 are one numpy division of its column.  One elimination of ``P`` or
 ``I - P`` gives both the basis and its factor, because a non-pivot
 column makes no update; the range's elimination stops at the
-projector's declared rank.  For a rank-1 projector ``v v*`` of more
-than ``_PANEL`` rows, partial pivoting on ``I - P`` makes no
-interchange until its last few columns, and every Schur complement up
-to there is again the identity minus a multiple of ``v v*``: that work
-array is written in closed form in O(n²) (:func:`_rank_one_complement`),
-when ``P`` lies within rounding of ``v v*``, which is checked a panel of
-rows at a time before anything n x n is allocated, and the core
-eliminates from the first interchange on, or from where the closed
-form's rounding would pass the numerical contract.  Any other ``I - P``
-has one builder, :func:`_complement`.  The factor is read off that one
-elimination, the last unknown's column included, with no second pass
-over the system.  The triangular solves against the echelon
-form, for null spaces and for witnesses, run by blocks of the same
-width: one LAPACK solve of a diagonal block and one product for the
-rows beyond it (:func:`_forward`, :func:`_upper_solve`).  Under the
+projector's declared rank.  For a rank-1 projector of more than
+``_PANEL`` rows within rounding of ``v v*``, checked a panel of rows at
+a time, partial pivoting on ``I - P`` makes no interchange until its
+last few columns, and those steps are fixed by ``v`` and the divisors
+``s_j`` (:func:`_rank_one_complement`): the factor keeps ``(v, s)``
+and the block past them, which the core eliminates, and no n x n
+array.  Any other ``I - P`` has one builder, :func:`_complement`.  The
+factor is read off that one elimination, the last unknown's column
+included, with no second pass over the system.  The triangular solves
+against the echelon form run by blocks of the same width: one LAPACK
+solve of a diagonal block and one product for the rows beyond it
+(:func:`_upper_solve`); a state crosses a closed-form prefix in O(n)
+(:func:`_forward`, :func:`_backward`).  Under the
 package's numerical contract (:mod:`~propval.numerics`) the pivots,
 ranks and row swaps are results, while the factor's entries hold only
 to rounding: how numpy rounds a step is not part of the contract.
@@ -286,7 +285,6 @@ def _row_echelon(
     ncols: int,
     threshold: float,
     most: int | None = None,
-    start: int = 0,
 ) -> tuple[list[int], list[int]]:
     """Blocked Gaussian elimination of the first ``ncols`` columns, Crout in each panel.
 
@@ -312,18 +310,13 @@ def _row_echelon(
     ``most`` pivots (one per row by default) and skips the panel-end
     update after the last: the pivot columns and rows are final, and
     the columns right of the last pivot are left part-updated.
-    With ``start``, ``w`` already holds the first ``start`` steps, each
-    a pivot on the diagonal with no interchange (pivot rows finished
-    across the whole width, the block right of and below them updated),
-    and the panels begin at column ``start``.
     Returns the pivot columns (pivot ``r`` in row ``r`` of ``w``) and,
     per pivot, the row swapped into row ``r`` at its step (``r`` itself
     when none was).
     """
     most = len(w) if most is None else most
-    cols = list(range(start))
-    swapped = list(range(start))
-    for c0 in range(start, ncols, _PANEL):
+    cols, swapped = [], []
+    for c0 in range(0, ncols, _PANEL):
         r0 = len(cols)
         stop = min(c0 + _PANEL, ncols)
         pivots = None  # the panel's pivot columns so far
@@ -368,7 +361,8 @@ class EchelonFactor:
     * ``lu`` -- n x t, the ``t`` eliminated unknowns: U on and above the
       diagonal, the multipliers below it, rows in the order left after
       the ``t`` interchanges; the elimination's own columns, a view of
-      its work array when they are consecutive, else a copy;
+      its work array when they are consecutive, else a copy; with a
+      prefix of ``o`` steps, only the steps from ``o`` on, (n - o) x (t - o);
     * ``perm`` -- the ``t`` interchanges as one permutation: row ``i``
       after them is row ``perm[i]`` before;
     * ``positions`` -- the unknown eliminated at step ``r``: ``r`` itself
@@ -396,7 +390,10 @@ class EchelonFactor:
     * ``pivots`` -- the factored matrix's pivot columns; for a
       projector's range or kernel they are the columns of ``P`` or
       ``I - P`` that are the system's unknowns and the subspace's basis,
-      which :func:`range_basis` and :func:`kernel_basis` build on demand.
+      which :func:`range_basis` and :func:`kernel_basis` build on demand;
+    * ``prefix`` -- ``None``, or ``(v, s)`` when the first ``o = len(s)
+      - 1`` steps are a rank-1 kernel's closed form, which swaps no rows
+      (:func:`_rank_one_complement`).
 
     Arrays are read-only, and every
     field is set once in :func:`_factor`, so a factor is shared freely
@@ -414,9 +411,10 @@ class EchelonFactor:
     charges: tuple[tuple[int, int], tuple[int, int]]
     row_swaps: int
     pivots: tuple[int, ...]
+    prefix: tuple[np.ndarray, np.ndarray] | None
 
     def __post_init__(self):
-        for array in (self.lu, self.last, self.perm):
+        for array in (self.lu, self.last, self.perm, *(self.prefix or ())):
             array.setflags(write=False)
 
 
@@ -426,28 +424,60 @@ _BELOW = np.tri(_PANEL, k=-1, dtype=bool)
 _EYE = np.eye(_PANEL, dtype=complex)
 
 
-def _forward(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``b`` through the steps of ``lu``: its interchanges, then its multipliers.
+def _forward(f: EchelonFactor, b: np.ndarray) -> np.ndarray:
+    """``b`` through the steps of ``f``: its interchanges, then its multipliers.
 
     A step never swaps a row above it, so applying every interchange
-    first, as the one permutation ``perm`` (``EchelonFactor.perm``), is
-    the same arithmetic.  The multipliers are applied by blocks of ``_PANEL``
-    steps: one solve with the block's unit lower triangle (LAPACK
+    first, as the one permutation ``f.perm``, is the same arithmetic.
+    A closed-form prefix of ``o`` steps costs O(n): as ``1 + |v_i|**2 /
+    s_{i+1} = s_i / s_{i+1}``, its multipliers ``-v_i v_j* / s_{j+1}``
+    add ``v_i C_min(i,o) / s_min(i,o)`` to row ``i``, ``C_i = sum(v[:i]*
+    b[:i])``.  Those of ``f.lu`` are applied from row ``o`` on by blocks
+    of ``_PANEL`` steps: one solve with the block's unit lower triangle (LAPACK
     ``gesv``, backward stable; a width-1 block needs none), then one
     product for the rows below the block.  No triangular inverse is
     formed: for multipliers of magnitude at most 1 its norm can reach
     ``2**(_PANEL - 1)``.
     """
-    y = np.asarray(b, dtype=complex)[perm]
+    y = np.asarray(b, dtype=complex)[f.perm]
+    o = 0
+    if f.prefix is not None:
+        v, s = f.prefix
+        o = len(s) - 1
+        ratio = np.cumsum(v[:o].conj() * y[:o]) / s[1:]  # C_i / s_i, i = 1..o
+        y[1:o] += v[1:o] * ratio[:-1]
+        y[o:] += v[f.perm[o:]] * ratio[-1]
+    lu, z = f.lu, y[o:]
     t = lu.shape[1]
     for i0 in range(0, t, _PANEL):
         i1 = min(i0 + _PANEL, t)
         k = i1 - i0
         if k > 1:
             unit = np.where(_BELOW[:k, :k], lu[i0:i1, i0:i1], _EYE[:k, :k])
-            y[i0:i1] = np.linalg.solve(unit, y[i0:i1])
-        y[i1:] -= lu[i1:, i0:i1] @ y[i0:i1]
+            z[i0:i1] = np.linalg.solve(unit, z[i0:i1])
+        z[i1:] -= lu[i1:, i0:i1] @ z[i0:i1]
     return y
+
+
+def _backward(f: EchelonFactor, z: np.ndarray) -> np.ndarray:
+    """Solve ``U x = z`` in place of ``z``, U the eliminated rows of ``f``.
+
+    Rows from ``o`` on are ``f.lu``'s (:func:`_upper_solve`).  A
+    closed-form row ``l < o`` is ``U_ll = s_{l+1} / s_l`` and ``U_lj =
+    -v_l v_c* / s_l``, unknown ``j`` in column ``c``, so ``x_l = s_l z_l
+    / s_{l+1} + v_l R_l`` with ``R_{l-1} = R_l + v_l* z_l / s_{l+1}``:
+    one suffix sum, seeded with the unknowns from ``o`` on.
+    """
+    if f.prefix is None:
+        return _upper_solve(f.lu[: len(z)], z)
+    v, s = f.prefix
+    o = len(s) - 1
+    _upper_solve(f.lu[: len(z) - o], z[o:])
+    seed = v[list(f.pivots[o : len(z)])].conj() @ z[o:] / s[o]
+    terms = v[1:o].conj() * z[1:o] / s[2:]
+    suffix = np.cumsum(np.append(seed, terms[::-1]))[::-1]  # R_0 .. R_{o-1}
+    z[:o] = s[:o] * z[:o] / s[1:] + v[:o] * suffix
+    return z
 
 
 def _upper_solve(u: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -498,51 +528,42 @@ _LEAST_DIVISOR = 1 / 16
 
 def _rank_one_complement(
     p: np.ndarray, threshold: float
-) -> tuple[np.ndarray, int] | None:
-    """``I - p`` after its leading steps without interchange, in closed form.
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The leading steps of eliminating ``I - p`` without interchange, in closed form.
 
     For ``p = v v*`` each Schur complement of ``I - p`` is again the
     identity minus a multiple of the trailing part of ``v v*`` (Golub &
     Van Loan, *Matrix Computations*, 3.2 and 3.4).  With ``d`` the real
-    diagonal of ``p`` and ``s_j = 1 - sum(d[:j])``, which is
-    ``sum(d[j:])`` when the trace is 1, step ``j`` pivots on the
-    diagonal, ``s_{j+1} / s_j``, with no interchange exactly while
+    diagonal of ``p`` and ``s_j = 1 - sum(d[:j])``, step ``j`` pivots on
+    the diagonal, ``s_{j+1} / s_j``, with no interchange exactly while
     ``s_{j+1} >= |v_j| max_{i>j} |v_i|``, and keeps that pivot while
-    ``s_{j+1} > threshold s_j``.  Both tests are made with a margin of
-    ``2 c n u``, the two sides' rounding of the compared magnitudes, so
-    a near-tie is left to the elimination.  Up to the first step ``t``
-    where either fails, at most ``n - 1``, the work array the
-    elimination would reach is written in closed form, in O(n²):
-    multipliers ``-p_ij / s_{j+1}`` below pivot ``j``, pivot rows
-    ``delta_jl - p_jl / s_j`` across the whole width, and the block ``I
-    - p[t:, t:] / s_t`` left to eliminate; in one formula, entry ``(i,
-    l)`` is ``delta_il - p_il / s_min(i, l + 1, t)``.  ``s_{j+1}`` is
-    rounded as the elimination rounds it, ``(1 - d_j) - sum(d[:j])``,
-    and a diagonal entry up to ``t`` is the quotient ``s_{j+1} / s_j``,
-    so a pivot after a dominant component (``d_j`` near 1) keeps its
-    relative accuracy.
+    ``s_{j+1} > threshold s_j``.  Both tests keep a margin of ``2 c n
+    u``, so a near-tie is left to the elimination.  Up to the first step
+    ``t`` where either fails, entry ``(i, l)`` is ``delta_il - v_i v_l* /
+    s_min(i, l + 1, t)``, a semiseparable form (Vandebril, Van Barel &
+    Mastronardi, *Matrix Computations and Semiseparable Matrices*,
+    2008), with the pivots ``s_{j+1} / s_j`` as quotients, so one after
+    a dominant component (``d_j`` near 1) keeps its relative accuracy;
+    ``s_{j+1}`` is rounded as the elimination rounds it, ``(1 - d_j) -
+    sum(d[:j])``.
 
     ``s_j`` is a difference of numbers up to 1, so its rounding, up to
     about ``j u``, is a growing share of it as it falls.  Two bounds
     keep that share within the contract's ``c n u``.  The closed form
-    ends before a divisor below ``1 / c`` (``_LEAST_DIVISOR``), and the
-    elimination goes on from there.  And if ``s_t`` at the first
-    interchange or rejected pivot is below ``1 / (c n)``, as when ``|v|``
-    decays geometrically until ``s_j`` is rounding, the elimination's
-    own steps move by more than ``c n u`` under the rounding of ``p``'s
-    entries (about ``u / s_t``): nothing is written in closed form, and
-    the whole of ``I - p`` is eliminated, bit for bit as before.  Each
-    ``s_j`` divided by is then at least ``1 / c``.
+    ends before a divisor below ``1 / c`` (``_LEAST_DIVISOR``).  And if
+    ``s_t`` at the first interchange or rejected pivot is below ``1 / (c
+    n)``, as when ``|v|`` decays geometrically until ``s_j`` is rounding,
+    the elimination's own steps move by more than ``c n u`` under the
+    rounding of ``p``'s entries (about ``u / s_t``): nothing is taken in
+    closed form, and the whole of ``I - p`` is eliminated.
 
     ``v`` is ``p``'s column ``m`` of largest diagonal entry over
     ``sqrt(p_mm)``, and ``t`` comes from ``d`` and ``|v|`` alone.  Then
-    ``p`` qualifies when ``|p - v v*| <= c u p_mm`` entrywise, the
-    numerical contract's ``c u``, checked ``_PANEL`` rows at a time, so
-    ``v v*`` is never held whole.  Only then is the work array
-    allocated and written.  Returns it and ``t``, the step its
-    elimination starts at, or ``None`` when nothing is written in closed
-    form: ``t`` is 0, ``s_t`` is below ``1 / (c n)``, or ``p`` does not
-    qualify.
+    ``p`` qualifies when ``|p - v v*| <= c u p_mm`` entrywise, checked
+    ``_PANEL`` rows at a time, so ``v v*`` is never held whole.  Nothing
+    is written.  Returns ``v``, every ``s_j`` and ``t``, at most ``n -
+    2`` so that the block left holds the last pivot; or ``None`` when
+    ``t`` is 0, ``s_t`` is below ``1 / (c n)``, or ``p`` does not qualify.
     """
     n = len(p)
     d = p.diagonal().real
@@ -566,23 +587,7 @@ def _rank_one_complement(
         for i0 in range(0, n, _PANEL)
     ):
         return None
-    w = np.empty((n, n), dtype=complex)
-    # Entry (i, l) is scaled by -1 / s_min(i, l + 1, t): by its column's
-    # divisor below the diagonal, by its row's on and above it.
-    inverse = -1 / s[: t + 1]
-    below = inverse[np.minimum(np.arange(1, n + 1), t)]
-    above = inverse[np.minimum(np.arange(n), t)]
-    scale = np.empty((_PANEL, n))
-    for i0 in range(0, n, _PANEL):
-        i1 = min(i0 + _PANEL, n)
-        k = i1 - i0
-        scale[:k, :i0] = below[:i0]
-        scale[:k, i0:] = above[i0:i1, None]
-        np.copyto(scale[:k, i0:i1], below[i0:i1], where=_BELOW[:k, :k])
-        np.multiply(p[i0:i1], scale[:k], out=w[i0:i1])
-    w.reshape(-1)[:: n + 1] += 1
-    w.reshape(-1)[: (t + 1) * (n + 1) : n + 1] = s[1 : t + 2] / s[: t + 1]
-    return w, t
+    return v, s, min(t, n - 2)
 
 
 def _factor(
@@ -606,7 +611,9 @@ def _factor(
     non-pivot column holds it as the elimination left it; if the last
     unknown was pivot ``t``, its step is undone, the interchange swapped
     back and the multipliers times the pivot, except at ``t = 0``, where
-    the column is the system's own.  Everything a solve needs that does
+    the column is the system's own.  Past a closed-form prefix the work
+    array is the block it leaves, read off the same way and offset by
+    the prefix's steps.  Everything a solve needs that does
     not depend on the state is computed here, once: the anchor of the
     live rows' cross-product check and their largest magnitude, the
     elimination's charges, the interchanges as one permutation and the
@@ -618,22 +625,23 @@ def _factor(
     without rows raises :class:`DimensionMismatch` here.
     """
     kernel = kind is BasisKind.KERNEL
+    prefix = None
     if kind is None:
         w = np.array(a, dtype=complex)
         cols, swapped, threshold = _echelon(w, tol)
     else:
-        w, cols, swapped, threshold = _projector_echelon(a, tol, kernel, rank)
+        w, cols, swapped, threshold, prefix = _projector_echelon(a, tol, kernel, rank)
     if not len(w):
         raise DimensionMismatch("a system needs at least one row, got 0")
+    o = len(prefix[1]) - 1 if prefix else 0  # w is the block past o closed-form steps
     unknowns = cols if kind is not None else list(range(w.shape[1]))
     t = bisect_left(cols, unknowns[-1]) if unknowns else 0
     lu = w[:, _consecutive(cols[:t]) if t else []]  # an empty view would keep w
-    positions = tuple(range(t)) if kind is not None else tuple(cols[:t])
     if not unknowns:
         last = np.zeros(len(w), dtype=complex)
     elif t == len(cols):  # not a pivot: the elimination left it updated
         last = w[:, unknowns[-1]].copy()
-    elif not t:
+    elif not t and not o:
         c = unknowns[-1]
         last = _complement(a, c) if kernel else np.array(a[:, c], dtype=complex)
     else:  # pivot t: undo its division and its interchange
@@ -641,7 +649,12 @@ def _factor(
         last[t + 1 :] *= last[t]
         s = swapped[t]
         lu[[t, s]], last[[t, s]] = lu[[s, t]], last[[s, t]]
-    perm = list(range(len(w)))
+    if o:  # the closed form's pivot rows, which swap no rows, come first
+        last = np.concatenate((a[:o, o + cols[-1]] * (-1 / prefix[1][:o]), last))
+        cols, swapped = ([*range(o), *(o + c for c in x)] for x in (cols, swapped))
+        unknowns, t = cols, o + t
+    positions = tuple(range(t)) if kind is not None else tuple(cols[:t])
+    perm = list(range(len(last)))
     for r, p in enumerate(swapped[:t]):
         perm[r], perm[p] = perm[p], perm[r]
     mags = np.abs(last[t:])
@@ -657,15 +670,16 @@ def _factor(
         anchor,
         0j if anchor is None else complex(last[t + anchor]),
         live_scale,
-        _charges(len(w), len(unknowns), positions),
+        _charges(len(last), len(unknowns), positions),
         sum(p != r for r, p in enumerate(swapped[:t])),
         tuple(cols),
+        prefix,
     )
 
 
 def _projector_echelon(
     a: np.ndarray, tol: TolerancePolicy, kernel: bool, rank: int
-) -> tuple[np.ndarray, list[int], list[int], float]:
+) -> tuple[np.ndarray, list[int], list[int], float, tuple | None]:
     """A projector's range or kernel system in row echelon form (:func:`_row_echelon`).
 
     ``a`` is ``P``, or its first 0 columns for an empty subspace, and
@@ -673,33 +687,41 @@ def _projector_echelon(
     ``tol.threshold`` of the system's largest diagonal magnitude: in a
     positive semidefinite matrix ``|A_ij|**2 <= A_ii A_jj``, so that is
     its largest magnitude, and a :class:`Projector` is finite by
-    construction, so no pass over all n² entries is made.  For the
-    kernel, at rank 1 and more than ``_PANEL`` rows, the work array is
-    :func:`_rank_one_complement`'s when ``P`` is within rounding of ``v
-    v*``, and its elimination starts at the first step that interchanges
-    rows or rejects a pivot, or before a divisor of the closed form
-    below ``1/16``.  Every other kernel system, one the closed form
-    declines included, is a fresh ``I - P`` (:func:`_complement`),
-    eliminated from column 0; either runs to the end.  For the range it
+    construction, so no pass over all n² entries is made.  For a rank-1
+    kernel of more than ``_PANEL`` rows that :func:`_rank_one_complement`
+    takes, the work array is the block its ``t`` steps leave, ``I - p[t:,
+    t:] / s_t`` (``p_il * (-1 / s_t)``, plus 1 on the diagonal) with the
+    pivot ``s_{t+1} / s_t`` at its corner, row-major.  Every other
+    kernel system, or one whose block holds no pivot, is a fresh ``I -
+    P`` (:func:`_complement`); either runs to the end.  For the range it
     is a copy of ``P``'s leading ``rank`` columns rounded up to whole
     panels, where its ``rank`` pivots usually lie, and the elimination
     stops after them; if fewer lie there, the whole of ``P`` is copied
     and eliminated.  Returns the work array, its pivot columns, the row
-    swapped into row ``r`` at pivot ``r``, and the threshold.
+    swapped into row ``r`` at pivot ``r``, the threshold, and the
+    prefix ``(v, s[: t + 1])`` or ``None``.
     """
     scale = np.abs(1 - a.diagonal() if kernel else a.diagonal()).max(initial=0.0)
     threshold = tol.threshold(float(scale))
     if kernel:
         closed = rank == 1 and len(a) > _PANEL and _rank_one_complement(a, threshold)
-        w, start = closed or (_complement(a), 0)
-        return w, *_row_echelon(w, w.shape[1], threshold, start=start), threshold
+        if closed:
+            v, s, t = closed
+            w = np.multiply(a[t:, t:], -1 / s[t], order="C")
+            w.reshape(-1)[:: len(w) + 1] += 1
+            w[0, 0] = s[t + 1] / s[t]
+            cols, swapped = _row_echelon(w, w.shape[1], threshold)
+            if cols:  # the last unknown lies in the block
+                return w, cols, swapped, threshold, (v, s[: t + 1])
+        w = _complement(a)
+        return w, *_row_echelon(w, w.shape[1], threshold), threshold, None
     width = -(-rank // _PANEL) * _PANEL
     w = np.array(a[:, :width])
     cols, swapped = _row_echelon(w, w.shape[1], threshold, rank)
     if w.shape[1] < a.shape[1] and len(cols) < rank:
         w = np.array(a)
         cols, swapped = _row_echelon(w, w.shape[1], threshold, rank)
-    return w, cols, swapped, threshold
+    return w, cols, swapped, threshold, None
 
 
 def _charges(
@@ -853,8 +875,8 @@ def subspace_factor(
     One elimination of ``P`` (range) or ``I - P`` (kernel) in place on
     one work array (:func:`_projector_echelon`): a copy of ``P``'s
     leading panels, or of all of ``P`` when fewer than ``p.rank`` pivots
-    lie there, or one n x n array for the kernel, the closed form's or
-    a fresh ``I - P`` (``P`` itself is never written).  The threshold's scale is the system's largest diagonal
+    lie there, or for the kernel a fresh ``I - P`` or the block a rank-1
+    closed form leaves (``P`` itself is never written).  The threshold's scale is the system's largest diagonal
     magnitude, and nothing else is computed from the system: the factor
     is read off the elimination.  Its pivot columns are the subspace's
     basis and the system's unknowns, so a state's membership then costs
@@ -868,12 +890,10 @@ def subspace_factor(
     and nothing is eliminated, since ``I - P`` of a full-rank ``P`` is
     noise in which the relative threshold finds pivots.  The kernel's
     elimination runs to the end; at rank 1 and more than ``_PANEL``
-    rows, its steps before the first interchange are written in closed
-    form, while their rounding stays within the numerical contract,
-    when ``P`` lies within rounding of ``v v*``, which is decided before
-    the work array is allocated (:func:`_rank_one_complement`); a
-    declined ``P`` is eliminated whole.  So a kernel factor's wall time
-    grows as n² up to there, while its charged tally stays the
+    rows, its steps before the first interchange are in closed form when
+    ``P`` lies within rounding of ``v v*`` (:func:`_rank_one_complement`),
+    and a state then costs O(n + (n - t)²).  So a rank-1 kernel factor's
+    wall time grows as n², while its charged tally stays the
     elimination's.
     """
     key = (kind, tol)

@@ -7,7 +7,8 @@ elimination core ``linalg._row_echelon``, which never reads the
 right-hand side), then a per-state *solve* that takes the right-hand
 side through the factor's interchanges and multipliers, applies one
 cross-product consistency check to the rows left live, and
-back-substitutes a witness.  The factor costs O(n^3), the solve O(n^2).
+back-substitutes a witness.  The factor costs O(n^3), the solve O(n^2),
+or O(n) across a rank-1 kernel's closed-form steps.
 One span decider, ``_span_membership``, reads the span's width off the
 factor: with no unknowns the state must be zero, with one the factor's
 anchored column decides alone, with more the factor is solved.  Deciders:
@@ -110,7 +111,7 @@ from .linalg import (
     Subspace,
     subspace_factor,
 )
-from .linalg import _factor, _finite_scale, _forward, _require_dim, _upper_solve
+from .linalg import _backward, _factor, _finite_scale, _forward, _require_dim
 from .numerics import DEFAULT_TOLERANCE, OpCounter, TolerancePolicy
 
 __all__ = [
@@ -334,8 +335,8 @@ def _first_false(ok: np.ndarray) -> int | None:
 def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[complex]:
     """Solve the eliminated rows for the pivot unknowns; free unknowns are 0.
 
-    The last unknown's share is taken off first, then U is solved by
-    blocks (:func:`~propval.linalg._upper_solve`).  The witness meets the
+    The last unknown's share is taken off first, then U is solved
+    (:func:`~propval.linalg._backward`).  The witness meets the
     numerical contract's normwise backward error
     (:mod:`~propval.numerics`); its bits depend on how the solve is
     blocked and are not part of the contract.
@@ -346,7 +347,7 @@ def _back_substitute(f: EchelonFactor, y: np.ndarray, x_last: complex) -> list[c
         z -= f.last[:t] * x_last
     x = [0j] * f.unknowns
     x[-1] = x_last
-    for position, xi in zip(f.positions, _upper_solve(f.lu[:t], z).tolist()):
+    for position, xi in zip(f.positions, _backward(f, z).tolist()):
         x[position] = xi
     return x
 
@@ -370,7 +371,7 @@ def _solve(
     """
     div, mul = f.charges[full_block]
     elimination = OpCounter(mul=mul, div=div, add_sub=mul)
-    y = _forward(f.lu, f.perm, b)
+    y = _forward(f, b)
     member, x_last, check = _cross_consistency(
         f, y[len(f.positions) :], tol, math.inf
     )

@@ -1038,7 +1038,7 @@ def test_blocked_forward_matches_the_columnwise_loop_on_every_width():
         assert len(f.positions) == t
         v = rng.normal(size=t + 3) + 1j * rng.normal(size=t + 3)
         want = columnwise_forward(f, v)
-        got = linalg._forward(f.lu, f.perm, v)
+        got = linalg._forward(f, v)
         assert np.abs(got - want).max() <= 64 * len(v) * 2.0**-53 * np.abs(want).max()
 
 

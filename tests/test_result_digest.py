@@ -32,6 +32,7 @@ CONTRACT_DIGESTS = {
     "fixtures": "11428f9d4b97506da5ab9c3358d54728141b128fd767c6f66baddb3b73a377a9",
     "bare_stacks": "822614e7321ccf2c71a72b69f02e4baa7aa8b3b8e988511a978ee3f4541759e8",
     "lattice": "7ffe298b01131e5ba859508eef220e1efce80960aeef29dd579124e8be4ae66a",
+    "rank_one_edges": "f258f603886ef9d9003e7bc238aa1c93b1b51568414819116d08cf376ee261c4",
 }
 
 

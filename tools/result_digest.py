@@ -21,7 +21,11 @@ three tolerance policies: the default, and ``abs_eps = rel_eps`` of
   systems and both nondistributivity demos;
 * ``bare_stacks`` -- column stacks with zero or duplicate columns on
   the elimination's panel edges;
-* ``lattice`` -- meet, join and span equality.
+* ``lattice`` -- meet, join and span equality;
+* ``rank_one_edges`` -- rank-1 projectors at n = 33, 64, 256 and 1024
+  whose kernel elimination pivots on the diagonal up to step ``n - 1``,
+  or up to an interchange at ``n - 2``, the ``1/16`` divisor floor, a
+  rejected pivot or a tie, with their range, kernel and generic states.
 
 Each line holds the family's record count, one sha256 of what the
 numerical contract fixes (verdicts, tallies, final checks, row swaps,
@@ -153,6 +157,47 @@ def random_states(pv, d: Digest) -> None:
                 p, states = pv.random_states(n, seed, kinds)
                 named = [(k.value, s) for k, s in zip(kinds, states)]
                 _projector(d, pv, (n, seed, tag), p, named, tol)
+
+
+def _edge_directions(rng, n: int) -> dict[str, np.ndarray]:
+    """Directions whose ``I - v v*`` takes no interchange up to the named step.
+
+    ``last``: one component dominates the rest, the last, so every step
+    before ``n - 1`` pivots on the diagonal.  ``interchange``: the last
+    two dominate the rest, the first twice the second, so step ``n - 2``
+    interchanges.
+    ``floor``: equal magnitudes, so the suffix sums ``(n - j) / n`` pass
+    ``1/16`` before the tie at ``n - 2``.  ``rejected``: zero from
+    ``n/2`` on, the largest just before, so the divisor after it is a
+    zero sum and its pivot is rejected.  ``tie``: zero but for the last
+    8 components, of equal magnitude, so step ``n - 2`` is a tie while
+    the suffix sum is still ``1/8``.
+    """
+    base, equal = _normal(rng, n), np.exp(2j * np.pi * rng.random(n))
+    last, interchange, rejected = base.copy(), base.copy(), base.copy()
+    last[-1] = 4 * np.sqrt(n)
+    interchange[-2:] = 4 * np.sqrt(n), 2 * np.sqrt(n)
+    rejected[n // 2 - 1], rejected[n // 2 :] = 4 * np.sqrt(n), 0
+    tie = np.zeros(n, dtype=complex)
+    tie[-8:] = equal[-8:]
+    named = dict(last=last, interchange=interchange, floor=equal, rejected=rejected)
+    return {k: v / np.linalg.norm(v) for k, v in (*named.items(), ("tie", tie))}
+
+
+def rank_one_edges(pv, d: Digest) -> None:
+    for n in (33, 64, 256, 1024):
+        rng = np.random.default_rng([n, 17])
+        for name, v in _edge_directions(rng, n).items():
+            generic = _unit(rng, n)
+            off = generic - v * np.vdot(v, generic)
+            states = [
+                ("range", pv.StateVector(np.exp(1j * rng.uniform(0, 6.3)) * v)),
+                ("kernel", pv.StateVector(off / np.linalg.norm(off))),
+                ("generic", pv.StateVector(generic)),
+            ]
+            for tag, tol in _policies(pv):
+                p = pv.projector_from_state(pv.StateVector(v), tol)
+                _projector(d, pv, (n, name, tag), p, states, tol)
 
 
 def qr_projectors(pv, d: Digest) -> None:
@@ -303,7 +348,9 @@ def lattice(pv, d: Digest) -> None:
 
 FAMILIES = {
     f.__name__: f
-    for f in (random_states, qr_projectors, fixtures, bare_stacks, lattice)
+    for f in (
+        random_states, qr_projectors, fixtures, bare_stacks, lattice, rank_one_edges
+    )
 }
 
 
